@@ -272,16 +272,22 @@ class TestEndToEnd:
         pipeline = VehicleKeyPipeline(config, seed=11)
         pipeline.train(n_episodes=60, epochs=20, reconciler_epochs=8)
         pipeline.establish_key(episode="bench-warmup", n_rounds=128)
-        # "before" forces the frozen per-round probing loop; "after" is
-        # the default vectorized fault-free path.  Both produce
-        # bit-identical keys, so this times exactly the probing hot path
-        # inside a real establishment -- and gives the entry the speedup
-        # column the regression gate needs (it tracked absolute cost
-        # only, ungated, before the fast path existed).
+
+        def before():
+            protocol, seeds, _, _ = pipeline.build_protocol("bench")
+            pipeline.establish_key(
+                episode="bench", n_rounds=256, trace=protocol.run_loop(256, seeds)
+            )
+
+        # "before" probes with the frozen per-round loop and hands the
+        # trace to establish_key; "after" is the default fault-free
+        # kernel.  Both produce bit-identical keys, so this times exactly
+        # the probing hot path inside a real establishment -- and gives
+        # the entry the speedup column the regression gate needs (it
+        # tracked absolute cost only, ungated, before the fast path
+        # existed).
         before, after = _compare(
-            lambda: pipeline.establish_key(
-                episode="bench", n_rounds=256, probing_fast_path=False
-            ),
+            before,
             lambda: pipeline.establish_key(episode="bench", n_rounds=256),
             reps=3,
             warmup=0,

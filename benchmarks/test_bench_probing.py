@@ -173,8 +173,11 @@ class TestSessionThroughput:
             # the frozen per-round probing path, one session at a time --
             # what the paper's single-device pipeline costs.
             for label in runner.session_labels(self.SESSIONS):
+                protocol, seeds, _, _ = trained_pipeline.build_protocol(label)
                 trained_pipeline.establish_key(
-                    episode=label, n_rounds=self.ROUNDS, probing_fast_path=False
+                    episode=label,
+                    n_rounds=self.ROUNDS,
+                    trace=protocol.run_loop(self.ROUNDS, seeds),
                 )
 
         last_report = {}

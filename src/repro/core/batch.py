@@ -7,10 +7,12 @@ pass; the forward pass in particular leaves most of the batched-GEMM
 throughput of :class:`~repro.core.model.PredictionQuantizationModel` on
 the table when called with one session's handful of windows at a time.
 
-:class:`BatchedSessionRunner` amortizes the work across ``N`` sessions:
+:class:`BatchedSessionRunner` is the fault-free batch engine.  It
+amortizes the work across ``N`` sessions:
 
-1. every session's probing trace is generated through the vectorized
-   fault-free protocol path,
+1. every session's probing trace comes from one call to the stacked
+   fault-free probing kernel
+   (:func:`~repro.probing.protocol.run_fastpath_group`),
 2. all sessions' arRSSI windows are stacked into one matrix and pushed
    through a **single** ``predict_bit_probabilities`` call,
 3. each session then completes its own authenticated message exchange
@@ -23,28 +25,20 @@ stacked forward pass computes each window row independently, and the
 session layer consumes the precomputed probabilities through the same
 guarded extraction path it would otherwise compute itself.
 
-The amortized path assumes the fault-free vectorized protocol.  When a
-:class:`~repro.faults.plan.FaultPlan` or
-:class:`~repro.faults.adversary.AdversaryPlan` is active, the runner
-falls back to one :meth:`establish_key` call per session -- faults and
-attacks need the per-round ARQ loop and per-session adversary state, so
-they are executed rather than silently ignored, and batched outcomes
-stay identical to the sequential loop under faults too (pinned by the
-same test module).
+Link faults, active attacks and re-probing are not the runner's job:
+:meth:`~repro.core.pipeline.VehicleKeyPipeline.establish_key` alone owns
+ARQ, attack handling and re-probe.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.pipeline import KeyEstablishmentOutcome, VehicleKeyPipeline
-from repro.faults.adversary import AdversaryPlan
-from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.probing.dataset import build_dataset
 from repro.probing.features import arrssi_sequences
 from repro.probing.trace import ProbeTrace
@@ -94,11 +88,9 @@ class BatchReport:
             and ``amplify`` (summed from each session's own phase
             timings) and ``orchestrate`` (everything else: outcome
             grading, Python dispatch, and on a sharded run the fork /
-            merge overhead).  Populated on the amortized fast path; empty
-            on the fault/adversary fallback, whose per-session
-            ``establish_key`` calls do not decompose.  On a sharded run
-            each named phase is the *maximum* across shards (the
-            wall-clock view of phases running in parallel).
+            merge overhead).  On a sharded run each named phase is the
+            *maximum* across shards (the wall-clock view of phases
+            running in parallel).
         shards: Worker processes the batch actually ran across (1 for an
             in-process run, including any fallback from an unavailable
             fork context).
@@ -106,7 +98,7 @@ class BatchReport:
 
     outcomes: List[KeyEstablishmentOutcome]
     elapsed_s: float
-    phase_s: Dict[str, float] = field(default_factory=dict)
+    phase_s: Dict[str, float]
     shards: int = 1
 
     @property
@@ -137,13 +129,6 @@ class BatchedSessionRunner:
         episode_prefix: Label prefix; session ``i`` probes episode
             ``{prefix}-{i}``, so a batch covers the same independent
             channel realizations the sequential loop would.
-        fault_plan: Optional fault injection applied to every session.
-            Any active plan disables the amortized fast path (see
-            :attr:`amortized`).
-        retry_policy: ARQ budget/backoff used with an active fault or
-            adversary plan.
-        adversary_plan: Optional active-attack plan applied to every
-            session; also disables the amortized fast path.
         shards: Worker processes to split a batch across (default 1 =
             in-process).  Shards are forked, so the trained model weights
             are shared copy-on-write rather than pickled per worker; the
@@ -160,9 +145,6 @@ class BatchedSessionRunner:
         pipeline: VehicleKeyPipeline,
         n_rounds: Optional[int] = None,
         episode_prefix: str = "batch",
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        adversary_plan: Optional[AdversaryPlan] = None,
         shards: int = 1,
     ):
         self.pipeline = pipeline
@@ -174,24 +156,7 @@ class BatchedSessionRunner:
         require_positive(self.n_rounds, "n_rounds")
         require_positive(int(shards), "shards")
         self.episode_prefix = episode_prefix
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
-        self.adversary_plan = adversary_plan
         self.shards = int(shards)
-
-    @property
-    def amortized(self) -> bool:
-        """Whether the batch may take the stacked-inference fast path.
-
-        Faults and active attacks require the per-round ARQ loop and
-        per-session adversary/channel state, so any active plan forces
-        per-session execution.
-        """
-        if self.fault_plan is not None and not self.fault_plan.is_null:
-            return False
-        if self.adversary_plan is not None and not self.adversary_plan.is_null:
-            return False
-        return True
 
     def session_labels(self, n_sessions: int) -> List[str]:
         """The episode labels a batch of ``n_sessions`` probes."""
@@ -202,8 +167,7 @@ class BatchedSessionRunner:
 
         Returns a :class:`BatchReport`; its per-session outcomes match a
         sequential ``establish_key`` loop over the same episode labels
-        bit-for-bit.  With an active fault or adversary plan the batch
-        *is* that sequential loop (see :attr:`amortized`).
+        bit-for-bit.
         """
         require_positive(n_sessions, "n_sessions")
         return self.run_episodes(self.session_labels(n_sessions))
@@ -228,8 +192,6 @@ class BatchedSessionRunner:
 
     def _run_episodes_local(self, labels: Sequence[str]) -> BatchReport:
         """One in-process batch (a whole batch, or one shard's chunk)."""
-        if not self.amortized:
-            return self._run_per_session(labels)
         start = time.perf_counter()
         phase_s = {}
         session = self.pipeline.build_session()
@@ -331,32 +293,10 @@ class BatchedSessionRunner:
             for key, value in report.phase_s.items():
                 if key != "orchestrate":
                     phase_s[key] = max(phase_s.get(key, 0.0), value)
-        if any(report.phase_s for report in reports):
-            phase_s["orchestrate"] = max(0.0, elapsed - sum(phase_s.values()))
+        phase_s["orchestrate"] = max(0.0, elapsed - sum(phase_s.values()))
         return BatchReport(
             outcomes=outcomes,
             elapsed_s=elapsed,
             phase_s=phase_s,
             shards=len(chunks),
         )
-
-    def _run_per_session(self, labels: Sequence[str]) -> BatchReport:
-        """Fault/adversary fallback: one ``establish_key`` per session.
-
-        Exactly the sequential loop a caller would write, so fault and
-        attack semantics (ARQ, lossy syndrome channels, per-session
-        adversary state, structured aborts) apply unchanged.
-        """
-        start = time.perf_counter()
-        outcomes = [
-            self.pipeline.establish_key(
-                episode=label,
-                n_rounds=self.n_rounds,
-                fault_plan=self.fault_plan,
-                retry_policy=self.retry_policy,
-                adversary_plan=self.adversary_plan,
-            )
-            for label in labels
-        ]
-        elapsed = time.perf_counter() - start
-        return BatchReport(outcomes=outcomes, elapsed_s=elapsed)

@@ -107,7 +107,6 @@ def build_episode_protocol(
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     adversary: Optional[ActiveAdversary] = None,
-    fast_path: bool = True,
 ) -> Tuple[ProbingProtocol, Tuple[object, object], object]:
     """Fresh trajectories/channel/protocol for one probing episode.
 
@@ -132,7 +131,6 @@ def build_episode_protocol(
         fault_model=fault_model,
         retry_policy=retry_policy,
         adversary=adversary,
-        fast_path=fast_path,
     )
     return protocol, (alice, bob), channel
 
@@ -199,7 +197,6 @@ class VehicleKeyPipeline:
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         adversary: Optional[ActiveAdversary] = None,
-        fast_path: bool = True,
     ) -> Tuple[ProbingProtocol, SeedSequenceFactory, object, object]:
         """Fresh trajectories/channel/protocol for one probing episode."""
         episode_seeds = self.seeds.child(f"episode-{episode}")
@@ -210,7 +207,6 @@ class VehicleKeyPipeline:
             fault_plan=fault_plan,
             retry_policy=retry_policy,
             adversary=adversary,
-            fast_path=fast_path,
         )
         return protocol, episode_seeds, (alice, bob), channel
 
@@ -223,7 +219,6 @@ class VehicleKeyPipeline:
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         adversary: Optional[ActiveAdversary] = None,
-        fast_path: bool = True,
     ) -> ProbeTrace:
         """Run one probing episode; returns its trace.
 
@@ -240,9 +235,6 @@ class VehicleKeyPipeline:
             adversary: Optional active attacker whose probing-layer
                 attacks (jamming, replay, injection) are woven into the
                 episode's ARQ loop.
-            fast_path: Allow the protocol's vectorized fault-free path
-                (default).  ``False`` forces the per-round loop; traces
-                are bit-identical either way.
         """
         protocol, episode_seeds, (alice, bob), channel = self.build_protocol(
             episode,
@@ -250,7 +242,6 @@ class VehicleKeyPipeline:
             fault_plan=fault_plan,
             retry_policy=retry_policy,
             adversary=adversary,
-            fast_path=fast_path,
         )
         eavesdroppers: List[EavesdropperSetup] = [
             builder(self.config.scenario, episode_seeds, channel, alice, bob)
@@ -434,7 +425,6 @@ class VehicleKeyPipeline:
         max_attempts: int = 1,
         reprobe_airtime_budget_s: Optional[float] = None,
         raise_on_failure: bool = False,
-        probing_fast_path: bool = True,
     ) -> "KeyEstablishmentOutcome":
         """Probe a fresh episode and run the full key agreement.
 
@@ -473,9 +463,6 @@ class VehicleKeyPipeline:
                 surfaces as ``success=False`` with
                 ``failure_reason="key-mismatch"`` and is never returned
                 as a silent pair of different keys.
-            probing_fast_path: Allow the vectorized fault-free probing
-                path (default).  ``False`` forces the per-round loop --
-                traces, and therefore keys, are bit-identical either way.
         """
         require(max_attempts >= 1, "max_attempts must be >= 1")
         plan = fault_plan if fault_plan is not None and not fault_plan.is_null else None
@@ -513,7 +500,6 @@ class VehicleKeyPipeline:
                     fault_plan=plan,
                     retry_policy=retry_policy,
                     adversary=adversary,
-                    fast_path=probing_fast_path,
                 )
                 pool.append(collected)
                 all_traces.append(collected)

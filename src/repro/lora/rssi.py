@@ -115,55 +115,12 @@ class RegisterRssiSampler:
         noise = rng.normal(0.0, self.device.rssi_noise_std_db, size=truth.shape)
         return self._register_readings(truth, noise)
 
-    def sample_many(
-        self,
-        received_power_dbm: Callable[[np.ndarray], np.ndarray],
-        reception_starts_s: np.ndarray,
-        standard_noise: np.ndarray,
-    ) -> np.ndarray:
-        """Register-RSSI matrix for many packet receptions at once.
-
-        Vectorized equivalent of calling :meth:`sample` once per
-        reception: the channel is evaluated over the full
-        ``[reception, symbol]`` time grid in one call and the smoothing /
-        noise / quantization pipeline runs on whole matrices.  Every
-        arithmetic step mirrors :meth:`sample` operation-for-operation, so
-        with ``standard_noise`` drawn from the same generator stream the
-        result is bit-identical to the per-reception loop.
-
-        Args:
-            received_power_dbm: Vectorized time-to-power function (dBm);
-                called once with the flattened grid.
-            reception_starts_s: Start time of each reception, shape
-                ``[n_receptions]``.
-            standard_noise: *Standard* normal draws of shape
-                ``[n_receptions, n_samples]``; scaled internally by the
-                device's noise level (``Generator.normal(0, std)`` computes
-                ``std * z`` from the same standard-normal stream).
-
-        Returns:
-            ``[n_receptions, n_samples]`` register readings in dBm.
-        """
-        times = self.reception_times(reception_starts_s)
-        truth = np.asarray(received_power_dbm(times.ravel()), dtype=float)
-        if truth.shape != (times.size,):
-            raise ConfigurationError(
-                "received_power_dbm must return one power value per sample time"
-            )
-        truth = truth.reshape(times.shape)
-        noise = self.device.rssi_noise_std_db * np.asarray(standard_noise, dtype=float)
-        if noise.shape != truth.shape:
-            raise ConfigurationError(
-                "standard_noise must supply one draw per register sample"
-            )
-        return self._register_readings(truth, noise)
-
     def reception_times(self, reception_starts_s: np.ndarray) -> np.ndarray:
         """The ``[n_receptions, n_samples]`` register-read time grid.
 
-        Exactly the grid :meth:`sample_many` evaluates the channel over;
-        exposed so cross-session batching can build the grid once per
-        group and feed precomputed powers to :meth:`readings_for_power`.
+        Row ``k`` is :meth:`sample_times` of ``reception_starts_s[k]``;
+        the stacked probing kernel builds the grid once per group and
+        feeds the powers it evaluates there to :meth:`readings_for_power`.
         """
         starts = np.asarray(reception_starts_s, dtype=float)
         symbol = self.phy.symbol_time_s
@@ -175,12 +132,16 @@ class RegisterRssiSampler:
     ) -> np.ndarray:
         """Register readings from a precomputed received-power grid.
 
-        The tail of :meth:`sample_many` with the channel evaluation
+        The batched form of :meth:`sample` with the channel evaluation
         factored out: ``truth_dbm`` holds true received powers on the
         :meth:`reception_times` grid (any leading shape -- the smoothing
         pipeline only touches the trailing symbol axis, so stacked
         ``[n_sessions, n_receptions, n_samples]`` batches process each
-        session row bit-identically to a per-session call).
+        reception bit-identically to a per-reception :meth:`sample`).
+        ``standard_noise`` holds *standard* normal draws of the same
+        shape, scaled here by the device's noise level
+        (``Generator.normal(0, std)`` computes ``std * z`` from the same
+        standard-normal stream).
         """
         truth = np.asarray(truth_dbm, dtype=float)
         noise = self.device.rssi_noise_std_db * np.asarray(standard_noise, dtype=float)

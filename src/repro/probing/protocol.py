@@ -15,21 +15,22 @@ magnitude larger than the propagation delay, propagation is ignored
 transmissions through their *own* channels, sampled at exactly the same
 instants as the legitimate receivers.
 
-Two execution paths produce the same trace:
+Two engines produce traces:
 
 - :meth:`ProbingProtocol.run_loop` is the frozen per-round loop -- the
-  correctness baseline, and the only path that supports ARQ fault
-  injection (retransmission timing depends on which packets were lost,
-  so the timeline cannot be precomputed).
-- The vectorized fast path (taken automatically by
-  :meth:`ProbingProtocol.run` on a fault-free link) exploits that
-  without faults every round's start time is a deterministic affine
-  function of the round index: it precomputes the full
-  ``[n_rounds, n_samples]`` timestamp grid, evaluates the channel stack
-  once per direction over the whole grid, and draws all measurement
-  noise in bulk from the same per-party seed streams -- reproducing the
-  loop path bit-for-bit (``tests/test_probing_vectorized.py`` pins
-  this).
+  correctness oracle, and the only engine that supports ARQ fault
+  injection and active attacks (retransmission timing depends on which
+  packets were lost, so the timeline cannot be precomputed).
+- :func:`run_fastpath_group` is the stacked fault-free kernel.  Without
+  faults every round's start time is a deterministic affine function of
+  the round index, so it precomputes the
+  ``[n_sessions, n_rounds, n_samples]`` timestamp grid, evaluates the
+  channel stack once per direction for the whole group, and draws all
+  measurement noise in bulk from the same per-party seed streams --
+  reproducing the loop bit-for-bit (``tests/test_probing_vectorized.py``
+  and ``tests/test_probing_cross_session.py`` pin this).
+  :meth:`ProbingProtocol.run` on a fault-free link is a one-session call
+  to it.
 """
 
 from __future__ import annotations
@@ -103,10 +104,6 @@ class ProbingProtocol:
             All attacker randomness comes from dedicated ``adversary-*``
             seed streams, so ``None`` (or a null plan) reproduces the
             unattacked run bit-for-bit.
-        fast_path: Allow :meth:`run` to take the vectorized fault-free
-            path (the default).  ``False`` forces the frozen per-round
-            loop, e.g. for before/after benchmarking; results are
-            bit-identical either way.
     """
 
     def __init__(
@@ -121,7 +118,6 @@ class ProbingProtocol:
         fault_model: Optional[LinkFaultModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
         adversary: Optional[ActiveAdversary] = None,
-        fast_path: bool = True,
     ):
         require(inter_round_gap_s >= 0, "inter_round_gap_s must be >= 0")
         self.channel = channel
@@ -134,7 +130,6 @@ class ProbingProtocol:
         self.fault_model = fault_model
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.adversary = adversary
-        self.fast_path = bool(fast_path)
 
     def round_period_s(self) -> float:
         """Duration of one complete probe/response round."""
@@ -154,10 +149,11 @@ class ProbingProtocol:
     ) -> ProbeTrace:
         """Execute ``n_rounds`` probe/response rounds.
 
-        Dispatches to the vectorized fast path when the link is
-        fault-free (and ``fast_path`` was not disabled); otherwise runs
-        the per-round loop.  Both paths produce bit-identical traces, so
-        callers never need to care which one executed.
+        A fault-free link runs as a one-session call to the stacked
+        kernel :func:`run_fastpath_group`; with a fault model or an
+        adversary attached the per-round ARQ loop :meth:`run_loop` runs
+        instead.  On a fault-free link both produce bit-identical traces,
+        so callers never need to care which one executed.
 
         Args:
             n_rounds: Rounds to attempt.
@@ -183,13 +179,15 @@ class ProbingProtocol:
         retry budget runs out is discarded (``valid=False``,
         ``dropped=True``) instead of desynchronizing the trace.
         """
-        if (
-            self.fast_path
-            and self.fault_model is None
-            and self.adversary is None
-        ):
-            return self._run_vectorized(n_rounds, seeds, eavesdroppers, start_time_s)
-        return self.run_loop(n_rounds, seeds, eavesdroppers, start_time_s)
+        if self.fault_model is not None or self.adversary is not None:
+            return self.run_loop(n_rounds, seeds, eavesdroppers, start_time_s)
+        return run_fastpath_group(
+            [self],
+            n_rounds,
+            [seeds],
+            start_time_s=start_time_s,
+            eavesdroppers=[eavesdroppers],
+        )[0]
 
     def run_loop(
         self,
@@ -204,9 +202,9 @@ class ProbingProtocol:
         attempt at a time, measuring each reception as it happens.  It is
         the only path that supports ARQ fault injection (retransmission
         timing depends on which packets were lost, so the timeline cannot
-        be precomputed) and the oracle the vectorized fast path is pinned
-        against.  Arguments and return value are exactly those of
-        :meth:`run`.
+        be precomputed) and the oracle the stacked kernel
+        :func:`run_fastpath_group` is pinned against.  Arguments and
+        return value are exactly those of :meth:`run`.
         """
         require_positive(n_rounds, "n_rounds")
         airtime = self.phy.airtime_s
@@ -425,8 +423,8 @@ class ProbingProtocol:
         """Receiver-side power-vs-time function for one endpoint.
 
         Combines the reciprocal channel's path gain with any interference
-        picked up at the receiver's own position.  Shared by the loop and
-        vectorized paths so both evaluate the identical channel stack.
+        picked up at the receiver's own position;
+        :func:`_group_received_power` mirrors it row by row.
         """
 
         def power(times: np.ndarray) -> np.ndarray:
@@ -443,118 +441,6 @@ class ProbingProtocol:
 
         return power
 
-    def _run_vectorized(
-        self,
-        n_rounds: int,
-        seeds: SeedSequenceFactory,
-        eavesdroppers: Sequence[EavesdropperSetup] = (),
-        start_time_s: float = 0.0,
-    ) -> ProbeTrace:
-        """Grid-based fast path for fault-free probing.
-
-        Without faults the round timeline is deterministic, so the full
-        ``[n_rounds, n_samples]`` reception-time grid is known up front:
-        the channel stack is evaluated once per direction over the whole
-        grid and all measurement noise is drawn in bulk from the same
-        per-party streams the loop consumes round by round.  Every
-        arithmetic step mirrors :meth:`run_loop` exactly (timestamp
-        association order included), so the returned trace is
-        bit-identical to the loop's -- ``tests/test_probing_vectorized.py``
-        pins this.
-        """
-        require_positive(n_rounds, "n_rounds")
-        airtime = self.phy.airtime_s
-
-        alice_sampler = RegisterRssiSampler(self.phy, self.alice_device)
-        bob_sampler = RegisterRssiSampler(self.phy, self.bob_device)
-        alice_noise = seeds.generator("alice-rssi-noise")
-        bob_noise = seeds.generator("bob-rssi-noise")
-        n_samples = alice_sampler.n_samples
-
-        # Round timeline.  The start times are affine in the round index,
-        # but we reproduce the loop's running-cursor additions (same
-        # association order) rather than closing the form, so the
-        # timestamps -- and everything downstream -- match bit-for-bit.
-        probe_starts = np.empty(n_rounds)
-        response_starts = np.empty(n_rounds)
-        cursor = float(start_time_s)
-        for k in range(n_rounds):
-            probe_starts[k] = cursor
-            response_start = cursor + airtime + self.bob_device.processing_delay_s
-            response_starts[k] = response_start
-            cursor = (
-                response_start
-                + airtime
-                + self.alice_device.processing_delay_s
-                + self.inter_round_gap_s
-            )
-
-        alice_power = self._receiver_power(self.channel.motion.trajectory_a)
-        bob_power = self._receiver_power(self.channel.motion.trajectory_b)
-
-        # Each round consumes n_samples register-noise draws plus one
-        # packet-RSSI draw per party, in that order; a single row-major
-        # bulk draw therefore replays the loop's stream exactly.
-        z_bob = bob_noise.standard_normal((n_rounds, n_samples + 1))
-        z_alice = alice_noise.standard_normal((n_rounds, n_samples + 1))
-
-        bob_rssi = bob_sampler.sample_many(
-            bob_power, probe_starts, z_bob[:, :n_samples]
-        )
-        bob_prssi = quantize_packet_rssi(
-            bob_rssi.mean(axis=1)
-            + self.bob_device.packet_rssi_noise_std_db * z_bob[:, n_samples],
-            self.bob_device.rssi_resolution_db,
-        )
-        alice_rssi = alice_sampler.sample_many(
-            alice_power, response_starts, z_alice[:, :n_samples]
-        )
-        alice_prssi = quantize_packet_rssi(
-            alice_rssi.mean(axis=1)
-            + self.alice_device.packet_rssi_noise_std_db * z_alice[:, n_samples],
-            self.alice_device.rssi_resolution_db,
-        )
-
-        eve_traces: Dict[str, EveTrace] = {}
-        for setup in eavesdroppers:
-            sampler = RegisterRssiSampler(self.phy, setup.device)
-            gen = seeds.generator(f"eve-{setup.label}-rssi-noise")
-            # Per round the loop draws n_samples for the probe overhear,
-            # then n_samples for the response overhear.
-            z_eve = gen.standard_normal((n_rounds, 2 * n_samples))
-            of_alice = sampler.sample_many(
-                self._eve_power(setup.channel_from_alice),
-                probe_starts,
-                z_eve[:, :n_samples],
-            )
-            of_bob = sampler.sample_many(
-                self._eve_power(setup.channel_from_bob),
-                response_starts,
-                z_eve[:, n_samples:],
-            )
-            eve_traces[setup.label] = EveTrace(
-                of_alice_rssi=of_alice, of_bob_rssi=of_bob
-            )
-
-        probe_gain = self.channel.path_gain_db(probe_starts + airtime / 2.0)
-        response_gain = self.channel.path_gain_db(response_starts + airtime / 2.0)
-        valid = self.link_budget.is_decodable(
-            probe_gain, self.phy
-        ) & self.link_budget.is_decodable(response_gain, self.phy)
-
-        return ProbeTrace(
-            phy=self.phy,
-            alice_rssi=alice_rssi,
-            bob_rssi=bob_rssi,
-            round_start_s=probe_starts,
-            valid=np.asarray(valid, dtype=bool),
-            eve=eve_traces,
-            alice_prssi=np.asarray(alice_prssi, dtype=float),
-            bob_prssi=np.asarray(bob_prssi, dtype=float),
-            retries=np.zeros(n_rounds, dtype=np.int32),
-            dropped=np.zeros(n_rounds, dtype=bool),
-        )
-
     def _packet_rssi(
         self,
         register_samples: np.ndarray,
@@ -566,8 +452,8 @@ class ProbingProtocol:
         Mean of the register samples plus the PacketRssi register's own
         calibration error, quantized to the register resolution with
         :func:`~repro.lora.rssi.quantize_packet_rssi` (round half toward
-        +infinity -- the documented rule shared with the vectorized
-        path).
+        +infinity -- the documented rule shared with the stacked
+        kernel).
         """
         value = float(np.mean(register_samples))
         value += float(rng.normal(0.0, device.packet_rssi_noise_std_db))
@@ -585,35 +471,24 @@ class ProbingProtocol:
 def _group_compatible(protocols: Sequence[ProbingProtocol]) -> bool:
     """Whether one stacked evaluation can serve every session.
 
-    The cross-session fast path shares the round timeline and the trig
-    batch, so the group must agree on everything that shapes them: PHY,
-    both transceivers, link budget, pacing, fault-freeness, and a
-    homogeneous :class:`SpatialJakesFading` family (per-session
-    wavelengths may differ; path count / K-factor / precision may not).
+    The stacked kernel shares the round timeline and the register
+    pipeline, so the group must be fault-free and agree on PHY, both
+    transceivers, link budget and pacing.  Channels may differ freely
+    (:func:`_group_path_gain` picks the fading evaluation from them), so
+    any single fault-free protocol is compatible on its own -- the
+    per-session fallback of :func:`run_fastpath_group` never recurses.
     """
     first = protocols[0]
-    fading0 = first.channel.fading
-    if fading0 is None or not isinstance(fading0, SpatialJakesFading):
-        return False
-    for protocol in protocols:
-        fading = protocol.channel.fading
-        if (
-            protocol.fault_model is not None
-            or protocol.adversary is not None
-            or not protocol.fast_path
-            or protocol.phy != first.phy
-            or protocol.alice_device != first.alice_device
-            or protocol.bob_device != first.bob_device
-            or protocol.link_budget != first.link_budget
-            or protocol.inter_round_gap_s != first.inter_round_gap_s
-            or fading is None
-            or not isinstance(fading, SpatialJakesFading)
-            or fading.n_paths != fading0.n_paths
-            or fading.rician_k != fading0.rician_k
-            or fading.trig_precision != fading0.trig_precision
-        ):
-            return False
-    return True
+    return all(
+        protocol.fault_model is None
+        and protocol.adversary is None
+        and protocol.phy == first.phy
+        and protocol.alice_device == first.alice_device
+        and protocol.bob_device == first.bob_device
+        and protocol.link_budget == first.link_budget
+        and protocol.inter_round_gap_s == first.inter_round_gap_s
+        for protocol in protocols
+    )
 
 
 def _group_path_gain(
@@ -621,25 +496,38 @@ def _group_path_gain(
 ) -> np.ndarray:
     """``[n_sessions, len(times)]`` total path gains for the group.
 
-    Path loss and shadowing stay per-session (cheap, and their lazy
-    caches are stateful); the fading term -- the dominant cost -- is
-    evaluated for all sessions in one stacked trig pass.  Row ``i`` is
-    bit-identical to ``protocols[i].channel.path_gain_db(times_1d)``
-    because the composition order matches
+    When every channel carries a homogeneous :class:`SpatialJakesFading`
+    (per-session wavelengths may differ; path count / K-factor /
+    precision may not), the fading term -- the dominant cost -- is
+    evaluated for all sessions in one stacked trig pass, while path loss
+    and shadowing stay per-session (cheap, and their lazy caches are
+    stateful).  Row ``i`` is bit-identical to
+    ``protocols[i].channel.path_gain_db(times_1d)`` because the
+    composition order matches
     :meth:`~repro.channel.reciprocity.ReciprocalChannel.prefading_gain_db`
     and :func:`~repro.channel.fading.batched_spatial_gain_db` is
-    row-exact.
+    row-exact.  Fading-free or mixed groups evaluate each row with
+    ``path_gain_db`` itself.
     """
+    fadings = [protocol.channel.fading for protocol in protocols]
+    first = fadings[0]
+    if not all(
+        isinstance(fading, SpatialJakesFading)
+        and fading.n_paths == first.n_paths
+        and fading.rician_k == first.rician_k
+        and fading.trig_precision == first.trig_precision
+        for fading in fadings
+    ):
+        return np.stack(
+            [protocol.channel.path_gain_db(times_1d) for protocol in protocols]
+        )
     partials = np.empty((len(protocols), times_1d.size))
     displacements = np.empty_like(partials)
     for i, protocol in enumerate(protocols):
         partial, displacement = protocol.channel.prefading_gain_db(times_1d)
         partials[i] = partial
         displacements[i] = displacement
-    fading_rows = batched_spatial_gain_db(
-        [protocol.channel.fading for protocol in protocols], displacements
-    )
-    return partials + fading_rows
+    return partials + batched_spatial_gain_db(fadings, displacements)
 
 
 def _group_received_power(
@@ -667,29 +555,73 @@ def _group_received_power(
     return powers
 
 
+def _overheard(
+    protocol: ProbingProtocol,
+    setup: EavesdropperSetup,
+    seeds: SeedSequenceFactory,
+    probe_times: np.ndarray,
+    response_times: np.ndarray,
+) -> EveTrace:
+    """One eavesdropper's trace on the session's reception-time grids.
+
+    Eve samples at exactly the legitimate receivers' instants, through
+    Eve's own channels and device.  Per round the loop draws
+    ``n_samples`` for the probe overhear, then ``n_samples`` for the
+    response overhear, from Eve's own stream; one row-major
+    ``[n_rounds, 2 * n_samples]`` draw replays it.
+    """
+    sampler = RegisterRssiSampler(protocol.phy, setup.device)
+    n_rounds, n_samples = probe_times.shape
+    z_eve = seeds.generator(f"eve-{setup.label}-rssi-noise").standard_normal(
+        (n_rounds, 2 * n_samples)
+    )
+
+    def readings(channel: ReciprocalChannel, times: np.ndarray, noise: np.ndarray):
+        power = protocol._eve_power(channel)(times.ravel())
+        return sampler.readings_for_power(power.reshape(times.shape), noise)
+
+    return EveTrace(
+        of_alice_rssi=readings(
+            setup.channel_from_alice, probe_times, z_eve[:, :n_samples]
+        ),
+        of_bob_rssi=readings(
+            setup.channel_from_bob, response_times, z_eve[:, n_samples:]
+        ),
+    )
+
+
 def run_fastpath_group(
     protocols: Sequence[ProbingProtocol],
     n_rounds: int,
     seeds: Sequence[SeedSequenceFactory],
     start_time_s: float = 0.0,
+    eavesdroppers: Optional[Sequence[Sequence[EavesdropperSetup]]] = None,
 ) -> List[ProbeTrace]:
     """Run one fault-free probing session per protocol, stacked.
 
-    The cross-session extension of :meth:`ProbingProtocol._run_vectorized`:
-    the ``[n_rounds, n_samples]`` grids of a whole batch are stacked into
-    ``[n_sessions, n_rounds, n_samples]`` so the channel's trig-heavy
-    fading evaluation and the register-reading pipeline each run once for
-    the group.  Per-session randomness is replayed row-major -- each
-    session draws its own ``bob`` block then its own ``alice`` block from
-    its own named streams, exactly as the single-session path does -- so
-    every returned :class:`ProbeTrace` is bit-identical to
-    ``protocols[i].run(n_rounds, seeds[i], start_time_s=start_time_s)``
-    (``tests/test_probing_cross_session.py`` pins this).
+    The one fault-free probing engine: the ``[n_rounds, n_samples]``
+    reception grids of a whole batch are stacked into
+    ``[n_sessions, n_rounds, n_samples]`` so the channel evaluation and
+    the register-reading pipeline each run once for the group.
+    Per-session randomness is replayed row-major -- each session draws
+    its own ``bob`` block then its own ``alice`` block from its own named
+    streams, exactly the per-round loop's draw order -- so every returned
+    :class:`ProbeTrace` is bit-identical to
+    ``protocols[i].run_loop(n_rounds, seeds[i], eavesdroppers[i],
+    start_time_s)`` (``tests/test_probing_cross_session.py`` pins this).
 
-    Sessions whose protocols cannot share an evaluation (mixed PHYs or
-    devices, fault models, adversaries, non-Jakes fading) fall back to
-    per-session :meth:`ProbingProtocol.run`, which preserves correctness
-    for any input.
+    Args:
+        protocols: One protocol per session.
+        n_rounds: Rounds every session probes.
+        seeds: One seed factory per session.
+        start_time_s: Protocol start time on the channels' clock.
+        eavesdroppers: Optional per-session eavesdropper lists (``None``:
+            nobody listens).
+
+    A group whose protocols cannot share a timeline (mixed PHYs, devices,
+    link budgets or pacing, or any fault model or adversary) falls back
+    to per-session :meth:`ProbingProtocol.run`, which preserves
+    correctness for any input and returns the traces in input order.
     """
     protocols = list(protocols)
     seeds = list(seeds)
@@ -698,11 +630,20 @@ def run_fastpath_group(
         len(protocols) == len(seeds),
         "run_fastpath_group needs one seed factory per protocol",
     )
+    eavesdroppers = (
+        [()] * len(protocols) if eavesdroppers is None else list(eavesdroppers)
+    )
+    require(
+        len(eavesdroppers) == len(protocols),
+        "run_fastpath_group needs one eavesdropper list per protocol",
+    )
     require_positive(n_rounds, "n_rounds")
     if not _group_compatible(protocols):
         return [
-            protocol.run(n_rounds, session_seeds, start_time_s=start_time_s)
-            for protocol, session_seeds in zip(protocols, seeds)
+            protocol.run(n_rounds, session_seeds, session_eves, start_time_s)
+            for protocol, session_seeds, session_eves in zip(
+                protocols, seeds, eavesdroppers
+            )
         ]
 
     first = protocols[0]
@@ -712,9 +653,10 @@ def run_fastpath_group(
     n_samples = alice_sampler.n_samples
     n_sessions = len(protocols)
 
-    # Shared round timeline: PHY, devices and pacing agree across the
-    # group, so the running-cursor loop (same association order as the
-    # frozen loop path) is computed once.
+    # Shared round timeline.  The start times are affine in the round
+    # index, but the loop's running-cursor additions (same association
+    # order) are reproduced rather than closing the form, so the
+    # timestamps -- and everything downstream -- match bit-for-bit.
     probe_starts = np.empty(n_rounds)
     response_starts = np.empty(n_rounds)
     cursor = float(start_time_s)
@@ -731,8 +673,9 @@ def run_fastpath_group(
     probe_times = bob_sampler.reception_times(probe_starts)
     response_times = alice_sampler.reception_times(response_starts)
 
-    # Per-session noise blocks in the single-session draw order: each
-    # session's bob block before its alice block, from its own streams.
+    # Each round consumes n_samples register-noise draws plus one
+    # packet-RSSI draw per party, in that order; a row-major bulk draw
+    # per session therefore replays the loop's streams exactly.
     z_bob = np.empty((n_sessions, n_rounds, n_samples + 1))
     z_alice = np.empty_like(z_bob)
     for i, session_seeds in enumerate(seeds):
@@ -765,6 +708,17 @@ def run_fastpath_group(
         + first.alice_device.packet_rssi_noise_std_db * z_alice[:, :, n_samples],
         first.alice_device.rssi_resolution_db,
     )
+    eve_traces = [
+        {
+            setup.label: _overheard(
+                protocol, setup, session_seeds, probe_times, response_times
+            )
+            for setup in session_eves
+        }
+        for protocol, session_seeds, session_eves in zip(
+            protocols, seeds, eavesdroppers
+        )
+    ]
 
     probe_gain = _group_path_gain(protocols, probe_starts + airtime / 2.0)
     response_gain = _group_path_gain(protocols, response_starts + airtime / 2.0)
@@ -772,20 +726,16 @@ def run_fastpath_group(
         probe_gain, first.phy
     ) & first.link_budget.is_decodable(response_gain, first.phy)
 
-    traces: List[ProbeTrace] = []
-    for i, protocol in enumerate(protocols):
-        traces.append(
-            ProbeTrace(
-                phy=protocol.phy,
-                alice_rssi=alice_rssi[i],
-                bob_rssi=bob_rssi[i],
-                round_start_s=probe_starts.copy(),
-                valid=np.asarray(valid[i], dtype=bool),
-                eve={},
-                alice_prssi=np.asarray(alice_prssi[i], dtype=float),
-                bob_prssi=np.asarray(bob_prssi[i], dtype=float),
-                retries=np.zeros(n_rounds, dtype=np.int32),
-                dropped=np.zeros(n_rounds, dtype=bool),
-            )
+    return [
+        ProbeTrace(
+            phy=protocol.phy,
+            alice_rssi=alice_rssi[i],
+            bob_rssi=bob_rssi[i],
+            round_start_s=probe_starts.copy(),
+            valid=valid[i],
+            eve=eve_traces[i],
+            alice_prssi=alice_prssi[i],
+            bob_prssi=bob_prssi[i],
         )
-    return traces
+        for i, protocol in enumerate(protocols)
+    ]

@@ -614,6 +614,11 @@ class KeyEstablishmentServer:
         if not session_id:
             self.metrics.malformed_frames += 1
             return None
+        rounds = hello.get("rounds")
+        # Only a JSON integer >= 1 is a round count (``bool`` is not).
+        if rounds is not None and (type(rounds) is not int or rounds < 1):
+            self.metrics.malformed_frames += 1
+            return None
         resume = str(hello.get("resume") or "")
         if resume and self.journal is not None:
             # Resumption is answered even while draining: it only ever
@@ -640,11 +645,10 @@ class KeyEstablishmentServer:
                 f"session id {session_id!r} is already live",
             )
             return None
-        rounds = hello.get("rounds")
         session = DeviceSession(
             session_id=session_id,
             episode=str(hello.get("episode") or f"serve-{session_id}"),
-            rounds=int(rounds) if rounds is not None else None,
+            rounds=rounds,
             idle_timeout_s=self.config.idle_timeout_s,
             wants_data=bool(hello.get("data", False)),
         )

@@ -14,9 +14,6 @@ import pytest
 
 from repro.core.batch import BatchedSessionRunner, BatchReport, _contiguous_chunks
 from repro.exceptions import ConfigurationError
-from repro.faults.adversary import AdversaryPlan
-from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 
 
 def sequential_outcomes(pipeline, runner, n_sessions):
@@ -93,69 +90,6 @@ class TestBatchedEngine:
             runner.run(0)
 
 
-class TestFaultFallback:
-    """Active fault/adversary plans force per-session execution.
-
-    The amortized fast path assumes the fault-free vectorized protocol;
-    with a plan active the runner must fall back to a sequential
-    ``establish_key`` loop and stay bit-identical to it.
-    """
-
-    def test_amortized_property(self, tiny_pipeline):
-        assert BatchedSessionRunner(tiny_pipeline, n_rounds=32).amortized
-        assert BatchedSessionRunner(
-            tiny_pipeline, n_rounds=32, fault_plan=FaultPlan.none(),
-            adversary_plan=AdversaryPlan.none(),
-        ).amortized  # null plans keep the fast path
-        assert not BatchedSessionRunner(
-            tiny_pipeline, n_rounds=32, fault_plan=FaultPlan.lossy(0.2)
-        ).amortized
-        assert not BatchedSessionRunner(
-            tiny_pipeline, n_rounds=32,
-            adversary_plan=AdversaryPlan(jamming_rate=0.2),
-        ).amortized
-
-    def test_batched_equals_sequential_under_faults(self, tiny_pipeline):
-        plan = FaultPlan.lossy(0.2, mean_burst=2.0, message_drop_rate=0.1)
-        policy = RetryPolicy()
-        runner = BatchedSessionRunner(
-            tiny_pipeline, n_rounds=96, episode_prefix="batch-fault",
-            fault_plan=plan, retry_policy=policy,
-        )
-        report = runner.run(2)
-        reference = [
-            tiny_pipeline.establish_key(
-                episode=label, n_rounds=96, fault_plan=plan, retry_policy=policy
-            )
-            for label in runner.session_labels(2)
-        ]
-        for batched, sequential in zip(report.outcomes, reference):
-            assert_outcomes_identical(batched, sequential)
-            assert batched.total_retries == sequential.total_retries
-            assert batched.total_backoff_s == sequential.total_backoff_s
-
-    def test_batched_equals_sequential_under_attack(self, tiny_pipeline):
-        plan = AdversaryPlan(syndrome_tamper_rate=0.5, jamming_rate=0.1)
-        policy = RetryPolicy()
-        runner = BatchedSessionRunner(
-            tiny_pipeline, n_rounds=96, episode_prefix="batch-adv",
-            adversary_plan=plan, retry_policy=policy,
-        )
-        report = runner.run(2)
-        reference = [
-            tiny_pipeline.establish_key(
-                episode=label, n_rounds=96,
-                adversary_plan=plan, retry_policy=policy,
-            )
-            for label in runner.session_labels(2)
-        ]
-        for batched, sequential in zip(report.outcomes, reference):
-            assert_outcomes_identical(batched, sequential)
-            assert batched.abort_reason == sequential.abort_reason
-            assert batched.attack_detections == sequential.attack_detections
-            assert batched.adversary_events == sequential.adversary_events
-
-
 class TestShardedRunner:
     """Fork-sharded batches must be byte-identical to one-process runs.
 
@@ -204,47 +138,6 @@ class TestShardedRunner:
             tiny_pipeline, n_rounds=64, episode_prefix="batch-clamp", shards=8
         ).run(2)
         assert report.shards == 2
-
-    def test_sharded_equals_sequential_under_faults(self, tiny_pipeline):
-        # A fault plan forces per-session execution *inside each shard*;
-        # the fork boundary must not perturb the fallback either.
-        plan = FaultPlan.lossy(0.2, mean_burst=2.0, message_drop_rate=0.1)
-        policy = RetryPolicy()
-        runner = BatchedSessionRunner(
-            tiny_pipeline, n_rounds=96, episode_prefix="batch-shard-fault",
-            fault_plan=plan, retry_policy=policy, shards=2,
-        )
-        report = runner.run(3)
-        reference = [
-            tiny_pipeline.establish_key(
-                episode=label, n_rounds=96, fault_plan=plan, retry_policy=policy
-            )
-            for label in runner.session_labels(3)
-        ]
-        assert report.shards == 2
-        for batched, sequential in zip(report.outcomes, reference):
-            assert_outcomes_identical(batched, sequential)
-            assert batched.total_retries == sequential.total_retries
-
-    def test_sharded_equals_sequential_under_attack(self, tiny_pipeline):
-        plan = AdversaryPlan(syndrome_tamper_rate=0.5, jamming_rate=0.1)
-        policy = RetryPolicy()
-        runner = BatchedSessionRunner(
-            tiny_pipeline, n_rounds=96, episode_prefix="batch-shard-adv",
-            adversary_plan=plan, retry_policy=policy, shards=2,
-        )
-        report = runner.run(3)
-        reference = [
-            tiny_pipeline.establish_key(
-                episode=label, n_rounds=96,
-                adversary_plan=plan, retry_policy=policy,
-            )
-            for label in runner.session_labels(3)
-        ]
-        for batched, sequential in zip(report.outcomes, reference):
-            assert_outcomes_identical(batched, sequential)
-            assert batched.abort_reason == sequential.abort_reason
-            assert batched.attack_detections == sequential.attack_detections
 
     def test_rejects_nonpositive_shards(self, tiny_pipeline):
         with pytest.raises(ConfigurationError):

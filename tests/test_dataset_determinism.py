@@ -1,9 +1,10 @@
 """KeyGenDataset generation determinism across execution strategies.
 
 The training dataset must be a pure function of the pipeline's root
-seed: the probing execution path (per-round loop vs vectorized fast
-path) and the degree of collection parallelism (``jobs``) are
-implementation details that may not leak a single bit into the data.
+seed: the probing engine (the per-round loop oracle vs the stacked
+fault-free kernel) and the degree of collection parallelism (``jobs``)
+are implementation details that may not leak a single bit into the
+data.
 """
 
 import numpy as np
@@ -32,7 +33,10 @@ class TestProbingPathDeterminism:
 
         parts = []
         for index in range(3):
-            trace = slow_pipeline.collect_trace(f"train-{index}", fast_path=False)
+            protocol, seeds, _, _ = slow_pipeline.build_protocol(f"train-{index}")
+            trace = protocol.run_loop(
+                slow_pipeline.config.rounds_per_episode, seeds
+            )
             bob_seq, alice_seq = arrssi_sequences(
                 trace, slow_pipeline.config.feature_config
             )

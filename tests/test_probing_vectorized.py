@@ -1,7 +1,8 @@
-"""Pinned-seed equivalence of the vectorized probing fast path.
+"""Pinned-seed equivalence of fault-free probing and the per-round loop.
 
-The vectorized path in ``ProbingProtocol._run_vectorized`` must
-reproduce the frozen per-round loop (``run_loop``) *bit-for-bit*: same
+On a fault-free link ``ProbingProtocol.run`` is a one-session call to
+the stacked kernel (``run_fastpath_group``); it must reproduce the
+frozen per-round loop (``run_loop``), the oracle, *bit-for-bit*: same
 register-RSSI matrices, same packet RSSI, same eavesdropper traces, same
 round timestamps and validity flags.  These tests build two independent
 protocol instances from the same seed (separate channel objects, so the
@@ -12,9 +13,11 @@ compare every trace field with exact equality.
 import numpy as np
 import pytest
 
+import repro.probing.protocol as protocol_module
 from repro.channel.interference import InterferenceSource
 from repro.channel.mobility import RelativeMotion
 from repro.channel.scenario import ScenarioName, scenario_config
+from repro.faults.adversary import AdversaryPlan, build_adversary
 from repro.faults.link import LinkFaultModel
 from repro.faults.plan import FaultPlan
 from repro.lora.airtime import CodingRate, LoRaPHYConfig
@@ -91,13 +94,11 @@ def assert_traces_bit_identical(loop_trace, fast_trace):
 
 
 def run_both_paths(seed, n_rounds=12, **setup_kwargs):
-    """Run the frozen loop and the fast path from identical fresh state."""
+    """Run the frozen loop and ``run`` from identical fresh state."""
     loop_protocol, loop_seeds, loop_eves = build_setup(seed, **setup_kwargs)
     loop_trace = loop_protocol.run_loop(n_rounds, loop_seeds, eavesdroppers=loop_eves)
     fast_protocol, fast_seeds, fast_eves = build_setup(seed, **setup_kwargs)
-    fast_trace = fast_protocol._run_vectorized(
-        n_rounds, fast_seeds, eavesdroppers=fast_eves
-    )
+    fast_trace = fast_protocol.run(n_rounds, fast_seeds, eavesdroppers=fast_eves)
     return loop_trace, fast_trace
 
 
@@ -134,7 +135,7 @@ class TestBitIdentity:
         fast_protocol, fast_seeds, _ = build_setup(
             13, scenario=ScenarioName.V2I_URBAN, interference=make_interference()
         )
-        fast_trace = fast_protocol._run_vectorized(8, fast_seeds)
+        fast_trace = fast_protocol.run(8, fast_seeds)
         assert jammer is not None
         assert_traces_bit_identical(loop_trace, fast_trace)
 
@@ -157,7 +158,7 @@ class TestBitIdentity:
         loop_protocol, loop_seeds, _ = build_setup(5)
         loop_trace = loop_protocol.run_loop(6, loop_seeds, start_time_s=17.3)
         fast_protocol, fast_seeds, _ = build_setup(5)
-        fast_trace = fast_protocol._run_vectorized(6, fast_seeds, start_time_s=17.3)
+        fast_trace = fast_protocol.run(6, fast_seeds, start_time_s=17.3)
         assert_traces_bit_identical(loop_trace, fast_trace)
 
     def test_paper_scale_phy(self):
@@ -182,20 +183,24 @@ class TestDispatch:
         via_loop = loop_protocol.run_loop(5, loop_seeds)
         assert_traces_bit_identical(via_loop, via_run)
 
-    def test_fast_path_flag_forces_loop(self):
-        protocol, seeds, _ = build_setup(2, fast_path=False)
-        protocol._run_vectorized = None  # would raise if the flag were ignored
-        trace = protocol.run(3, seeds)
-        assert trace.n_rounds == 3
-
-    def test_fault_model_falls_back_to_loop(self):
+    def test_fault_model_falls_back_to_loop(self, monkeypatch):
         protocol, seeds, _ = build_setup(4)
         protocol.fault_model = LinkFaultModel(
             FaultPlan.lossy(0.3, mean_burst=2.0, snr_dependent=False), seeds
         )
-        protocol._run_vectorized = None  # must not be consulted
+        # The stacked kernel must not be consulted.
+        monkeypatch.setattr(protocol_module, "run_fastpath_group", None)
         trace = protocol.run(4, seeds)
         assert trace.n_rounds == 4
+        assert trace.retry_limit is not None  # the ARQ loop produced it
+
+    def test_adversary_falls_back_to_loop(self, monkeypatch):
+        protocol, seeds, _ = build_setup(6)
+        protocol.adversary = build_adversary(AdversaryPlan(jamming_rate=0.3), seeds)
+        monkeypatch.setattr(protocol_module, "run_fastpath_group", None)
+        trace = protocol.run(4, seeds)
+        assert trace.n_rounds == 4
+        assert trace.retry_limit is not None
 
 
 class TestQuantizationRule:

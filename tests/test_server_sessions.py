@@ -336,6 +336,49 @@ class TestFailureIsolation:
         assert server.metrics.aborted.get("internal-error") == 1
 
 
+class TestHelloValidation:
+    def test_bad_rounds_are_malformed_never_raised(self, tiny_pipeline):
+        # A string, a list, zero, a negative and a fraction: none is a
+        # round count.  Each hello is counted malformed and admits
+        # nothing; no exception escapes the connection handler and no
+        # tick ever sees a bad value.
+        bad_rounds = ["abc", [1], 0, -5, 2.9]
+
+        async def scenario(server, endpoint):
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            bad = await asyncio.gather(
+                *(
+                    run_behavior(
+                        endpoint,
+                        "normal",
+                        f"dev-rounds-{i}",
+                        episode=f"srv-rounds-{i}",
+                        rounds=value,
+                    )
+                    for i, value in enumerate(bad_rounds)
+                )
+            )
+            honest = await run_behavior(
+                endpoint, "normal", "dev-rounds-ok", episode="srv-rounds-ok",
+                rounds=ROUNDS,
+            )
+            return bad, honest, unhandled
+
+        (bad, honest, unhandled), server = run_scenario(
+            tiny_pipeline, fast_config(), scenario
+        )
+        assert unhandled == []
+        assert [outcome.kind for outcome in bad] == ["closed"] * len(bad_rounds)
+        assert server.metrics.malformed_frames == len(bad_rounds)
+        assert server.metrics.accepted == 1
+        assert server.metrics.batch_fallbacks == 0
+        assert honest.kind == "result"
+        assert honest.frame["session_id"] == "dev-rounds-ok"
+
+
 class TestGracefulDrain:
     def test_drain_delivers_inflight_and_rejects_new(self, tiny_pipeline):
         async def scenario(server, endpoint):
