@@ -6,10 +6,15 @@ violations -- the same verdict the ``repro chaos`` CI smoke job
 enforces at larger scale), and persists the timings to
 ``BENCH_chaos.json`` at the repo root.
 
-Both entries are absolute-cost trackers (``speedup: null``):
-``scripts/check_bench_regression.py`` reports them and fails CI if
-either entry disappears, but does not gate on the absolute seconds,
-which do not transfer across runners.
+The training and sweep entries are absolute-cost trackers
+(``speedup: null``): ``scripts/check_bench_regression.py`` reports them
+and fails CI if either entry disappears, but does not gate on the
+absolute seconds, which do not transfer across runners.  The
+``arq_probing`` entry times the ARQ probing loop the sweep spends most
+of its CPU in (``ProbingProtocol.run_loop``, ``after``) against the
+frozen per-attempt loop (``tests/oracles/probing_loop.py``,
+``before``) in the same run, so its speedup ratio is gated at the
+checker's tolerance.
 """
 
 import json
@@ -20,6 +25,13 @@ import numpy as np
 import pytest
 
 from repro.faults import chaos
+from tests.oracles.probing_loop import reference_run_loop
+from tests.test_probing_loop_oracle import (
+    N_PLANS,
+    assert_traces_equal,
+    build_attacked,
+    plan_case,
+)
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 
@@ -28,8 +40,27 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 N_SESSIONS = 40
 SWEEP_SEED = 0
 
+#: Rounds per ARQ probing session in the ``arq_probing`` entry.
+ARQ_ROUNDS = 64
+
 #: Collected by the tests below, written once at module teardown.
 _ENTRIES = {}
+
+
+def _compare(before_fn, after_fn, reps=3, warmup=1):
+    """Interleaved min-of-N for a before/after pair."""
+    for _ in range(warmup):
+        before_fn()
+        after_fn()
+    before = after = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        before_fn()
+        before = min(before, time.perf_counter() - start)
+        start = time.perf_counter()
+        after_fn()
+        after = min(after, time.perf_counter() - start)
+    return before, after
 
 
 def _record(name, before_s, after_s, **extra):
@@ -50,9 +81,11 @@ def write_results():
         return
     payload = {
         "benchmark": "chaos-invariant-harness",
-        "units": "seconds, single run (absolute-cost trackers)",
-        "before": None,
-        "after": "build_chaos_pipeline + run_chaos randomized sweep",
+        "units": "seconds; arq_probing min over interleaved repetitions, "
+        "the rest single runs (absolute-cost trackers)",
+        "before": "frozen per-attempt ARQ probing loop (arq_probing only)",
+        "after": "build_chaos_pipeline + run_chaos randomized sweep; "
+        "ProbingProtocol.run_loop (arq_probing)",
         "numpy": np.__version__,
         "entries": dict(sorted(_ENTRIES.items())),
     }
@@ -97,3 +130,41 @@ def test_chaos_sweep_holds_invariants(chaos_pipeline):
         faulted_sessions=report.faulted_sessions,
         violations=len(report.violations),
     )
+
+
+def test_arq_probing_vs_frozen_loop():
+    """The ARQ loop against its frozen oracle on chaos-drawn plans.
+
+    Each pass probes ``ARQ_ROUNDS`` rounds under every plan of
+    ``tests/test_probing_loop_oracle.py`` (fault plan, attack plan and
+    retry policy drawn as ``run_chaos`` draws them, four scenarios, zero
+    to two eavesdroppers), building every protocol afresh so each pass
+    grows its own lazy channel state.
+    """
+    traces = {}
+
+    def sweep(engine):
+        traces[engine] = []
+        for index in range(N_PLANS):
+            setup, *plans = plan_case(index)
+            protocol, seeds, eavesdroppers = build_attacked(1000 + index, *plans, **setup)
+            if engine == "before":
+                trace = reference_run_loop(protocol, ARQ_ROUNDS, seeds, eavesdroppers)
+            else:
+                trace = protocol.run_loop(ARQ_ROUNDS, seeds, eavesdroppers)
+            traces[engine].append(trace)
+
+    before_s, after_s = _compare(lambda: sweep("before"), lambda: sweep("after"))
+    for expected, actual in zip(traces["before"], traces["after"]):
+        assert_traces_equal(expected, actual)
+    entry = _record(
+        f"arq_probing@chaos_plans_x{N_PLANS}_r{ARQ_ROUNDS}",
+        before_s,
+        after_s,
+        sessions=N_PLANS,
+        rounds=ARQ_ROUNDS,
+        retries=int(sum(trace.retries.sum() for trace in traces["after"])),
+    )
+    # One channel evaluation per attempt must clearly beat four; the
+    # committed baseline gates the fine-grained ratio in CI.
+    assert entry["speedup"] >= 1.3

@@ -33,6 +33,7 @@ from repro.nn.layers.lstm import LSTM
 from repro.nn.layers.reference import ReferenceBiLSTM, ReferenceLSTM
 from repro.nn.model import Model
 from repro.probing.features import FeatureConfig
+from tests.oracles.probing_loop import reference_run_loop
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
@@ -276,11 +277,14 @@ class TestEndToEnd:
         def before():
             protocol, seeds, _, _ = pipeline.build_protocol("bench")
             pipeline.establish_key(
-                episode="bench", n_rounds=256, trace=protocol.run_loop(256, seeds)
+                episode="bench",
+                n_rounds=256,
+                trace=reference_run_loop(protocol, 256, seeds),
             )
 
-        # "before" probes with the frozen per-round loop and hands the
-        # trace to establish_key; "after" is the default fault-free
+        # "before" probes with the frozen per-round loop
+        # (tests/oracles/probing_loop.py) and hands the trace to
+        # establish_key; "after" is the default fault-free
         # kernel.  Both produce bit-identical keys, so this times exactly
         # the probing hot path inside a real establishment -- and gives
         # the entry the speedup column the regression gate needs (it

@@ -1,10 +1,10 @@
 """Probing/throughput benchmarks: the perf trajectory of the fast path.
 
 Times the vectorized fault-free probing path (``after``) against the
-frozen per-round loop (``before``) at paper scale (SF12, 256 rounds),
-and the batched multi-session engine against a sequential
-``establish_key`` loop, persisting the numbers to ``BENCH_probing.json``
-at the repo root.
+frozen per-round loop (``before``, ``tests/oracles/probing_loop.py``)
+at paper scale (SF12, 256 rounds), and the batched multi-session engine
+against a sequential ``establish_key`` loop, persisting the numbers to
+``BENCH_probing.json`` at the repo root.
 
 Like ``BENCH_kernels.json``, the committed copy is the perf baseline: CI
 regenerates it and ``scripts/check_bench_regression.py`` fails the build
@@ -31,6 +31,7 @@ from repro.lora.radio import DRAGINO_LORA_SHIELD
 from repro.probing.features import FeatureConfig
 from repro.probing.protocol import ProbingProtocol
 from repro.utils.rng import SeedSequenceFactory
+from tests.oracles.probing_loop import reference_run_loop
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_probing.json"
 
@@ -111,7 +112,7 @@ class TestTraceGeneration:
     def test_vectorized_vs_loop(self):
         def before():
             protocol, seeds = _fresh_probing_setup()
-            protocol.run_loop(self.ROUNDS, seeds)
+            reference_run_loop(protocol, self.ROUNDS, seeds)
 
         def after():
             protocol, seeds = _fresh_probing_setup()
@@ -177,7 +178,7 @@ class TestSessionThroughput:
                 trained_pipeline.establish_key(
                     episode=label,
                     n_rounds=self.ROUNDS,
-                    trace=protocol.run_loop(self.ROUNDS, seeds),
+                    trace=reference_run_loop(protocol, self.ROUNDS, seeds),
                 )
 
         last_report = {}

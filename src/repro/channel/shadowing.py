@@ -17,8 +17,6 @@ by node.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
@@ -57,12 +55,8 @@ class GudmundsonShadowing:
         self._rho = float(np.exp(-self._step / decorrelation_distance_m))
         self._rng = as_generator(seed)
         # Grid values at displacements step * (offset + i) for i in range(len).
-        self._values: List[float] = [self._draw_initial()]
-        self._offset = 0  # grid index of self._values[0]
-        # ndarray view of ``_values``, rebuilt only when the grid grows;
-        # per-round scalar queries would otherwise pay a list-to-array
-        # conversion of the whole grid on every call.
-        self._grid_cache: np.ndarray = None
+        self._grid = np.array([self._draw_initial()])
+        self._offset = 0  # grid index of self._grid[0]
         # Independent innovation streams per growth direction.  Each grid
         # node then consumes a fixed draw (the |index|-th of its
         # direction's stream) no matter which caller forced the extension
@@ -79,13 +73,9 @@ class GudmundsonShadowing:
     def _draw_initial(self) -> float:
         return float(self._rng.normal(0.0, self.sigma_db)) if self.sigma_db else 0.0
 
-    def _innovation(self, anchor: float, rng: np.random.Generator) -> float:
-        if self.sigma_db == 0:
-            return 0.0
-        noise_std = self.sigma_db * np.sqrt(1.0 - self._rho**2)
-        return self._rho * anchor + float(rng.normal(0.0, noise_std))
-
-    def _extend(self, anchor: float, count: int, rng: np.random.Generator) -> list:
+    def _extend(
+        self, anchor: float, count: int, rng: np.random.Generator
+    ) -> np.ndarray:
         """``count`` AR(1) steps from ``anchor``, batching the noise draws.
 
         One ``rng.normal(size=count)`` call yields the same stream as
@@ -95,7 +85,7 @@ class GudmundsonShadowing:
         loop -- just without 1 Generator dispatch per node.
         """
         if self.sigma_db == 0:
-            return [0.0] * count
+            return np.zeros(count)
         noise_std = self.sigma_db * np.sqrt(1.0 - self._rho**2)
         noise = rng.normal(0.0, noise_std, size=count)
         rho = self._rho
@@ -103,43 +93,41 @@ class GudmundsonShadowing:
         for draw in noise:
             anchor = rho * anchor + float(draw)
             values.append(anchor)
-        return values
+        return np.array(values)
 
     def _ensure_index(self, index: int) -> None:
-        if (
-            self._offset <= index < self._offset + len(self._values)
-        ):
-            return
-        top = self._offset + len(self._values)
+        """Grow the grid (by the new nodes only) until it covers ``index``."""
+        top = self._offset + self._grid.size
         if index >= top:
-            self._values.extend(
-                self._extend(self._values[-1], index - top + 1, self._up_rng)
-            )
+            above = self._extend(float(self._grid[-1]), index - top + 1, self._up_rng)
+            self._grid = np.concatenate([self._grid, above])
         if index < self._offset:
-            below = self._extend(self._values[0], self._offset - index, self._down_rng)
-            below.reverse()
-            self._values[:0] = below
+            below = self._extend(
+                float(self._grid[0]), self._offset - index, self._down_rng
+            )
+            self._grid = np.concatenate([below[::-1], self._grid])
             self._offset = index
-        self._grid_cache = None
 
     def value_at(self, displacement_m) -> np.ndarray:
         """Shadowing value(s) in dB at the given route displacement(s).
 
         Negative displacements are valid (the grid grows both ways).
         Values between grid points are linearly interpolated, so the
-        process is continuous in displacement.
+        process is continuous in displacement.  Interpolation runs on the
+        absolute grid index (``floor(disp / step)``), so a value depends
+        only on its displacement, never on how far earlier queries grew
+        the grid downward.
         """
         disp = np.atleast_1d(np.asarray(displacement_m, dtype=float)).ravel()
         if disp.size:
             self._ensure_index(int(np.floor(disp.min() / self._step)))
             self._ensure_index(int(np.floor(disp.max() / self._step)) + 1)
-        if self._grid_cache is None:
-            self._grid_cache = np.asarray(self._values)
-        grid_values = self._grid_cache
-        positions = disp / self._step - self._offset
-        idx = np.clip(positions.astype(int), 0, grid_values.size - 2)
-        frac = positions - idx
-        result = grid_values[idx] + frac * (grid_values[idx + 1] - grid_values[idx])
+        grid = self._grid
+        positions = disp / self._step
+        node = np.floor(positions)
+        frac = positions - node
+        idx = np.clip(node.astype(int) - self._offset, 0, grid.size - 2)
+        result = grid[idx] + frac * (grid[idx + 1] - grid[idx])
         if np.isscalar(displacement_m):
             return float(result[0])
         return result.reshape(np.shape(displacement_m))

@@ -52,13 +52,12 @@ def packet_rssi(register_samples: np.ndarray, resolution_db: float = 1.0) -> flo
 
     The SX127x reports packet RSSI as an integer dBm value; we reproduce
     that by rounding the mean of the per-symbol samples to the register
-    resolution.
+    resolution with :func:`quantize_packet_rssi`.
     """
     samples = np.asarray(register_samples, dtype=float)
     if samples.size == 0:
         raise ConfigurationError("cannot average an empty register-RSSI vector")
-    mean = float(np.mean(samples))
-    return round(mean / resolution_db) * resolution_db
+    return quantize_packet_rssi(float(np.mean(samples)), resolution_db)
 
 
 @dataclass(frozen=True)
@@ -161,11 +160,15 @@ class RegisterRssiSampler:
         if alpha < 1.0:
             # The RSSI register is an exponential average of recent symbol
             # powers; the filter state starts at the first symbol's power.
-            smoothed = np.empty_like(truth)
+            # Symbol-major column views: on a single reception, indexing
+            # ``truth[..., index]`` would dispatch on slow 0-d arrays.
+            smoothed = np.empty(truth.shape)
+            outputs = np.moveaxis(smoothed, -1, 0)
+            keep = 1.0 - alpha
             state = truth[..., 0].copy()
-            for index in range(truth.shape[-1]):
-                state = (1.0 - alpha) * state + alpha * truth[..., index]
-                smoothed[..., index] = state
+            for index, column in enumerate(np.moveaxis(truth, -1, 0)):
+                state = keep * state + alpha * column
+                outputs[index] = state
             truth = smoothed
         noisy = truth + self.device.rssi_offset_db + noise
         quantized = (

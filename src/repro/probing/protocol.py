@@ -17,10 +17,12 @@ instants as the legitimate receivers.
 
 Two engines produce traces:
 
-- :meth:`ProbingProtocol.run_loop` is the frozen per-round loop -- the
-  correctness oracle, and the only engine that supports ARQ fault
-  injection and active attacks (retransmission timing depends on which
-  packets were lost, so the timeline cannot be precomputed).
+- :meth:`ProbingProtocol.run_loop` is the per-round loop, and the only
+  engine that supports ARQ fault injection and active attacks
+  (retransmission timing depends on which packets were lost, so the
+  timeline cannot be precomputed).  Each attempt evaluates the channel
+  once for both receptions; the loop is pinned bit for bit to its
+  frozen predecessor (``tests/oracles/probing_loop.py``).
 - :func:`run_fastpath_group` is the stacked fault-free kernel.  Without
   faults every round's start time is a deterministic affine function of
   the round index, so it precomputes the
@@ -196,15 +198,17 @@ class ProbingProtocol:
         eavesdroppers: Sequence[EavesdropperSetup] = (),
         start_time_s: float = 0.0,
     ) -> ProbeTrace:
-        """Per-round reference implementation of :meth:`run`.
+        """Per-round implementation of :meth:`run`: the ARQ engine.
 
-        This is the frozen correctness baseline: one probe/response
-        attempt at a time, measuring each reception as it happens.  It is
-        the only path that supports ARQ fault injection (retransmission
-        timing depends on which packets were lost, so the timeline cannot
-        be precomputed) and the oracle the stacked kernel
-        :func:`run_fastpath_group` is pinned against.  Arguments and
-        return value are exactly those of :meth:`run`.
+        One probe/response attempt at a time, each attempt evaluating the
+        channel once for both of its receptions.  It is the only path
+        that supports ARQ fault injection and active attacks
+        (retransmission timing depends on which packets were lost, so the
+        timeline cannot be precomputed), and the reference the stacked
+        kernel :func:`run_fastpath_group` is pinned against.  It is itself
+        pinned bit for bit to the frozen per-attempt loop in
+        ``tests/oracles/probing_loop.py``.  Arguments and return value are
+        exactly those of :meth:`run`.
         """
         require_positive(n_rounds, "n_rounds")
         airtime = self.phy.airtime_s
@@ -241,8 +245,8 @@ class ProbingProtocol:
             s.label: np.empty((n_rounds, n_samples)) for s in eavesdroppers
         }
 
-        alice_power = self._receiver_power(self.channel.motion.trajectory_a)
-        bob_power = self._receiver_power(self.channel.motion.trajectory_b)
+        trajectory_a = self.channel.motion.trajectory_a
+        trajectory_b = self.channel.motion.trajectory_b
         faults = self.fault_model
         policy = self.retry_policy
         adversary = self.adversary
@@ -251,36 +255,67 @@ class ProbingProtocol:
         backoff_rng = seeds.generator("arq-backoff")
         sf = self.phy.spreading_factor
 
+        def receive(sampler, gains, times, trajectory, noise):
+            """Register readings and packet RSSI of one legitimate reception.
+
+            The receiver's stream supplies the register noise, then the
+            packet-RSSI noise; a link fault may glitch the register reads
+            before the packet RSSI averages them.
+            """
+            device = sampler.device
+            z = noise.standard_normal(n_samples + 1)
+            readings = sampler.readings_for_power(
+                self._received_power(gains, times, trajectory), z[:n_samples]
+            )
+            if faults is not None:
+                readings = faults.corrupt_register(readings, device.rssi_floor_dbm)
+            packet = float(np.mean(readings))
+            packet += device.packet_rssi_noise_std_db * float(z[n_samples])
+            return readings, quantize_packet_rssi(packet, device.rssi_resolution_db)
+
+        def overhear(setup, channel, times):
+            """Eve's readings of one transmission, at the receiver's instants."""
+            return eve_samplers[setup.label].readings_for_power(
+                self._eve_power(channel)(times),
+                eve_noise[setup.label].standard_normal(n_samples),
+            )
+
         def attempt(k: int, attempt_start: float):
             """One probe/response attempt's physical measurements.
 
             Fills round ``k``'s slots (overwriting any earlier attempt of
             the same round: ARQ retransmissions reuse the sequence
             number) and returns ``(probe_ok, response_ok,
-            response_start)``.  The measurement-noise draw order matches
-            the pre-ARQ protocol exactly, so runs without a fault model
-            are bit-identical to the seed behaviour.  Adversary hooks run
-            *after* every legitimate draw of the attempt's direction, in
-            a fixed order (jam a2b, replay, inject, jam b2a), from the
-            attacker's own seed streams.
+            response_start)``.  Every instant the attempt needs is known
+            when it starts, so one reciprocal-channel evaluation serves
+            both receptions and both decodability checks: row 0 of the
+            grid holds Bob's register reads then the mid-probe instant,
+            row 1 Alice's reads then the mid-response instant.  Noise
+            draws follow the stacked kernel's per-party stream order.
+            Adversary hooks run *after* every legitimate draw of the
+            attempt's direction, in a fixed order (jam a2b, replay,
+            inject, jam b2a), from the attacker's own seed streams.
             """
             injected[k] = False  # a retransmission replaces any poisoned row
+            response_start = (
+                attempt_start + airtime + self.bob_device.processing_delay_s
+            )
+            starts = np.array([attempt_start, response_start])
+            times = np.empty((2, n_samples + 1))
+            times[:, :n_samples] = bob_sampler.reception_times(starts)
+            times[:, n_samples] = starts + airtime / 2.0
+            gains = self.channel.path_gain_db(times)
+            read_times, read_gains = times[:, :n_samples], gains[:, :n_samples]
+
             # --- Alice's probe, received by Bob (and overheard by Eve).
-            bob_rssi[k] = bob_sampler.sample(bob_power, attempt_start, seed=bob_noise)
-            if faults is not None:
-                bob_rssi[k] = faults.corrupt_register(
-                    bob_rssi[k], self.bob_device.rssi_floor_dbm
-                )
-            bob_prssi[k] = self._packet_rssi(
-                bob_rssi[k], self.bob_device, bob_noise
+            bob_rssi[k], bob_prssi[k] = receive(
+                bob_sampler, read_gains[0], read_times[0], trajectory_b, bob_noise
             )
             for setup in eavesdroppers:
-                power = self._eve_power(setup.channel_from_alice)
-                eve_of_alice[setup.label][k] = eve_samplers[setup.label].sample(
-                    power, attempt_start, seed=eve_noise[setup.label]
+                eve_of_alice[setup.label][k] = overhear(
+                    setup, setup.channel_from_alice, read_times[0]
                 )
-            mid_probe = attempt_start + airtime / 2.0
-            probe_gain = self.channel.path_gain_db(mid_probe)
+            probe_gain = float(gains[0, n_samples])
             probe_ok = self.link_budget.is_decodable(probe_gain, self.phy)
             if faults is not None and probe_ok:
                 probe_ok = not faults.packet_lost(
@@ -311,26 +346,14 @@ class ProbingProtocol:
                     probe_ok = True
 
             # --- Bob's response after his turnaround delay.
-            response_start = (
-                attempt_start + airtime + self.bob_device.processing_delay_s
-            )
-            alice_rssi[k] = alice_sampler.sample(
-                alice_power, response_start, seed=alice_noise
-            )
-            if faults is not None:
-                alice_rssi[k] = faults.corrupt_register(
-                    alice_rssi[k], self.alice_device.rssi_floor_dbm
-                )
-            alice_prssi[k] = self._packet_rssi(
-                alice_rssi[k], self.alice_device, alice_noise
+            alice_rssi[k], alice_prssi[k] = receive(
+                alice_sampler, read_gains[1], read_times[1], trajectory_a, alice_noise
             )
             for setup in eavesdroppers:
-                power = self._eve_power(setup.channel_from_bob)
-                eve_of_bob[setup.label][k] = eve_samplers[setup.label].sample(
-                    power, response_start, seed=eve_noise[setup.label]
+                eve_of_bob[setup.label][k] = overhear(
+                    setup, setup.channel_from_bob, read_times[1]
                 )
-            mid_response = response_start + airtime / 2.0
-            response_gain = self.channel.path_gain_db(mid_response)
+            response_gain = float(gains[1, n_samples])
             response_ok = self.link_budget.is_decodable(response_gain, self.phy)
             if faults is not None and response_ok:
                 response_ok = not faults.packet_lost(
@@ -419,45 +442,22 @@ class ProbingProtocol:
             ),
         )
 
-    def _receiver_power(self, trajectory):
-        """Receiver-side power-vs-time function for one endpoint.
+    def _received_power(
+        self, gains: np.ndarray, times: np.ndarray, trajectory
+    ) -> np.ndarray:
+        """True received power at one endpoint from its path gains.
 
-        Combines the reciprocal channel's path gain with any interference
-        picked up at the receiver's own position;
-        :func:`_group_received_power` mirrors it row by row.
+        Link budget over the reciprocal channel's gain at ``times``, plus
+        any interference picked up at the receiver's own positions
+        (``trajectory``) -- the one definition :meth:`run_loop` and
+        :func:`_group_received_power` share.
         """
-
-        def power(times: np.ndarray) -> np.ndarray:
-            total = self.link_budget.received_power_dbm(
-                self.channel.path_gain_db(times)
-            )
-            if self.interference:
-                positions = trajectory.position_m(times)
-                for source in self.interference:
-                    total = combine_power_dbm(
-                        total, source.power_dbm(times, positions)
-                    )
-            return total
-
-        return power
-
-    def _packet_rssi(
-        self,
-        register_samples: np.ndarray,
-        device: TransceiverModel,
-        rng: np.random.Generator,
-    ) -> float:
-        """The chip's whole-packet RSSI report for one reception.
-
-        Mean of the register samples plus the PacketRssi register's own
-        calibration error, quantized to the register resolution with
-        :func:`~repro.lora.rssi.quantize_packet_rssi` (round half toward
-        +infinity -- the documented rule shared with the stacked
-        kernel).
-        """
-        value = float(np.mean(register_samples))
-        value += float(rng.normal(0.0, device.packet_rssi_noise_std_db))
-        return quantize_packet_rssi(value, device.rssi_resolution_db)
+        total = self.link_budget.received_power_dbm(gains)
+        if self.interference:
+            positions = trajectory.position_m(times)
+            for source in self.interference:
+                total = combine_power_dbm(total, source.power_dbm(times, positions))
+        return total
 
     def _eve_power(self, channel: ReciprocalChannel):
         budget = self.link_budget
@@ -537,22 +537,16 @@ def _group_received_power(
 ) -> np.ndarray:
     """``[n_sessions, len(times)]`` received powers at one endpoint.
 
-    Mirrors :meth:`ProbingProtocol._receiver_power` per row: link-budget
-    affine map over the (batched) path gain, then any per-session
-    interference combined at the receiver's own positions.
+    :meth:`ProbingProtocol._received_power` per row, over the (batched)
+    path gains of the group.
     """
     gains = _group_path_gain(protocols, times_1d)
-    powers = np.empty_like(gains)
-    for i, protocol in enumerate(protocols):
-        total = protocol.link_budget.received_power_dbm(gains[i])
-        if protocol.interference:
-            positions = trajectory_of(protocol).position_m(times_1d)
-            for source in protocol.interference:
-                total = combine_power_dbm(
-                    total, source.power_dbm(times_1d, positions)
-                )
-        powers[i] = total
-    return powers
+    return np.stack(
+        [
+            protocol._received_power(gains[i], times_1d, trajectory_of(protocol))
+            for i, protocol in enumerate(protocols)
+        ]
+    )
 
 
 def _overheard(

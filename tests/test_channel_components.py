@@ -127,6 +127,19 @@ class TestShadowing:
         process = GudmundsonShadowing(6.0, 50.0, seed=4)
         assert np.isfinite(process.value_at(-123.0))
 
+    def test_values_independent_of_query_history(self):
+        # Chunked queries grow the grid downward step by step; every value
+        # must still equal a single bulk query's, bit for bit.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            displacements = rng.uniform(-400.0, 2500.0, size=800)
+            process = GudmundsonShadowing(6.0, 50.0, seed=seed)
+            chunked = np.concatenate(
+                [process.value_at(chunk) for chunk in np.array_split(displacements, 80)]
+            )
+            bulk = GudmundsonShadowing(6.0, 50.0, seed=seed).value_at(displacements)
+            np.testing.assert_array_equal(chunked, bulk)
+
     def test_interpolation_is_continuous(self):
         process = GudmundsonShadowing(6.0, 50.0, seed=5)
         left = process.value_at(10.0)
