@@ -148,12 +148,7 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_chaos(args) -> int:
     """Run the chaos invariant harness; exit non-zero on any violation."""
-    from repro.faults.chaos import (
-        INVARIANTS,
-        PAYLOAD_INVARIANTS,
-        build_chaos_pipeline,
-        run_chaos,
-    )
+    from repro.faults.chaos import build_chaos_pipeline, run_chaos
 
     print(f"training chaos pipeline for {args.scenario.value} ...")
     pipeline = build_chaos_pipeline(scenario=args.scenario)
@@ -187,12 +182,21 @@ def _cmd_chaos(args) -> int:
         f"rekeys / closes      : {report.rekeys_completed} rekeys, "
         f"{report.channels_closed} closed {report.close_reasons}"
     )
-    counts = report.violation_counts()
-    for invariant in INVARIANTS + PAYLOAD_INVARIANTS:
-        print(f"invariant {invariant:32s}: {counts[invariant]} violation(s)")
+    return _print_verdict(report)
+
+
+def _print_verdict(report) -> int:
+    """Print a chaos report's per-invariant verdict; the exit status.
+
+    Lists exactly the invariants the report's sweep checks, then every
+    violation with the coordinates that reproduce it.
+    """
+    unit = "session" if report.sweep == "library" else "client"
+    for invariant, count in report.violation_counts().items():
+        print(f"invariant {invariant:32s}: {count} violation(s)")
     for violation in report.violations:
         print(
-            f"VIOLATION [{violation.invariant}] session {violation.session} "
+            f"VIOLATION [{violation.invariant}] {unit} {violation.session} "
             f"(seed {violation.seed}): {violation.detail}"
         )
     if report.ok:
@@ -204,12 +208,7 @@ def _cmd_chaos(args) -> int:
 
 def _chaos_server(pipeline, args) -> int:
     """Run the server-path chaos sweep; exit non-zero on any violation."""
-    from repro.faults.chaos import (
-        INVARIANTS,
-        PAYLOAD_INVARIANTS,
-        SERVER_INVARIANTS,
-        run_server_chaos,
-    )
+    from repro.faults.chaos import run_server_chaos
 
     print(
         f"sweeping {args.sessions} concurrent clients against a live "
@@ -230,7 +229,7 @@ def _chaos_server(pipeline, args) -> int:
         n_rounds=args.rounds,
         config=config,
     )
-    print(f"clients              : {report.n_clients}  {report.behaviors}")
+    print(f"clients              : {report.n_sessions}  {report.behaviors}")
     print(f"terminal kinds       : {report.client_kinds}")
     print(f"results delivered    : {report.results} ({report.successes} confirmed keys)")
     print(f"structured aborts    : {report.aborts}  {report.metrics.get('aborted')}")
@@ -245,34 +244,16 @@ def _chaos_server(pipeline, args) -> int:
         f"{report.drain_aborted} aborted, {report.leaked_sessions} leaked"
     )
     print(
-        f"secured clients      : {report.secured_clients} "
+        f"secured clients      : {report.secured_sessions} "
         f"({report.metrics.get('secure_records')} records, "
         f"{report.metrics.get('secure_echoed')} echoed)"
     )
-    counts = report.violation_counts()
-    for invariant in INVARIANTS + PAYLOAD_INVARIANTS + SERVER_INVARIANTS:
-        print(f"invariant {invariant:32s}: {counts[invariant]} violation(s)")
-    for violation in report.violations:
-        print(
-            f"VIOLATION [{violation.invariant}] client {violation.session} "
-            f"(seed {violation.seed}): {violation.detail}"
-        )
-    if report.ok:
-        print("all invariants held")
-        return 0
-    print(f"{len(report.violations)} invariant violation(s)")
-    return 1
+    return _print_verdict(report)
 
 
 def _chaos_restart(pipeline, args) -> int:
     """Run the kill/restart chaos sweep; exit non-zero on any violation."""
-    from repro.faults.chaos import (
-        INVARIANTS,
-        PAYLOAD_INVARIANTS,
-        RESTART_INVARIANTS,
-        SERVER_INVARIANTS,
-        run_restart_chaos,
-    )
+    from repro.faults.chaos import run_restart_chaos
 
     print(
         f"sweeping {args.sessions} clients against a server SIGKILLed at "
@@ -286,7 +267,7 @@ def _chaos_restart(pipeline, args) -> int:
         journal_dir=args.journal_dir,
         restarts=args.restarts,
     )
-    print(f"clients              : {report.n_clients}  {report.behaviors}")
+    print(f"clients              : {report.n_sessions}  {report.behaviors}")
     print(f"terminal kinds       : {report.client_kinds}")
     print(
         f"server generations   : {report.generations} "
@@ -297,28 +278,14 @@ def _chaos_restart(pipeline, args) -> int:
         f"keys, {report.resumed_results} on resumed connections)"
     )
     print(f"recovered aborts     : {report.recovered_aborts}")
-    print(f"secured clients      : {report.secured_clients}")
+    print(f"secured clients      : {report.secured_sessions}")
     print(f"resume probes        : {report.resume_probes} idempotent redeliveries")
     print(
         f"journal              : {report.journal_records} records, "
         f"{report.recoveries} recovery pass(es), "
         f"{report.orphans_recovered} orphan(s) aborted"
     )
-    counts = report.violation_counts()
-    for invariant in (
-        INVARIANTS + PAYLOAD_INVARIANTS + SERVER_INVARIANTS + RESTART_INVARIANTS
-    ):
-        print(f"invariant {invariant:32s}: {counts[invariant]} violation(s)")
-    for violation in report.violations:
-        print(
-            f"VIOLATION [{violation.invariant}] client {violation.session} "
-            f"(seed {violation.seed}): {violation.detail}"
-        )
-    if report.ok:
-        print("all invariants held across every crash and restart")
-        return 0
-    print(f"{len(report.violations)} invariant violation(s)")
-    return 1
+    return _print_verdict(report)
 
 
 def _cmd_serve(args) -> int:

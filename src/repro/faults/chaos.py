@@ -1,13 +1,38 @@
 """Chaos invariant harness: random faults x attacks vs. safety invariants.
 
 Deterministic fault tests prove that one specific attack produces one
-specific structured failure.  The chaos harness attacks the *composition*:
-it sweeps seeded random combinations of :class:`~repro.faults.plan.FaultPlan`,
-:class:`~repro.faults.adversary.AdversaryPlan` and
-:class:`~repro.faults.retry.RetryPolicy` (including duty-cycled regional
-plans) through :meth:`~repro.core.pipeline.VehicleKeyPipeline.establish_key`
-and asserts the machine-checked safety invariants that must hold for
-*every* combination:
+specific structured failure.  The chaos harness attacks the
+*composition*, in three seeded sweeps over one core:
+
+``library`` -- :func:`run_chaos`
+    Random :class:`~repro.faults.plan.FaultPlan` x
+    :class:`~repro.faults.adversary.AdversaryPlan` x
+    :class:`~repro.faults.retry.RetryPolicy` combinations (including
+    duty-cycled regional plans) through
+    :meth:`~repro.core.pipeline.VehicleKeyPipeline.establish_key`.
+    Sessions that establish a key continue into a secure-channel *data
+    phase* (:mod:`repro.secure`) under a random
+    :class:`~repro.secure.rekey.RekeyPolicy` while the adversary mounts
+    payload attacks (ciphertext bit-flips, record replay, truncation,
+    cross-session splicing).
+``server`` -- :func:`run_server_chaos` (``repro chaos --server``)
+    A real :class:`~repro.server.server.KeyEstablishmentServer` on a
+    loopback port against a seeded mix of honest and misbehaving clients
+    (mid-phase disconnects, slow-loris frames, corrupt and oversized
+    frames, duplicate session ids, overload bursts).
+``restart`` -- :func:`run_restart_chaos` (``repro chaos --restart``)
+    The server forked into a child armed with seeded
+    :mod:`~repro.server.crashpoints`, SIGKILLed mid-sweep at the armed
+    site and restarted against the same write-ahead journal while the
+    clients reconnect and resume; the journal itself is the witness.
+
+The core is :data:`INVARIANTS`, the registry that maps every invariant
+to the sweeps that check it; :class:`ChaosReport`, the one report type
+all three sweeps return, whose :meth:`~ChaosReport.violate` refuses a
+name its sweep does not check; and one function per shared check
+(:func:`_check_outcome` on every establishment outcome,
+:func:`_classify_clients` on every served client, :func:`_report_reuses`
+on every nonce ledger).  The invariants, in registry order:
 
 ``silent-key-mismatch``
     ``success=True`` always means both parties hold the same confirmed
@@ -15,7 +40,9 @@ and asserts the machine-checked safety invariants that must hold for
 ``key-after-failed-verification``
     An aborted or confirmation-failed session never releases key bytes.
 ``uncaught-exception``
-    Attacker-controlled input never raises out of ``establish_key``.
+    Attacker-controlled input never raises out of ``establish_key`` or
+    the data phase; the restart sweep also files a journaled violation
+    that names no restart invariant here.
 ``retry-budget-exceeded``
     No probing round ever spends more retries than the policy allows.
 ``duty-cycle-violated``
@@ -24,14 +51,6 @@ and asserts the machine-checked safety invariants that must hold for
 ``undetected-replay``
     A replayed (stale-nonce) syndrome that cannot have been dropped in
     flight always drives the session into an abort.
-
-Sessions that establish a key then continue into a secure-channel *data
-phase* (:mod:`repro.secure`): both endpoints exchange AEAD records under
-a random :class:`~repro.secure.rekey.RekeyPolicy` while the adversary
-mounts payload attacks (ciphertext bit-flips, record replay, truncation,
-cross-session splicing).  Four payload-level invariants are checked on
-every delivery:
-
 ``no-decrypt-under-mismatched-keys``
     A record that this session's channel never sealed (spliced from
     another session, or mutated in flight) never opens successfully.
@@ -44,18 +63,6 @@ every delivery:
     Untouched records always round-trip, canaries sealed right after a
     rekey decrypt on the first try, and a channel that stops always
     carries a structured close report.
-
-Any violation is recorded with its seed and session index, so a failure
-in CI reproduces locally with one command (``repro chaos --seed N``).
-
-The harness also drives the *served* path (``repro chaos --server``):
-:func:`run_server_chaos` stands up a real
-:class:`~repro.server.server.KeyEstablishmentServer`, hits it with a
-seeded mix of honest and misbehaving clients (mid-phase disconnects,
-slow-loris frames, corrupt and oversized frames, duplicate session ids,
-overload bursts), re-checks the library invariants on every outcome the
-server produced, and adds the server-level invariants:
-
 ``session-leak-after-reap``
     After the final drain no session is still registered -- reaping and
     disconnect handling reclaim every record.
@@ -70,14 +77,6 @@ server produced, and adds the server-level invariants:
 ``silent-degraded-session``
     Every served session that used the quantizer-fallback degraded mode
     is counted in server metrics; degradation is never silent.
-
-Finally, the *kill/restart* sweep (``repro chaos --restart``):
-:func:`run_restart_chaos` forks the server into a child process armed
-with seeded :mod:`~repro.server.crashpoints`, SIGKILLs it mid-sweep at
-the armed site, restarts a fresh server against the same write-ahead
-journal while the clients reconnect and resume, and machine-checks the
-crash-durability invariants from the journal itself:
-
 ``no-nonce-reuse-across-restart``
     No ``(key, direction, sequence)`` triple is ever sealed or accepted
     twice across a crash: journaled seal high-water marks never regress,
@@ -92,6 +91,9 @@ crash-durability invariants from the journal itself:
     Every session admitted before a crash holds a terminal outcome once
     recovery completes (``recovered-after-crash`` when the crash caught
     it mid-flight), and the final drain leaves no session registered.
+
+Any violation is recorded with its seed and session index, so a failure
+in CI reproduces locally with one command (``repro chaos --seed N``).
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ import signal
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,7 +128,7 @@ from repro.server.client import (
     ClientOutcome,
     DeviceClient,
     Endpoint,
-    channel_from_frame,
+    _run_secure_behavior,
     run_behavior,
 )
 from repro.server.crashpoints import CRASHPOINTS, SITES
@@ -134,40 +136,31 @@ from repro.server.journal import JOURNAL_FILENAME, replay_journal
 from repro.server.registry import ModelRegistry
 from repro.server.server import KeyEstablishmentServer, ServerConfig
 from repro.utils.rng import SeedSequenceFactory
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_one_of, require_positive
 
-#: Every invariant the harness checks, in reporting order.
-INVARIANTS = (
-    "silent-key-mismatch",
-    "key-after-failed-verification",
-    "uncaught-exception",
-    "retry-budget-exceeded",
-    "duty-cycle-violated",
-    "undetected-replay",
-)
+#: Every invariant, in reporting order, mapped to the sweeps that check it.
+INVARIANTS: Dict[str, Tuple[str, ...]] = {
+    "silent-key-mismatch": ("library", "server", "restart"),
+    "key-after-failed-verification": ("library", "server", "restart"),
+    "uncaught-exception": ("library", "restart"),
+    "retry-budget-exceeded": ("library",),
+    "duty-cycle-violated": ("library",),
+    "undetected-replay": ("library",),
+    "no-decrypt-under-mismatched-keys": ("library",),
+    "no-nonce-reuse-ever": ("library", "server"),
+    "no-plaintext-on-auth-failure": ("library", "server"),
+    "rekey-preserves-continuity": ("library", "server", "restart"),
+    "session-leak-after-reap": ("server",),
+    "tick-stall": ("server",),
+    "shed-not-hang": ("server", "restart"),
+    "silent-degraded-session": ("server",),
+    "no-nonce-reuse-across-restart": ("restart",),
+    "no-duplicate-result-delivery": ("restart",),
+    "no-orphan-session-after-recovery": ("restart",),
+}
 
-#: Payload-level invariants checked during the secure-channel data phase.
-PAYLOAD_INVARIANTS = (
-    "no-decrypt-under-mismatched-keys",
-    "no-nonce-reuse-ever",
-    "no-plaintext-on-auth-failure",
-    "rekey-preserves-continuity",
-)
-
-#: Server-level invariants :func:`run_server_chaos` adds on top.
-SERVER_INVARIANTS = (
-    "session-leak-after-reap",
-    "tick-stall",
-    "shed-not-hang",
-    "silent-degraded-session",
-)
-
-#: Crash-durability invariants :func:`run_restart_chaos` adds on top.
-RESTART_INVARIANTS = (
-    "no-nonce-reuse-across-restart",
-    "no-duplicate-result-delivery",
-    "no-orphan-session-after-recovery",
-)
+#: The three sweeps, each a value of :attr:`ChaosReport.sweep`.
+SWEEPS = ("library", "server", "restart")
 
 #: Numerical slack for the duty-cycle time accounting.
 _TIME_EPS = 1e-9
@@ -278,23 +271,37 @@ class ChaosViolation:
 
 @dataclass
 class ChaosReport:
-    """Aggregated verdict of one chaos sweep.
+    """Aggregated verdict of one chaos sweep, whichever sweep ran.
+
+    A counter the sweep does not measure keeps its zero default; the
+    *Served* (both served sweeps), *Server* and *Restart* notes mark the
+    counters only those sweeps fill.
 
     Attributes:
-        n_sessions: Sessions executed.
-        seed: Sweep seed.
+        sweep: The sweep that produced the report, one of
+            :data:`SWEEPS`; it selects the invariants the report counts
+            and accepts.
+        n_sessions: Sessions (served sweeps: client interactions)
+            executed.
+        seed: Sweep seed; session or client ``i`` derives from
+            ``(seed, i)``, and restart generation ``g``'s crash plan from
+            ``(seed, 7, g)``.
         violations: Every broken invariant, in discovery order.
-        successes: Sessions that established a confirmed key.
-        aborts: Sessions whose final attempt ended in a structured abort.
+        successes: Sessions that established a confirmed key (served
+            sweeps: result frames reporting one).
+        aborts: Sessions whose final attempt ended in a structured abort
+            (served sweeps: clients answered with a taxonomized abort
+            frame).
         abort_reasons: Abort-slug histogram over final attempts.
         failure_reasons: ``failure_reason`` histogram over all sessions.
         attacked_sessions: Sessions that faced a non-null adversary plan.
         faulted_sessions: Sessions that faced a non-null fault plan.
         degraded_sessions: Sessions served in a degraded mode (the
-            InferenceGuard's quantizer fallback) -- a counted
-            observation, so degradation under chaos is never silent.
+            InferenceGuard's quantizer fallback; server sweep: per server
+            metrics) -- a counted observation, so degradation under chaos
+            is never silent.
         secured_sessions: Successful sessions that ran a secure-channel
-            data phase.
+            data phase (served sweeps: clients that completed one).
         records_delivered: Wire blobs (legitimate and attacked) delivered
             into channels across all data phases.
         payload_failures: Open-failure-slug histogram over the data
@@ -303,9 +310,46 @@ class ChaosReport:
         channels_closed: Channels that ended in a structured close.
         close_reasons: Close-reason histogram over closed channels.
         nonce_reuses: Duplicate (key, direction, sequence) events the
-            global nonce ledger witnessed (must be zero).
+            sweep's nonce ledger witnessed (must be zero).
+        behaviors: *Served.* How many clients ran each behavior.
+        client_kinds: *Served.* Histogram of terminal client-outcome
+            kinds.
+        results: *Served.* Clients that received an establishment result
+            frame.
+        rejections: *Served.* Clients shed with a final structured
+            rejection.
+        metrics: *Served.* The server's metrics snapshot (restart: the
+            final generation's journaled drain snapshot).
+        drain_delivered: *Server.* Sessions whose verdict the final drain
+            delivered.
+        drain_aborted: *Server.* Unstarted sessions the drain aborted
+            with ``server-draining``.
+        leaked_sessions: *Server.* Sessions still registered after the
+            drain (must be zero).
+        restarts: *Restart.* Armed generations the sweep planned.
+        kills: *Restart.* Server children actually SIGKILLed by a
+            crashpoint.
+        generations: *Restart.* Server generations that ran (kills + 1
+            when every armed crashpoint fired).
+        crash_plans: *Restart.* The seeded ``site -> countdown`` plan per
+            generation (empty for unarmed generations).
+        unexpected_exits: *Restart.* Child exit codes other than the
+            crashpoint's SIGKILL or a clean drain (each is also a
+            violation).
+        resumed_results: *Restart.* Results delivered on a resumed
+            connection.
+        recovered_aborts: *Restart.* Clients answered
+            ``recovered-after-crash``.
+        resume_probes: *Restart.* Extra idempotency resumes after a
+            delivered result (each must re-answer the identical key
+            digest).
+        journal_records: *Restart.* Records the final journal replayed
+            to.
+        recoveries: *Restart.* Recovery passes witnessed in the journal.
+        orphans_recovered: *Restart.* Orphaned sessions recovery aborted.
     """
 
+    sweep: str = "library"
     n_sessions: int = 0
     seed: int = 0
     violations: List[ChaosViolation] = field(default_factory=list)
@@ -323,6 +367,28 @@ class ChaosReport:
     channels_closed: int = 0
     close_reasons: Dict[str, int] = field(default_factory=dict)
     nonce_reuses: int = 0
+    behaviors: Dict[str, int] = field(default_factory=dict)
+    client_kinds: Dict[str, int] = field(default_factory=dict)
+    results: int = 0
+    rejections: int = 0
+    metrics: Dict[str, object] = field(default_factory=dict)
+    drain_delivered: int = 0
+    drain_aborted: int = 0
+    leaked_sessions: int = 0
+    restarts: int = 0
+    kills: int = 0
+    generations: int = 0
+    crash_plans: List[Dict[str, int]] = field(default_factory=list)
+    unexpected_exits: List[int] = field(default_factory=list)
+    resumed_results: int = 0
+    recovered_aborts: int = 0
+    resume_probes: int = 0
+    journal_records: int = 0
+    recoveries: int = 0
+    orphans_recovered: int = 0
+
+    def __post_init__(self) -> None:
+        require_one_of(self.sweep, SWEEPS, "sweep")
 
     @property
     def ok(self) -> bool:
@@ -330,92 +396,89 @@ class ChaosReport:
         return not self.violations
 
     def violation_counts(self) -> Dict[str, int]:
-        """Per-invariant violation counts (zero-filled for reporting)."""
-        counts = {name: 0 for name in INVARIANTS + PAYLOAD_INVARIANTS}
+        """Per-invariant violation counts over this sweep's invariants.
+
+        Zero-filled from :data:`INVARIANTS` for :attr:`sweep` only, in
+        registry order, so a report never lists an invariant its sweep
+        cannot raise.
+        """
+        counts = {
+            name: 0 for name, sweeps in INVARIANTS.items() if self.sweep in sweeps
+        }
         for violation in self.violations:
             counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
         return counts
 
-    def merge(self, other: "ChaosReport") -> "ChaosReport":
-        """Fold another sweep's counts into this report (returns self)."""
-        self.n_sessions += other.n_sessions
-        self.violations.extend(other.violations)
-        self.successes += other.successes
-        self.aborts += other.aborts
-        for key, value in other.abort_reasons.items():
-            self.abort_reasons[key] = self.abort_reasons.get(key, 0) + value
-        for key, value in other.failure_reasons.items():
-            self.failure_reasons[key] = self.failure_reasons.get(key, 0) + value
-        self.attacked_sessions += other.attacked_sessions
-        self.faulted_sessions += other.faulted_sessions
-        self.degraded_sessions += other.degraded_sessions
-        self.secured_sessions += other.secured_sessions
-        self.records_delivered += other.records_delivered
-        for key, value in other.payload_failures.items():
-            self.payload_failures[key] = self.payload_failures.get(key, 0) + value
-        self.rekeys_completed += other.rekeys_completed
-        self.channels_closed += other.channels_closed
-        for key, value in other.close_reasons.items():
-            self.close_reasons[key] = self.close_reasons.get(key, 0) + value
-        self.nonce_reuses += other.nonce_reuses
-        return self
+    def violate(self, invariant: str, session: int, detail: str) -> None:
+        """Record one broken invariant, stamped with the sweep seed.
+
+        Raises:
+            ValueError: ``invariant`` is not registered for this sweep.
+        """
+        if self.sweep not in INVARIANTS.get(invariant, ()):
+            raise ValueError(
+                f"{invariant!r} is not an invariant of the {self.sweep} sweep"
+            )
+        self.violations.append(
+            ChaosViolation(invariant, session, self.seed, detail)
+        )
+
+
+def _check_outcome(report: ChaosReport, outcome, session: int) -> None:
+    """The key-release checks every sweep runs on every outcome.
+
+    ``success=True`` must mean a matching confirmed key, and an aborted
+    or confirmation-failed session must not release key bytes.
+    """
+    result = outcome.session
+    if outcome.success and (
+        not result.keys_match
+        or result.abort is not None
+        or result.confirmed is False
+    ):
+        report.violate(
+            "silent-key-mismatch",
+            session,
+            "success=True without a matching confirmed key "
+            f"(abort={result.abort}, confirmed={result.confirmed})",
+        )
+    if (result.abort is not None or result.confirmed is False) and (
+        result.final_key_alice is not None or result.final_key_bob is not None
+    ):
+        report.violate(
+            "key-after-failed-verification",
+            session,
+            f"abort={result.abort} confirmed={result.confirmed} "
+            "but key material was released",
+        )
 
 
 def _check_invariants(
+    report: ChaosReport,
     outcome,
     policy: RetryPolicy,
     fault_plan: FaultPlan,
-    adversary_plan: AdversaryPlan,
     airtime_s: float,
-    session_index: int,
-    seed: int,
-) -> List[ChaosViolation]:
-    """All invariant violations one completed session exhibits."""
-    session = outcome.session
-    violations: List[ChaosViolation] = []
-
-    def violated(invariant: str, detail: str) -> None:
-        violations.append(
-            ChaosViolation(
-                invariant=invariant,
-                session=session_index,
-                seed=seed,
-                detail=detail,
-            )
-        )
-
-    if outcome.success and (
-        not session.keys_match
-        or session.abort is not None
-        or session.confirmed is False
-    ):
-        violated(
-            "silent-key-mismatch",
-            "success=True without a matching confirmed key "
-            f"(abort={session.abort}, confirmed={session.confirmed})",
-        )
-    if (session.abort is not None or session.confirmed is False) and (
-        session.final_key_alice is not None or session.final_key_bob is not None
-    ):
-        violated(
-            "key-after-failed-verification",
-            f"abort={session.abort} confirmed={session.confirmed} "
-            "but key material was released",
-        )
+    session: int,
+) -> None:
+    """Every establishment invariant one completed library session must hold."""
+    _check_outcome(report, outcome, session)
     if (
         outcome.retry_budget_remaining is not None
         and outcome.retry_budget_remaining < 0
     ):
-        violated(
+        report.violate(
             "retry-budget-exceeded",
+            session,
             f"worst round spent {outcome.max_round_retries} retries, "
             f"policy allows {outcome.retry_limit_per_round}",
         )
     if policy.regional_plan is not None and outcome.total_retries > 0:
         floor = outcome.total_retries * policy.min_retry_delay_s(airtime_s)
         if outcome.total_backoff_s < floor - _TIME_EPS:
-            violated(
+            report.violate(
                 "duty-cycle-violated",
+                session,
                 f"{outcome.total_retries} retries backed off only "
                 f"{outcome.total_backoff_s:.6f}s; regional floor is "
                 f"{floor:.6f}s",
@@ -431,12 +494,24 @@ def _check_invariants(
         and not outcome.aborted
         and outcome.aborted_attempts == 0
     ):
-        violated(
+        report.violate(
             "undetected-replay",
+            session,
             f"{events['syndromes_replayed']} stale-nonce syndromes were "
             "delivered but no attempt aborted",
         )
-    return violations
+
+
+def _report_reuses(report: ChaosReport, invariant: str, reuses: Sequence) -> None:
+    """File each ledger-witnessed nonce reuse as an ``invariant`` violation."""
+    report.nonce_reuses += len(reuses)
+    for reuse in reuses:
+        report.violate(
+            invariant,
+            -1,
+            f"duplicate {reuse.kind} of sequence {reuse.sequence} "
+            f"({reuse.direction}) under key {reuse.key_id}",
+        )
 
 
 #: The two channel endpoints and who receives what each seals.
@@ -486,10 +561,8 @@ def _run_payload_phase(
     ledger: NonceLedger,
     foreign_pool: List[bytes],
     session_index: int,
-    seed: int,
     report: ChaosReport,
-    replay_window_enabled: bool = True,
-) -> List[ChaosViolation]:
+) -> None:
     """Drive one successful session's secure-channel data phase.
 
     Both endpoints exchange AEAD records under a random
@@ -499,18 +572,7 @@ def _run_payload_phase(
     cross-session splicing, and receives one of this session's records
     for later sessions to splice.
     """
-    violations: List[ChaosViolation] = []
-
-    def violated(invariant: str, detail: str) -> None:
-        violations.append(
-            ChaosViolation(
-                invariant=invariant,
-                session=session_index,
-                seed=seed,
-                detail=detail,
-            )
-        )
-
+    seed = report.seed
     policy = random_rekey_policy(rng)
     link = ManagedSecureLink(
         pipeline,
@@ -521,7 +583,6 @@ def _run_payload_phase(
         fault_plan=fault_plan,
         retry_policy=retry_policy,
         adversary_plan=adversary_plan,
-        replay_window_enabled=replay_window_enabled,
     )
     adversary = None
     if adversary_plan.attacks_payload:
@@ -555,14 +616,16 @@ def _run_payload_phase(
             report.records_delivered += 1
             if result.ok:
                 if blob not in legit:
-                    violated(
+                    report.violate(
                         "no-decrypt-under-mismatched-keys",
+                        session_index,
                         "a record this channel never sealed opened "
                         f"successfully (message {message_index})",
                     )
                 elif blob == wire and result.plaintext != plaintext:
-                    violated(
+                    report.violate(
                         "rekey-preserves-continuity",
+                        session_index,
                         f"legitimate record {message_index} decrypted to "
                         "the wrong plaintext",
                     )
@@ -571,14 +634,16 @@ def _run_payload_phase(
                     report.payload_failures.get(result.failure, 0) + 1
                 )
                 if result.plaintext is not None:
-                    violated(
+                    report.violate(
                         "no-plaintext-on-auth-failure",
+                        session_index,
                         f"open failed with {result.failure!r} but "
                         "released plaintext",
                     )
                 if blob is wire:
-                    violated(
+                    report.violate(
                         "rekey-preserves-continuity",
+                        session_index,
                         f"untouched record {message_index} failed to open "
                         f"({result.failure!r}) at epoch {link.epoch}",
                     )
@@ -592,7 +657,7 @@ def _run_payload_phase(
                 report,
             )
             if detail is not None:
-                violated("rekey-preserves-continuity", detail)
+                report.violate("rekey-preserves-continuity", session_index, detail)
 
     # Batched burst: push the same payload invariants through the batched
     # data plane (``seal_records``/``deliver_records``).  The burst is
@@ -624,8 +689,9 @@ def _run_payload_phase(
             for index, result in enumerate(results):
                 if result.ok:
                     if result.plaintext != payloads[index]:
-                        violated(
+                        report.violate(
                             "rekey-preserves-continuity",
+                            session_index,
                             f"batched record {index} from {sender} decrypted "
                             "to the wrong plaintext",
                         )
@@ -634,19 +700,22 @@ def _run_payload_phase(
                     report.payload_failures.get(result.failure, 0) + 1
                 )
                 if result.plaintext is not None:
-                    violated(
+                    report.violate(
                         "no-plaintext-on-auth-failure",
+                        session_index,
                         f"batched open failed with {result.failure!r} but "
                         "released plaintext",
                     )
-                violated(
+                report.violate(
                     "rekey-preserves-continuity",
+                    session_index,
                     f"untouched batched record {index} from {sender} failed "
                     f"to open ({result.failure!r}) at epoch {link.epoch}",
                 )
             if len(results) < len(wires) and not link.closed:
-                violated(
+                report.violate(
                     "rekey-preserves-continuity",
+                    session_index,
                     f"batched delivery from {sender} stopped at "
                     f"{len(results)}/{len(wires)} without closing the link",
                 )
@@ -656,8 +725,9 @@ def _run_payload_phase(
         report.channels_closed += 1
         close = link.close_report
         if close is None or close.reason not in CLOSE_REASONS:
-            violated(
+            report.violate(
                 "rekey-preserves-continuity",
+                session_index,
                 "channel stopped without a structured close report",
             )
         else:
@@ -667,7 +737,6 @@ def _run_payload_phase(
     if history:
         foreign_pool.append(history[0])
         del foreign_pool[:-4]
-    return violations
 
 
 def run_chaos(
@@ -677,7 +746,6 @@ def run_chaos(
     n_rounds: Optional[int] = None,
     max_attempts: int = 2,
     data_phase: bool = True,
-    replay_window_enabled: bool = True,
 ) -> ChaosReport:
     """Sweep seeded random fault/attack combinations through the pipeline.
 
@@ -694,11 +762,6 @@ def run_chaos(
             recovery (desync re-sync) exercise its re-probe path.
         data_phase: Continue successful sessions into the secure-channel
             data phase and check the payload invariants.
-        replay_window_enabled: Test hook -- ``False`` disables the
-            channels' replay windows, which a correct harness must report
-            as ``no-nonce-reuse-ever`` violations (the deliberately
-            broken channel the harness's own tests use to prove the
-            invariant actually fires).
 
     Returns:
         The :class:`ChaosReport`; ``report.ok`` is the harness verdict.
@@ -727,13 +790,8 @@ def run_chaos(
                 max_attempts=max_attempts,
             )
         except Exception as error:  # noqa: BLE001 - the invariant IS "never raises"
-            report.violations.append(
-                ChaosViolation(
-                    invariant="uncaught-exception",
-                    session=index,
-                    seed=seed,
-                    detail=f"{type(error).__name__}: {error}",
-                )
+            report.violate(
+                "uncaught-exception", index, f"{type(error).__name__}: {error}"
             )
             continue
         if outcome.success:
@@ -748,56 +806,29 @@ def run_chaos(
             report.failure_reasons[outcome.failure_reason] = (
                 report.failure_reasons.get(outcome.failure_reason, 0) + 1
             )
-        report.violations.extend(
-            _check_invariants(
-                outcome,
-                policy,
-                fault_plan,
-                adversary_plan,
-                airtime_s,
-                index,
-                seed,
-            )
-        )
+        _check_invariants(report, outcome, policy, fault_plan, airtime_s, index)
         if data_phase and outcome.success:
             report.secured_sessions += 1
             try:
-                report.violations.extend(
-                    _run_payload_phase(
-                        pipeline,
-                        outcome,
-                        rng,
-                        fault_plan,
-                        policy,
-                        adversary_plan,
-                        ledger,
-                        foreign_pool,
-                        index,
-                        seed,
-                        report,
-                        replay_window_enabled=replay_window_enabled,
-                    )
+                _run_payload_phase(
+                    pipeline,
+                    outcome,
+                    rng,
+                    fault_plan,
+                    policy,
+                    adversary_plan,
+                    ledger,
+                    foreign_pool,
+                    index,
+                    report,
                 )
             except Exception as error:  # noqa: BLE001 - same contract as above
-                report.violations.append(
-                    ChaosViolation(
-                        invariant="uncaught-exception",
-                        session=index,
-                        seed=seed,
-                        detail=f"data phase: {type(error).__name__}: {error}",
-                    )
+                report.violate(
+                    "uncaught-exception",
+                    index,
+                    f"data phase: {type(error).__name__}: {error}",
                 )
-    report.nonce_reuses = len(ledger.reuses)
-    for reuse in ledger.reuses:
-        report.violations.append(
-            ChaosViolation(
-                invariant="no-nonce-reuse-ever",
-                session=-1,
-                seed=seed,
-                detail=f"duplicate {reuse.kind} of sequence {reuse.sequence} "
-                f"({reuse.direction}) under key {reuse.key_id}",
-            )
-        )
+    _report_reuses(report, "no-nonce-reuse-ever", ledger.reuses)
     return report
 
 
@@ -821,73 +852,95 @@ _BEHAVIOR_WEIGHTS = (
 _DUPLICATE_ID_RATE = 0.05
 
 
-def random_client_behavior(rng: np.random.Generator) -> str:
-    """One seeded draw from the server sweep's behavior mix."""
-    names = [name for name, _ in _BEHAVIOR_WEIGHTS]
-    weights = np.array([weight for _, weight in _BEHAVIOR_WEIGHTS])
+def _draw_behavior(
+    rng: np.random.Generator, mix: Sequence[Tuple[str, float]]
+) -> str:
+    """One seeded draw from a ``(behavior, weight)`` mix."""
+    names = [name for name, _ in mix]
+    weights = np.array([weight for _, weight in mix])
     return str(rng.choice(names, p=weights / weights.sum()))
 
 
-@dataclass
-class ServerChaosReport:
-    """Aggregated verdict of one server chaos sweep.
+def random_client_behavior(rng: np.random.Generator) -> str:
+    """One seeded draw from the server sweep's behavior mix."""
+    return _draw_behavior(rng, _BEHAVIOR_WEIGHTS)
 
-    Attributes:
-        n_clients: Client interactions executed.
-        seed: Sweep seed; client ``i`` derives from ``(seed, i)``.
-        violations: Every broken invariant (library- and server-level).
-        behaviors: How many clients ran each behavior.
-        client_kinds: Histogram of terminal client-outcome kinds.
-        results: Clients that received an establishment result frame.
-        successes: Result frames reporting a confirmed key.
-        aborts: Clients answered with a taxonomized abort frame.
-        rejections: Clients shed at admission with a structured
-            rejection.
-        degraded_sessions: Served sessions that used the quantizer
-            fallback, per server metrics.
-        drain_delivered: Sessions whose verdict the final drain
-            delivered.
-        drain_aborted: Unstarted sessions the drain aborted with
-            ``server-draining``.
-        leaked_sessions: Sessions still registered after the drain
-            (must be zero).
-        secured_clients: Clients that ran a data phase to completion.
-        nonce_reuses: Duplicate nonce events the server-wide ledger
-            witnessed across every data-phase channel (must be zero).
-        metrics: The server's full metrics snapshot.
+
+#: Client behaviors that must always reach a structured verdict.
+_HONEST_BEHAVIORS = (
+    "normal",
+    "normal-retry",
+    "ping-then-normal",
+    "secure-echo",
+    "secure-tamper",
+    "secure-data",
+)
+
+
+def _classify_clients(
+    report: ChaosReport, outcomes: Sequence[ClientOutcome]
+) -> None:
+    """Tally served client outcomes and check the client-side invariants.
+
+    Client ``i`` is session ``i`` of the report.  A
+    ``payload-invariant:<name>`` detail is filed under ``<name>`` when
+    the sweep checks it, else as ``shed-not-hang``; a rejection must
+    carry a ``retry_after_s`` hint.  An honest client must end in a
+    structured verdict: a miss is a ``tick-stall`` in the server sweep
+    and ``shed-not-hang`` in the restart sweep, whose honest clients
+    reconnect across crashes until a verdict arrives.  A misbehaving
+    client may end in a clean close, and in a transport error only in
+    the restart sweep, where a crash can cut its connection.
     """
-
-    n_clients: int = 0
-    seed: int = 0
-    violations: List[ChaosViolation] = field(default_factory=list)
-    behaviors: Dict[str, int] = field(default_factory=dict)
-    client_kinds: Dict[str, int] = field(default_factory=dict)
-    results: int = 0
-    successes: int = 0
-    aborts: int = 0
-    rejections: int = 0
-    degraded_sessions: int = 0
-    drain_delivered: int = 0
-    drain_aborted: int = 0
-    leaked_sessions: int = 0
-    secured_clients: int = 0
-    nonce_reuses: int = 0
-    metrics: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every invariant held across the whole sweep."""
-        return not self.violations
-
-    def violation_counts(self) -> Dict[str, int]:
-        """Per-invariant violation counts (zero-filled for reporting)."""
-        counts = {
-            name: 0
-            for name in INVARIANTS + PAYLOAD_INVARIANTS + SERVER_INVARIANTS
-        }
-        for violation in self.violations:
-            counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
-        return counts
+    restart = report.sweep == "restart"
+    for index, outcome in enumerate(outcomes):
+        report.behaviors[outcome.behavior] = (
+            report.behaviors.get(outcome.behavior, 0) + 1
+        )
+        report.client_kinds[outcome.kind] = (
+            report.client_kinds.get(outcome.kind, 0) + 1
+        )
+        frame = outcome.frame or {}
+        if outcome.detail.startswith("payload-invariant:"):
+            name = outcome.detail.split(":", 1)[1]
+            report.violate(
+                name if report.sweep in INVARIANTS.get(name, ()) else "shed-not-hang",
+                index,
+                f"{outcome.behavior!r} client's payload check failed "
+                f"({outcome.detail})",
+            )
+            continue
+        if outcome.kind == "result":
+            report.results += 1
+            if frame.get("success"):
+                report.successes += 1
+                if outcome.behavior.startswith("secure-"):
+                    report.secured_sessions += 1
+            if frame.get("resumed"):
+                report.resumed_results += 1
+        elif outcome.kind == "abort":
+            report.aborts += 1
+            if frame.get("reason") == ABORT_RECOVERED:
+                report.recovered_aborts += 1
+        elif outcome.kind == "rejected":
+            report.rejections += 1
+            if "retry_after_s" not in frame:
+                report.violate(
+                    "shed-not-hang",
+                    index,
+                    f"{outcome.behavior!r} client was rejected without a "
+                    "retry_after_s hint",
+                )
+        else:
+            honest = outcome.behavior in _HONEST_BEHAVIORS
+            if honest or (outcome.kind == "error" and not restart):
+                report.violate(
+                    "tick-stall" if honest and not restart else "shed-not-hang",
+                    index,
+                    f"{outcome.behavior!r} client ended with "
+                    f"kind={outcome.kind!r} "
+                    f"({outcome.detail or 'no terminal frame'})",
+                )
 
 
 def chaos_server_config(n_clients: int) -> ServerConfig:
@@ -911,37 +964,29 @@ def chaos_server_config(n_clients: int) -> ServerConfig:
     )
 
 
-def _served_outcome_violations(outcome, index: int, seed: int) -> List[ChaosViolation]:
-    """Library-path safety invariants re-checked on a served outcome."""
-    session = outcome.session
-    violations: List[ChaosViolation] = []
-    if outcome.success and (
-        not session.keys_match
-        or session.abort is not None
-        or session.confirmed is False
-    ):
-        violations.append(
-            ChaosViolation(
-                invariant="silent-key-mismatch",
-                session=index,
-                seed=seed,
-                detail="served success=True without a matching confirmed key "
-                f"(abort={session.abort}, confirmed={session.confirmed})",
-            )
+def _check_drain(report: ChaosReport, still_active: int, degraded_seen: int) -> None:
+    """The server sweep's post-drain checks.
+
+    ``report.leaked_sessions`` and ``report.degraded_sessions`` hold the
+    drain's leak count and the server metrics' degraded count;
+    ``still_active`` is the server's registered-session count after the
+    drain and ``degraded_seen`` the degraded outcomes the sweep's own
+    observer counted.
+    """
+    if report.leaked_sessions > 0 or still_active > 0:
+        report.violate(
+            "session-leak-after-reap",
+            -1,
+            f"{max(report.leaked_sessions, still_active)} "
+            "sessions still registered after the final drain",
         )
-    if (session.abort is not None or session.confirmed is False) and (
-        session.final_key_alice is not None or session.final_key_bob is not None
-    ):
-        violations.append(
-            ChaosViolation(
-                invariant="key-after-failed-verification",
-                session=index,
-                seed=seed,
-                detail=f"served abort={session.abort} confirmed={session.confirmed} "
-                "but key material was released",
-            )
+    if report.degraded_sessions != degraded_seen:
+        report.violate(
+            "silent-degraded-session",
+            -1,
+            f"observer saw {degraded_seen} degraded sessions "
+            f"but server metrics counted {report.degraded_sessions}",
         )
-    return violations
 
 
 async def _run_server_chaos(
@@ -950,18 +995,18 @@ async def _run_server_chaos(
     seed: int,
     n_rounds: Optional[int],
     config: Optional[ServerConfig],
-) -> ServerChaosReport:
+) -> ChaosReport:
     """The async body of :func:`run_server_chaos`."""
-    report = ServerChaosReport(n_clients=n_clients, seed=seed)
+    report = ChaosReport(sweep="server", n_sessions=n_clients, seed=seed)
     observed = {"index": 0, "degraded": 0}
 
     def on_outcome(session, outcome) -> None:
-        """Re-check library invariants on every served outcome."""
+        """Re-check the key-release invariants on every served outcome."""
         index = observed["index"]
         observed["index"] = index + 1
         if outcome.degraded_mode is not None:
             observed["degraded"] += 1
-        report.violations.extend(_served_outcome_violations(outcome, index, seed))
+        _check_outcome(report, outcome, index)
 
     ledger = NonceLedger()
     server = KeyEstablishmentServer(
@@ -1003,99 +1048,9 @@ async def _run_server_chaos(
     report.leaked_sessions = drain.leaked
     report.metrics = server.metrics.snapshot()
     report.degraded_sessions = server.metrics.degraded_sessions
-
-    honest = (
-        "normal",
-        "normal-retry",
-        "ping-then-normal",
-        "secure-echo",
-        "secure-tamper",
-    )
-    for index, outcome in enumerate(outcomes):
-        report.behaviors[outcome.behavior] = (
-            report.behaviors.get(outcome.behavior, 0) + 1
-        )
-        report.client_kinds[outcome.kind] = (
-            report.client_kinds.get(outcome.kind, 0) + 1
-        )
-        if outcome.detail.startswith("payload-invariant:"):
-            name = outcome.detail.split(":", 1)[1]
-            report.violations.append(
-                ChaosViolation(
-                    invariant=(
-                        name if name in PAYLOAD_INVARIANTS else "shed-not-hang"
-                    ),
-                    session=index,
-                    seed=seed,
-                    detail=f"{outcome.behavior!r} client's payload check "
-                    f"failed ({outcome.detail})",
-                )
-            )
-            continue
-        if outcome.kind == "result":
-            report.results += 1
-            if outcome.frame is not None and outcome.frame.get("success"):
-                report.successes += 1
-                if outcome.behavior in ("secure-echo", "secure-tamper"):
-                    report.secured_clients += 1
-        elif outcome.kind == "abort":
-            report.aborts += 1
-        elif outcome.kind == "rejected":
-            report.rejections += 1
-            if outcome.frame is None or "retry_after_s" not in outcome.frame:
-                report.violations.append(
-                    ChaosViolation(
-                        invariant="shed-not-hang",
-                        session=index,
-                        seed=seed,
-                        detail=f"{outcome.behavior!r} client was rejected "
-                        "without a retry_after_s hint",
-                    )
-                )
-        elif outcome.kind == "error" or (
-            outcome.kind == "closed" and outcome.behavior in honest
-        ):
-            invariant = "tick-stall" if outcome.behavior in honest else "shed-not-hang"
-            report.violations.append(
-                ChaosViolation(
-                    invariant=invariant,
-                    session=index,
-                    seed=seed,
-                    detail=f"{outcome.behavior!r} client ended with "
-                    f"kind={outcome.kind!r} ({outcome.detail or 'no terminal frame'})",
-                )
-            )
-    if report.leaked_sessions > 0 or server.active_sessions > 0:
-        report.violations.append(
-            ChaosViolation(
-                invariant="session-leak-after-reap",
-                session=-1,
-                seed=seed,
-                detail=f"{max(report.leaked_sessions, server.active_sessions)} "
-                "sessions still registered after the final drain",
-            )
-        )
-    if server.metrics.degraded_sessions != observed["degraded"]:
-        report.violations.append(
-            ChaosViolation(
-                invariant="silent-degraded-session",
-                session=-1,
-                seed=seed,
-                detail=f"observer saw {observed['degraded']} degraded sessions "
-                f"but server metrics counted {server.metrics.degraded_sessions}",
-            )
-        )
-    report.nonce_reuses = len(ledger.reuses)
-    for reuse in ledger.reuses:
-        report.violations.append(
-            ChaosViolation(
-                invariant="no-nonce-reuse-ever",
-                session=-1,
-                seed=seed,
-                detail=f"served channel duplicated {reuse.kind} of sequence "
-                f"{reuse.sequence} ({reuse.direction}) under key {reuse.key_id}",
-            )
-        )
+    _classify_clients(report, outcomes)
+    _check_drain(report, server.active_sessions, observed["degraded"])
+    _report_reuses(report, "no-nonce-reuse-ever", ledger.reuses)
     return report
 
 
@@ -1105,15 +1060,15 @@ def run_server_chaos(
     seed: int = 0,
     n_rounds: Optional[int] = None,
     config: Optional[ServerConfig] = None,
-) -> ServerChaosReport:
+) -> ChaosReport:
     """Chaos-sweep the *served* path with misbehaving concurrent clients.
 
     Stands up a real :class:`KeyEstablishmentServer` on a loopback port,
     launches ``n_clients`` concurrent clients whose behaviors (honest,
     disconnecting, slow-loris, corrupt/oversized frames, duplicate ids,
     silent) derive from ``(seed, index)``, then drains the server and
-    checks the library invariants on every served outcome plus the
-    server-level invariants in :data:`SERVER_INVARIANTS`.
+    checks every invariant :data:`INVARIANTS` registers for the
+    ``"server"`` sweep.
 
     Args:
         pipeline: A trained pipeline to serve (e.g.
@@ -1126,7 +1081,8 @@ def run_server_chaos(
         config: Server knobs; defaults to :func:`chaos_server_config`.
 
     Returns:
-        The :class:`ServerChaosReport`; ``report.ok`` is the verdict.
+        The ``"server"`` :class:`ChaosReport`; ``report.ok`` is the
+        verdict.
     """
     require_positive(n_clients, "n_clients")
     return asyncio.run(
@@ -1220,21 +1176,20 @@ async def _restart_server_child_main(
 ) -> int:
     """Async body of the forked server child: serve until SIGTERM, drain.
 
-    The journal doubles as the child's witness channel: library-path
-    invariant breaches on served outcomes and ledger-witnessed nonce
-    reuses are appended as ``violation`` records, so the parent can
-    machine-check them after the child is long dead.
+    The journal doubles as the child's witness channel: key-release
+    breaches on served outcomes and ledger-witnessed nonce reuses are
+    filed on a child-side ``"restart"`` report and appended as
+    ``violation`` records, so the parent can machine-check them after
+    the child is long dead.
     """
     ledger = NonceLedger()
     server = KeyEstablishmentServer(
         ModelRegistry(pipeline), config, nonce_ledger=ledger
     )
-    observed = {"index": 0}
+    witness = ChaosReport(sweep="restart")
 
-    def on_outcome(session, outcome) -> None:
-        index = observed["index"]
-        observed["index"] = index + 1
-        for violation in _served_outcome_violations(outcome, index, 0):
+    def journal_witnessed() -> None:
+        for violation in witness.violations:
             server.journal_append(
                 {
                     "t": "violation",
@@ -1243,17 +1198,15 @@ async def _restart_server_child_main(
                 },
                 critical=True,
             )
+        witness.violations.clear()
+
+    def on_outcome(session, outcome) -> None:
+        _check_outcome(witness, outcome, -1)
+        journal_witnessed()
 
     def on_reuse(reuse) -> None:
-        server.journal_append(
-            {
-                "t": "violation",
-                "invariant": "no-nonce-reuse-across-restart",
-                "detail": f"served channel duplicated {reuse.kind} of sequence "
-                f"{reuse.sequence} ({reuse.direction}) under key {reuse.key_id}",
-            },
-            critical=True,
-        )
+        _report_reuses(witness, "no-nonce-reuse-across-restart", [reuse])
+        journal_witnessed()
 
     server.on_outcome = on_outcome
     ledger.on_reuse = on_reuse
@@ -1390,213 +1343,25 @@ class _ServerCluster:
         return process.exitcode
 
 
-@dataclass
-class RestartChaosReport:
-    """Aggregated verdict of one kill/restart chaos sweep.
-
-    Attributes:
-        n_clients: Client interactions executed.
-        seed: Sweep seed; client ``i`` derives from ``(seed, i)`` and
-            generation ``g``'s crash plan from ``(seed, 7, g)``.
-        restarts: Armed generations the sweep planned.
-        kills: Server children actually SIGKILLed by a crashpoint.
-        generations: Server generations that ran (kills + 1 when every
-            armed crashpoint fired).
-        crash_plans: The seeded ``site -> countdown`` plan per
-            generation (empty for unarmed generations).
-        unexpected_exits: Child exit codes other than the crashpoint's
-            SIGKILL or a clean drain (each is also a violation).
-        violations: Every broken invariant, across all four families.
-        behaviors: How many clients ran each behavior.
-        client_kinds: Histogram of terminal client-outcome kinds.
-        results: Clients that received an establishment result frame.
-        successes: Result frames reporting a confirmed key.
-        resumed_results: Results delivered on a resumed connection.
-        recovered_aborts: Clients answered ``recovered-after-crash``.
-        aborts: Clients answered with any taxonomized abort frame.
-        rejections: Clients shed with a final structured rejection.
-        secured_clients: Clients that completed an encrypted echo phase.
-        resume_probes: Extra idempotency resumes after a delivered
-            result (each must re-answer the identical key digest).
-        journal_records: Records the final journal replayed to.
-        recoveries: Recovery passes witnessed in the journal.
-        orphans_recovered: Orphaned sessions recovery aborted.
-        nonce_reuses: Duplicate nonce events the parent-side client
-            ledger witnessed across every channel epoch (must be zero).
-        drain_metrics: The final generation's journaled metrics
-            snapshot.
-    """
-
-    n_clients: int = 0
-    seed: int = 0
-    restarts: int = 0
-    kills: int = 0
-    generations: int = 1
-    crash_plans: List[Dict[str, int]] = field(default_factory=list)
-    unexpected_exits: List[int] = field(default_factory=list)
-    violations: List[ChaosViolation] = field(default_factory=list)
-    behaviors: Dict[str, int] = field(default_factory=dict)
-    client_kinds: Dict[str, int] = field(default_factory=dict)
-    results: int = 0
-    successes: int = 0
-    resumed_results: int = 0
-    recovered_aborts: int = 0
-    aborts: int = 0
-    rejections: int = 0
-    secured_clients: int = 0
-    resume_probes: int = 0
-    journal_records: int = 0
-    recoveries: int = 0
-    orphans_recovered: int = 0
-    nonce_reuses: int = 0
-    drain_metrics: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every invariant held across the whole sweep."""
-        return not self.violations
-
-    def violation_counts(self) -> Dict[str, int]:
-        """Per-invariant violation counts (zero-filled for reporting)."""
-        counts = {
-            name: 0
-            for name in (
-                INVARIANTS
-                + PAYLOAD_INVARIANTS
-                + SERVER_INVARIANTS
-                + RESTART_INVARIANTS
-            )
-        }
-        for violation in self.violations:
-            counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
-        return counts
-
-
-async def _drive_secure_data(
-    client: DeviceClient,
-    session_id: str,
-    ledger: NonceLedger,
-    report: RestartChaosReport,
-    index: int,
-    seed: int,
-    epoch_seen: Dict[str, int],
-    resume: Optional[str] = None,
-) -> ClientOutcome:
-    """One secure-data connection attempt: (resume-)hello, verdict, echo.
-
-    Unlike :func:`run_behavior`'s ``secure-echo``, every seal and accept
-    registers on the sweep-wide parent ``ledger``, and each result
-    frame's channel epoch is checked to strictly advance across resumes
-    -- the client-side halves of ``no-nonce-reuse-across-restart``.
-    """
-    behavior = "secure-data"
-    client.data = True
-    if resume:
-        client.resume = resume
-        client.resume_token = resume
-
-    def closed_kind() -> str:
-        return "disconnected" if client.resume_token else "closed"
-
-    try:
-        await client.connect()
-        answer = await client.hello()
-        if answer is None:
-            return ClientOutcome(
-                session_id, behavior, closed_kind(),
-                resume_token=client.resume_token,
-            )
-        if answer.get("type") == "rejected":
-            return ClientOutcome(
-                session_id, behavior, "rejected", answer,
-                resume_token=client.resume_token,
-            )
-        if not resume:
-            await client.send({"type": "start"})
-        verdict = await client.recv()
-        if verdict is None:
-            return ClientOutcome(
-                session_id, behavior, closed_kind(),
-                resume_token=client.resume_token,
-            )
-        if verdict.get("type") != "result":
-            return ClientOutcome(
-                session_id, behavior, "abort", verdict,
-                resume_token=client.resume_token,
-            )
-        channel_frame = verdict.get("channel")
-        if not verdict.get("success") or channel_frame is None:
-            return ClientOutcome(
-                session_id, behavior, "result", verdict,
-                resume_token=client.resume_token,
-            )
-        epoch = int(channel_frame.get("epoch", 0))
-        if epoch <= epoch_seen["epoch"]:
-            report.violations.append(
-                ChaosViolation(
-                    invariant="no-nonce-reuse-across-restart",
-                    session=index,
-                    seed=seed,
-                    detail=f"resumed channel re-issued epoch {epoch} "
-                    f"(this client already held epoch {epoch_seen['epoch']})",
-                )
-            )
-        epoch_seen["epoch"] = max(epoch_seen["epoch"], epoch)
-        channel = channel_from_frame(channel_frame, ledger=ledger)
-        payloads = [f"{session_id}-restart-echo-{i}".encode() for i in range(3)]
-        for record in channel.seal_records(payloads):
-            await client.send({"type": "secure", "record": record.hex()})
-        for plaintext in payloads:
-            reply = await client.recv()
-            if reply is None:
-                return ClientOutcome(
-                    session_id, behavior, closed_kind(), verdict,
-                    resume_token=client.resume_token,
-                )
-            if reply.get("type") != "secure":
-                return ClientOutcome(
-                    session_id, behavior, "error", reply,
-                    detail="payload-invariant:rekey-preserves-continuity",
-                    resume_token=client.resume_token,
-                )
-            opened = channel.open(bytes.fromhex(str(reply.get("record", ""))))
-            if not opened.ok or opened.plaintext != plaintext:
-                return ClientOutcome(
-                    session_id, behavior, "error", reply,
-                    detail="payload-invariant:rekey-preserves-continuity",
-                    resume_token=client.resume_token,
-                )
-        await client.send({"type": "bye"})
-        return ClientOutcome(
-            session_id, behavior, "result", verdict,
-            resume_token=client.resume_token,
-        )
-    except (OSError, asyncio.TimeoutError, ConnectionError) as error:
-        return ClientOutcome(
-            session_id,
-            behavior,
-            "disconnected" if client.resume_token else "error",
-            detail=str(error),
-            resume_token=client.resume_token,
-        )
-    finally:
-        await client.close()
-
-
 async def _restart_client(
     cluster: _ServerCluster,
     index: int,
     seed: int,
     n_rounds: Optional[int],
     ledger: NonceLedger,
-    report: RestartChaosReport,
+    report: ChaosReport,
 ) -> ClientOutcome:
-    """One client's establish / reconnect / resume loop across crashes."""
+    """One client's establish / reconnect / resume loop across crashes.
+
+    ``secure-data`` clients run the served ``secure-echo`` data phase on
+    every (re)connect, registering each seal and accept on the sweep-wide
+    parent ``ledger``, and check that every result frame's channel epoch
+    strictly advances -- the client-side halves of
+    ``no-nonce-reuse-across-restart``.
+    """
     rng = np.random.default_rng([seed, index])
     await asyncio.sleep(float(rng.uniform(0.0, 1.0)))
-    names = [name for name, _ in _RESTART_BEHAVIOR_WEIGHTS]
-    weights = np.array([weight for _, weight in _RESTART_BEHAVIOR_WEIGHTS])
-    behavior = str(rng.choice(names, p=weights / weights.sum()))
+    behavior = _draw_behavior(rng, _RESTART_BEHAVIOR_WEIGHTS)
     session_id = f"dev-{seed}-{index}"
     episode = f"restart-chaos-{seed}-{index}"
     if behavior in ("disconnect-after-hello", "disconnect-after-start"):
@@ -1612,7 +1377,7 @@ async def _restart_client(
             episode=episode, rounds=n_rounds, timeout_s=60.0,
         )
     token = ""
-    epoch_seen = {"epoch": -1}
+    last_epoch = -1
     outcome = ClientOutcome(session_id, behavior, "error", detail="never ran")
     for attempt in range(_RESUME_ATTEMPTS):
         try:
@@ -1632,12 +1397,24 @@ async def _restart_client(
             max_admission_retries=4,
             backoff_cap_s=1.0,
             retry_seed=int(rng.integers(0, 2**31)),
+            resume=token or None,
+            resume_token=token,
         )
         if behavior == "secure-data":
-            outcome = await _drive_secure_data(
-                client, session_id, ledger, report, index, seed, epoch_seen,
-                resume=token or None,
+            outcome = await _run_secure_behavior(
+                client, behavior, session_id, ledger=ledger
             )
+            frame = outcome.frame or {}
+            if frame.get("success") and frame.get("channel") is not None:
+                epoch = int(frame["channel"].get("epoch", 0))
+                if epoch <= last_epoch:
+                    report.violate(
+                        "no-nonce-reuse-across-restart",
+                        index,
+                        f"resumed channel re-issued epoch {epoch} "
+                        f"(this client already held epoch {last_epoch})",
+                    )
+                last_epoch = max(last_epoch, epoch)
         elif token:
             outcome = await client.resume_session(token)
         else:
@@ -1679,52 +1456,45 @@ async def _restart_client(
         if again.kind == "result":
             second = (again.frame or {}).get("key_digest")
             if second != first:
-                report.violations.append(
-                    ChaosViolation(
-                        invariant="no-duplicate-result-delivery",
-                        session=index,
-                        seed=seed,
-                        detail=f"re-resume answered key digest {second!r} "
-                        f"after the first delivery answered {first!r}",
-                    )
+                report.violate(
+                    "no-duplicate-result-delivery",
+                    index,
+                    f"re-resume answered key digest {second!r} "
+                    f"after the first delivery answered {first!r}",
                 )
         elif again.kind == "abort" or (
             again.kind == "rejected"
             and (again.frame or {}).get("reason") == "unknown-resumption-token"
         ):
-            report.violations.append(
-                ChaosViolation(
-                    invariant="no-duplicate-result-delivery",
-                    session=index,
-                    seed=seed,
-                    detail=f"re-resume of a delivered result answered "
-                    f"{again.kind!r} ({(again.frame or {}).get('reason')!r})",
-                )
+            report.violate(
+                "no-duplicate-result-delivery",
+                index,
+                f"re-resume of a delivered result answered "
+                f"{again.kind!r} ({(again.frame or {}).get('reason')!r})",
             )
     return outcome
 
 
-def _verify_restart_journal(records: List[dict], seed: int):
-    """Machine-check the three restart invariants from the journal alone.
+def _verify_restart_journal(report: ChaosReport, records: List[dict]) -> None:
+    """Machine-check the restart invariants from the journal alone.
 
-    Returns ``(violations, stats)``.  The checks are purely structural,
-    so a torn or lying server cannot pass by construction: high-water
-    marks must never regress, channel epochs must strictly advance per
-    token, every admission preceding a recovery marker must precede a
-    terminal outcome, and one token must never map to two key digests.
+    Files violations on the ``"restart"`` ``report`` and fills its
+    ``recoveries``, ``orphans_recovered`` and ``metrics`` (the last drain
+    record's snapshot).  The checks are purely structural, so a torn or
+    lying server cannot pass by construction: high-water marks must
+    never regress, channel epochs must strictly advance per token, every
+    admission preceding a recovery marker must precede a terminal
+    outcome, one token must never map to two key digests, and the final
+    generation must have drained.  A ``violation`` record the child
+    journaled is filed under its invariant only when that name is a
+    restart invariant; a missing or foreign name is filed as
+    ``uncaught-exception``, raw name in the detail.
     """
-    violations: List[ChaosViolation] = []
-    stats = {
-        "recoveries": 0,
-        "orphans": 0,
-        "drains": 0,
-        "leaked": 0,
-        "drain_metrics": {},
-    }
     admitted: Dict[str, int] = {}
     outcomes: Dict[str, List[tuple]] = {}
     nonce_high: Dict[tuple, int] = {}
     epochs: Dict[str, int] = {}
+    drains = 0
     for pos, record in enumerate(records):
         kind = record.get("t")
         token = str(record.get("token", ""))
@@ -1744,94 +1514,78 @@ def _verify_restart_journal(records: List[dict], seed: int):
             epoch = int(record.get("epoch", 0))
             last = epochs.get(token, -1)
             if epoch <= last:
-                violations.append(
-                    ChaosViolation(
-                        invariant="no-nonce-reuse-across-restart",
-                        session=-1,
-                        seed=seed,
-                        detail=f"token {token[:8]}... re-journaled channel "
-                        f"epoch {epoch} after already reaching {last}",
-                    )
+                report.violate(
+                    "no-nonce-reuse-across-restart",
+                    -1,
+                    f"token {token[:8]}... re-journaled channel "
+                    f"epoch {epoch} after already reaching {last}",
                 )
             epochs[token] = max(last, epoch)
         elif kind == "nonce":
             key = (str(record.get("key", "")), int(record.get("dir", 0)))
             high = int(record.get("high", 0))
             if high <= nonce_high.get(key, -1):
-                violations.append(
-                    ChaosViolation(
-                        invariant="no-nonce-reuse-across-restart",
-                        session=-1,
-                        seed=seed,
-                        detail=f"seal high-water for key {key[0][:16]}... "
-                        f"dir {key[1]} regressed to {high} from "
-                        f"{nonce_high[key]}",
-                    )
+                report.violate(
+                    "no-nonce-reuse-across-restart",
+                    -1,
+                    f"seal high-water for key {key[0][:16]}... "
+                    f"dir {key[1]} regressed to {high} from "
+                    f"{nonce_high[key]}",
                 )
             nonce_high[key] = max(nonce_high.get(key, -1), high)
         elif kind == "recovery":
-            stats["recoveries"] += 1
-            stats["orphans"] += int(record.get("orphans", 0))
+            report.recoveries += 1
+            report.orphans_recovered += int(record.get("orphans", 0))
             for admit_token, admit_pos in admitted.items():
                 if admit_pos < pos and not any(
                     outcome_pos < pos
                     for outcome_pos, *_ in outcomes.get(admit_token, [])
                 ):
-                    violations.append(
-                        ChaosViolation(
-                            invariant="no-orphan-session-after-recovery",
-                            session=-1,
-                            seed=seed,
-                            detail=f"recovery left admitted token "
-                            f"{admit_token[:8]}... without a terminal outcome",
-                        )
+                    report.violate(
+                        "no-orphan-session-after-recovery",
+                        -1,
+                        f"recovery left admitted token "
+                        f"{admit_token[:8]}... without a terminal outcome",
                     )
         elif kind == "violation":
-            violations.append(
-                ChaosViolation(
-                    invariant=str(record.get("invariant", "uncaught-exception")),
-                    session=-1,
-                    seed=seed,
-                    detail=f"server child witnessed: {record.get('detail', '')}",
+            name = record.get("invariant")
+            detail = f"server child witnessed: {record.get('detail', '')}"
+            if isinstance(name, str) and "restart" in INVARIANTS.get(name, ()):
+                report.violate(name, -1, detail)
+            else:
+                report.violate(
+                    "uncaught-exception",
+                    -1,
+                    f"{detail} (journaled invariant {name!r} is not a "
+                    "restart invariant)",
                 )
-            )
         elif kind == "drain":
-            stats["drains"] += 1
-            stats["leaked"] = int(record.get("leaked", 0))
-            stats["drain_metrics"] = record.get("metrics") or {}
+            drains += 1
+            report.metrics = record.get("metrics") or {}
             if int(record.get("leaked", 0)) > 0:
-                violations.append(
-                    ChaosViolation(
-                        invariant="no-orphan-session-after-recovery",
-                        session=-1,
-                        seed=seed,
-                        detail=f"drain left {record.get('leaked')} "
-                        "session(s) registered",
-                    )
+                report.violate(
+                    "no-orphan-session-after-recovery",
+                    -1,
+                    f"drain left {record.get('leaked')} "
+                    "session(s) registered",
                 )
             if int(record.get("ledger_reuses", 0)) > 0:
-                violations.append(
-                    ChaosViolation(
-                        invariant="no-nonce-reuse-across-restart",
-                        session=-1,
-                        seed=seed,
-                        detail=f"server ledger witnessed "
-                        f"{record.get('ledger_reuses')} nonce reuse(s)",
-                    )
+                report.violate(
+                    "no-nonce-reuse-across-restart",
+                    -1,
+                    f"server ledger witnessed "
+                    f"{record.get('ledger_reuses')} nonce reuse(s)",
                 )
     for token, entries in outcomes.items():
         digests = {
             digest for _, okind, digest, _ in entries if okind == "result" and digest
         }
         if len(digests) > 1:
-            violations.append(
-                ChaosViolation(
-                    invariant="no-duplicate-result-delivery",
-                    session=-1,
-                    seed=seed,
-                    detail=f"token {token[:8]}... holds result outcomes under "
-                    f"{len(digests)} distinct key digests",
-                )
+            report.violate(
+                "no-duplicate-result-delivery",
+                -1,
+                f"token {token[:8]}... holds result outcomes under "
+                f"{len(digests)} distinct key digests",
             )
         result_positions = [p for p, okind, _, _ in entries if okind == "result"]
         if result_positions and any(
@@ -1839,16 +1593,19 @@ def _verify_restart_journal(records: List[dict], seed: int):
             and pos > min(result_positions)
             for pos, okind, _, reason in entries
         ):
-            violations.append(
-                ChaosViolation(
-                    invariant="no-duplicate-result-delivery",
-                    session=-1,
-                    seed=seed,
-                    detail=f"token {token[:8]}... was orphan-aborted after "
-                    "its result was already journaled",
-                )
+            report.violate(
+                "no-duplicate-result-delivery",
+                -1,
+                f"token {token[:8]}... was orphan-aborted after "
+                "its result was already journaled",
             )
-    return violations, stats
+    if drains == 0:
+        report.violate(
+            "no-orphan-session-after-recovery",
+            -1,
+            "no drain record reached the journal -- the final "
+            "generation never drained gracefully",
+        )
 
 
 async def _run_restart_chaos(
@@ -1859,9 +1616,11 @@ async def _run_restart_chaos(
     journal_dir: str,
     restarts: int,
     config: Optional[ServerConfig],
-) -> RestartChaosReport:
+) -> ChaosReport:
     """The async body of :func:`run_restart_chaos`."""
-    report = RestartChaosReport(n_clients=n_clients, seed=seed, restarts=restarts)
+    report = ChaosReport(
+        sweep="restart", n_sessions=n_clients, seed=seed, restarts=restarts
+    )
     if config is None:
         config = restart_chaos_config(n_clients, journal_dir)
     cluster = _ServerCluster(pipeline, config, journal_dir, seed, n_clients, restarts)
@@ -1896,105 +1655,23 @@ async def _run_restart_chaos(
     if exit_code not in (0, None):
         report.unexpected_exits.append(int(exit_code))
     for code in report.unexpected_exits:
-        report.violations.append(
-            ChaosViolation(
-                invariant="no-orphan-session-after-recovery",
-                session=-1,
-                seed=seed,
-                detail=f"server child exited with unexpected code {code} "
-                "(crashpoints only ever SIGKILL; a drain exits 0)",
-            )
+        report.violate(
+            "no-orphan-session-after-recovery",
+            -1,
+            f"server child exited with unexpected code {code} "
+            "(crashpoints only ever SIGKILL; a drain exits 0)",
         )
-    honest = ("normal", "secure-data")
-    for index, outcome in enumerate(outcomes):
-        report.behaviors[outcome.behavior] = (
-            report.behaviors.get(outcome.behavior, 0) + 1
-        )
-        report.client_kinds[outcome.kind] = (
-            report.client_kinds.get(outcome.kind, 0) + 1
-        )
-        if outcome.detail.startswith("payload-invariant:"):
-            name = outcome.detail.split(":", 1)[1]
-            report.violations.append(
-                ChaosViolation(
-                    invariant=(
-                        name if name in PAYLOAD_INVARIANTS else "shed-not-hang"
-                    ),
-                    session=index,
-                    seed=seed,
-                    detail=f"{outcome.behavior!r} client's payload check "
-                    f"failed ({outcome.detail})",
-                )
-            )
-            continue
-        if outcome.kind == "result":
-            report.results += 1
-            if outcome.frame is not None and outcome.frame.get("success"):
-                report.successes += 1
-                if outcome.behavior == "secure-data":
-                    report.secured_clients += 1
-            if outcome.frame is not None and outcome.frame.get("resumed"):
-                report.resumed_results += 1
-        elif outcome.kind == "abort":
-            report.aborts += 1
-            if (
-                outcome.frame is not None
-                and outcome.frame.get("reason") == ABORT_RECOVERED
-            ):
-                report.recovered_aborts += 1
-        elif outcome.kind == "rejected":
-            report.rejections += 1
-        elif outcome.behavior in honest:
-            report.violations.append(
-                ChaosViolation(
-                    invariant="shed-not-hang",
-                    session=index,
-                    seed=seed,
-                    detail=f"{outcome.behavior!r} client never reached a "
-                    f"structured verdict across {_RESUME_ATTEMPTS} "
-                    f"reconnects (kind={outcome.kind!r}, "
-                    f"{outcome.detail or 'no terminal frame'})",
-                )
-            )
-    report.nonce_reuses = len(ledger.reuses)
-    for reuse in ledger.reuses:
-        report.violations.append(
-            ChaosViolation(
-                invariant="no-nonce-reuse-across-restart",
-                session=-1,
-                seed=seed,
-                detail=f"client-side ledger duplicated {reuse.kind} of "
-                f"sequence {reuse.sequence} ({reuse.direction}) under key "
-                f"{reuse.key_id}",
-            )
-        )
+    _classify_clients(report, outcomes)
+    _report_reuses(report, "no-nonce-reuse-across-restart", ledger.reuses)
     replay = replay_journal(Path(journal_dir) / JOURNAL_FILENAME)
     report.journal_records = len(replay.records)
     if not replay.clean:
-        report.violations.append(
-            ChaosViolation(
-                invariant="no-orphan-session-after-recovery",
-                session=-1,
-                seed=seed,
-                detail=f"journal tail still torn after the final drain "
-                f"({replay.torn})",
-            )
+        report.violate(
+            "no-orphan-session-after-recovery",
+            -1,
+            f"journal tail still torn after the final drain ({replay.torn})",
         )
-    journal_violations, stats = _verify_restart_journal(replay.records, seed)
-    report.violations.extend(journal_violations)
-    report.recoveries = stats["recoveries"]
-    report.orphans_recovered = stats["orphans"]
-    report.drain_metrics = stats["drain_metrics"]
-    if stats["drains"] == 0:
-        report.violations.append(
-            ChaosViolation(
-                invariant="no-orphan-session-after-recovery",
-                session=-1,
-                seed=seed,
-                detail="no drain record reached the journal -- the final "
-                "generation never drained gracefully",
-            )
-        )
+    _verify_restart_journal(report, replay.records)
     return report
 
 
@@ -2006,7 +1683,7 @@ def run_restart_chaos(
     journal_dir: Optional[str] = None,
     restarts: int = 2,
     config: Optional[ServerConfig] = None,
-) -> RestartChaosReport:
+) -> ChaosReport:
     """Kill/restart-sweep the served path against its durability contract.
 
     Forks a real :class:`KeyEstablishmentServer` into a child process
@@ -2016,10 +1693,9 @@ def run_restart_chaos(
     lets the armed crashpoint SIGKILL the child mid-sweep, restarts a
     fresh server generation against the same write-ahead journal while
     clients reconnect with their resumption tokens, and finally drains
-    gracefully and machine-checks :data:`RESTART_INVARIANTS` (plus the
-    library and payload invariants the child re-checked in-process) from
-    the journal, the parent-side client nonce ledger, and active
-    idempotency probes.
+    gracefully and machine-checks every invariant :data:`INVARIANTS`
+    registers for the ``"restart"`` sweep from the journal, the
+    parent-side client nonce ledger, and active idempotency probes.
 
     Args:
         pipeline: A trained pipeline to serve (e.g.
@@ -2036,7 +1712,8 @@ def run_restart_chaos(
         config: Server knobs; defaults to :func:`restart_chaos_config`.
 
     Returns:
-        The :class:`RestartChaosReport`; ``report.ok`` is the verdict.
+        The ``"restart"`` :class:`ChaosReport`; ``report.ok`` is the
+        verdict.
     """
     require_positive(n_clients, "n_clients")
     if restarts < 0:

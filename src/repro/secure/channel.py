@@ -287,10 +287,6 @@ class SecureChannel:
             default, and the only correct choice when the peer is a
             separate process -- always takes the full cryptographic
             path.
-        replay_window_enabled: **Test hook.**  ``False`` disables the
-            receive-side replay window -- the deliberately broken channel
-            the chaos tests use to prove the ``no-nonce-reuse-ever``
-            invariant actually fires.  Production paths never touch it.
     """
 
     def __init__(
@@ -301,7 +297,6 @@ class SecureChannel:
         replay_window: int = DEFAULT_REPLAY_WINDOW,
         ledger: Optional[NonceLedger] = None,
         memo: Optional[RecordMemo] = None,
-        replay_window_enabled: bool = True,
     ):
         require(role in ("initiator", "responder"), f"unknown role {role!r}")
         require(max_sequence > 0, "max_sequence must be > 0")
@@ -309,7 +304,6 @@ class SecureChannel:
         self.max_sequence = max_sequence
         self.ledger = ledger
         self.memo = memo
-        self.replay_window_enabled = replay_window_enabled
         self._keys = keys
         self._epoch = keys.epoch
         self._send_direction = (
@@ -542,9 +536,7 @@ class SecureChannel:
                 and epoch == self._epoch
                 and len(data) == RECORD_OVERHEAD + ct_len
                 and sequence <= self.max_sequence
-                and not (
-                    self.replay_window_enabled and self._window.seen(sequence)
-                )
+                and not self._window.seen(sequence)
             ):
                 plaintext = memo.match(
                     self._recv_keys.key_id, epoch, direction, sequence, data
@@ -582,7 +574,7 @@ class SecureChannel:
             return self._fail(FAILURE_AUTH, record)
         if record.sequence > self.max_sequence:
             return self._fail(FAILURE_EXHAUSTED, record)
-        if self.replay_window_enabled and window.seen(record.sequence):
+        if window.seen(record.sequence):
             return self._fail(FAILURE_REPLAY, record)
         plaintext = keystream_bytes(
             recv_keys,
@@ -681,7 +673,6 @@ class SecureLink:
         max_sequence: Per-endpoint counter bound.
         replay_window: Receive-side window width for both endpoints.
         share_records: Whether the endpoints share a :class:`RecordMemo`.
-        replay_window_enabled: Test hook, passed to both endpoints.
     """
 
     def __init__(
@@ -691,7 +682,6 @@ class SecureLink:
         max_sequence: int = DEFAULT_MAX_SEQUENCE,
         replay_window: int = DEFAULT_REPLAY_WINDOW,
         share_records: bool = True,
-        replay_window_enabled: bool = True,
     ):
         self.memo = RecordMemo() if share_records else None
         self.initiator = SecureChannel(
@@ -701,7 +691,6 @@ class SecureLink:
             replay_window=replay_window,
             ledger=ledger,
             memo=self.memo,
-            replay_window_enabled=replay_window_enabled,
         )
         self.responder = SecureChannel(
             keys,
@@ -710,7 +699,6 @@ class SecureLink:
             replay_window=replay_window,
             ledger=ledger,
             memo=self.memo,
-            replay_window_enabled=replay_window_enabled,
         )
 
     @classmethod

@@ -153,7 +153,6 @@ class ManagedSecureLink:
         n_rounds: Probing rounds per rekey establishment.
         max_sequence: Hard per-endpoint counter bound.
         replay_window: Receive-side replay window width.
-        replay_window_enabled: Test hook, passed through to the channels.
     """
 
     def __init__(
@@ -170,7 +169,6 @@ class ManagedSecureLink:
         n_rounds: Optional[int] = None,
         max_sequence: int = 2**20,
         replay_window: int = 64,
-        replay_window_enabled: bool = True,
     ):
         self.pipeline = pipeline
         self.episode = episode
@@ -195,7 +193,6 @@ class ManagedSecureLink:
             ledger=ledger,
             max_sequence=max_sequence,
             replay_window=replay_window,
-            replay_window_enabled=replay_window_enabled,
         )
         self.close_report: Optional[ChannelCloseReport] = None
         #: Completed rekeys, in order.

@@ -255,15 +255,9 @@ class DeviceClient:
                     resume_token=self.resume_token,
                 )
             except (OSError, asyncio.TimeoutError, ConnectionError) as error:
-                kind = "disconnected" if self.resume_token else "error"
-                return ClientOutcome(
-                    self.session_id,
-                    behavior,
-                    kind,
-                    detail=str(error),
-                    retries=attempt,
-                    resume_token=self.resume_token,
-                )
+                outcome = _transport_outcome(self, behavior, error)
+                outcome.retries = attempt
+                return outcome
             finally:
                 await self.close()
 
@@ -397,6 +391,23 @@ def _closed_kind(client: DeviceClient) -> str:
     return "disconnected" if client.resume_token else "closed"
 
 
+def _transport_outcome(
+    client: DeviceClient, behavior: str, error: Exception
+) -> ClientOutcome:
+    """The outcome of a client-side transport error.
+
+    ``disconnected`` (carrying the resumption token) when the client
+    holds one, else ``error``.
+    """
+    return ClientOutcome(
+        client.session_id,
+        behavior,
+        "disconnected" if client.resume_token else "error",
+        detail=str(error),
+        resume_token=client.resume_token,
+    )
+
+
 async def fetch_status(
     endpoint: Endpoint,
     session_id: str = "status-probe",
@@ -428,112 +439,134 @@ async def fetch_status(
 
 
 async def _run_secure_behavior(
-    client: DeviceClient, behavior: str, session_id: str
+    client: DeviceClient,
+    behavior: str,
+    session_id: str,
+    ledger: Optional[NonceLedger] = None,
 ) -> ClientOutcome:
     """Establish with a data phase, then echo (and maybe tamper).
 
     ``secure-echo`` round-trips three records and verifies each echo
     decrypts to the sent plaintext; ``secure-tamper`` additionally sends
     a bit-flipped record and demands a ``secure-error`` answer that
-    releases no plaintext.  A payload-invariant breach is reported as
-    kind ``"error"`` with a ``payload-invariant:<name>`` detail so the
-    chaos harness can attribute it.
+    releases no plaintext.  A client holding a resumption token in
+    :attr:`DeviceClient.resume` re-attaches to its session instead of
+    sending ``start``, and ``ledger`` (see :func:`channel_from_frame`)
+    witnesses every nonce the client's channel seals and accepts.  A
+    payload-invariant breach is reported as kind ``"error"`` with a
+    ``payload-invariant:<name>`` detail so the chaos harness can
+    attribute it.  Never raises.
     """
     client.data = True
-    answer = await client.hello()
-    if answer is None:
-        return ClientOutcome(session_id, behavior, "closed")
-    if answer.get("type") == "rejected":
-        return ClientOutcome(session_id, behavior, "rejected", answer)
-    await client.send({"type": "start"})
-    verdict = await client.recv()
-    if verdict is None:
-        return ClientOutcome(
-            session_id,
-            behavior,
-            _closed_kind(client),
-            resume_token=client.resume_token,
-        )
-    if verdict.get("type") != "result":
-        return ClientOutcome(
-            session_id, behavior, "abort", verdict,
-            resume_token=client.resume_token,
-        )
-    channel_frame = verdict.get("channel")
-    if not verdict.get("success") or channel_frame is None:
-        # Establishment failed; there is no channel to exercise.
+    try:
+        await client.connect()
+        answer = await client.hello()
+        if answer is None:
+            return ClientOutcome(
+                session_id, behavior, _closed_kind(client),
+                resume_token=client.resume_token,
+            )
+        if answer.get("type") == "rejected":
+            return ClientOutcome(
+                session_id, behavior, "rejected", answer,
+                resume_token=client.resume_token,
+            )
+        if not client.resume:
+            await client.send({"type": "start"})
+        verdict = await client.recv()
+        if verdict is None:
+            return ClientOutcome(
+                session_id,
+                behavior,
+                _closed_kind(client),
+                resume_token=client.resume_token,
+            )
+        if verdict.get("type") != "result":
+            return ClientOutcome(
+                session_id, behavior, "abort", verdict,
+                resume_token=client.resume_token,
+            )
+        channel_frame = verdict.get("channel")
+        if not verdict.get("success") or channel_frame is None:
+            # Establishment failed; there is no channel to exercise.
+            return ClientOutcome(
+                session_id, behavior, "result", verdict,
+                resume_token=client.resume_token,
+            )
+        channel = channel_from_frame(channel_frame, ledger=ledger)
+        payloads = [f"{session_id}-echo-{index}".encode() for index in range(3)]
+        # Pipelined: the burst is sealed as one batch and all records go
+        # out back-to-back, so the server can drain them in one batched
+        # pass; echoes come back in record order.
+        for record in channel.seal_records(payloads):
+            await client.send({"type": "secure", "record": record.hex()})
+        for plaintext in payloads:
+            reply = await client.recv()
+            if reply is None:
+                return ClientOutcome(
+                    session_id,
+                    behavior,
+                    _closed_kind(client),
+                    verdict,
+                    resume_token=client.resume_token,
+                )
+            if reply.get("type") != "secure":
+                return ClientOutcome(
+                    session_id,
+                    behavior,
+                    "error",
+                    reply,
+                    detail="payload-invariant:rekey-preserves-continuity",
+                    resume_token=client.resume_token,
+                )
+            opened = channel.open(bytes.fromhex(str(reply.get("record", ""))))
+            if not opened.ok or opened.plaintext != plaintext:
+                return ClientOutcome(
+                    session_id,
+                    behavior,
+                    "error",
+                    reply,
+                    detail="payload-invariant:rekey-preserves-continuity",
+                    resume_token=client.resume_token,
+                )
+        if behavior == "secure-tamper":
+            record = bytearray(channel.seal(session_id.encode()))
+            record[-1] ^= 0x01  # flip one tag bit: must fail authentication
+            await client.send({"type": "secure", "record": bytes(record).hex()})
+            reply = await client.recv()
+            if reply is None:
+                return ClientOutcome(
+                    session_id,
+                    behavior,
+                    _closed_kind(client),
+                    verdict,
+                    resume_token=client.resume_token,
+                )
+            if reply.get("type") != "secure-error" or "record" in reply:
+                return ClientOutcome(
+                    session_id,
+                    behavior,
+                    "error",
+                    reply,
+                    detail="payload-invariant:no-plaintext-on-auth-failure",
+                )
+            if reply.get("failure") != "auth-failed":
+                return ClientOutcome(
+                    session_id,
+                    behavior,
+                    "error",
+                    reply,
+                    detail="payload-invariant:no-plaintext-on-auth-failure",
+                )
+        await client.send({"type": "bye"})
         return ClientOutcome(
             session_id, behavior, "result", verdict,
             resume_token=client.resume_token,
         )
-    channel = channel_from_frame(channel_frame)
-    payloads = [f"{session_id}-echo-{index}".encode() for index in range(3)]
-    # Pipelined: the burst is sealed as one batch and all records go out
-    # back-to-back, so the server can drain them in one batched pass;
-    # echoes come back in record order.
-    for record in channel.seal_records(payloads):
-        await client.send({"type": "secure", "record": record.hex()})
-    for plaintext in payloads:
-        reply = await client.recv()
-        if reply is None:
-            return ClientOutcome(
-                session_id,
-                behavior,
-                _closed_kind(client),
-                verdict,
-                resume_token=client.resume_token,
-            )
-        if reply.get("type") != "secure":
-            return ClientOutcome(
-                session_id,
-                behavior,
-                "error",
-                reply,
-                detail="payload-invariant:rekey-preserves-continuity",
-            )
-        opened = channel.open(bytes.fromhex(str(reply.get("record", ""))))
-        if not opened.ok or opened.plaintext != plaintext:
-            return ClientOutcome(
-                session_id,
-                behavior,
-                "error",
-                reply,
-                detail="payload-invariant:rekey-preserves-continuity",
-            )
-    if behavior == "secure-tamper":
-        record = bytearray(channel.seal(session_id.encode()))
-        record[-1] ^= 0x01  # flip one tag bit: must fail authentication
-        await client.send({"type": "secure", "record": bytes(record).hex()})
-        reply = await client.recv()
-        if reply is None:
-            return ClientOutcome(
-                session_id,
-                behavior,
-                _closed_kind(client),
-                verdict,
-                resume_token=client.resume_token,
-            )
-        if reply.get("type") != "secure-error" or "record" in reply:
-            return ClientOutcome(
-                session_id,
-                behavior,
-                "error",
-                reply,
-                detail="payload-invariant:no-plaintext-on-auth-failure",
-            )
-        if reply.get("failure") != "auth-failed":
-            return ClientOutcome(
-                session_id,
-                behavior,
-                "error",
-                reply,
-                detail="payload-invariant:no-plaintext-on-auth-failure",
-            )
-    await client.send({"type": "bye"})
-    return ClientOutcome(
-        session_id, behavior, "result", verdict,
-        resume_token=client.resume_token,
-    )
+    except (OSError, asyncio.TimeoutError, ConnectionError) as error:
+        return _transport_outcome(client, behavior, error)
+    finally:
+        await client.close()
 
 
 async def run_behavior(
@@ -562,10 +595,10 @@ async def run_behavior(
         client.max_admission_retries = 2
         client.retry_seed = _retry_seed(session_id)
         return await client.establish(behavior="normal-retry")
+    if behavior in ("secure-echo", "secure-tamper"):
+        return await _run_secure_behavior(client, behavior, session_id)
     try:
         await client.connect()
-        if behavior in ("secure-echo", "secure-tamper"):
-            return await _run_secure_behavior(client, behavior, session_id)
         if behavior == "ping-then-normal":
             answer = await client.hello()
             if answer is None or answer.get("type") == "rejected":
@@ -642,13 +675,6 @@ async def run_behavior(
             return ClientOutcome(session_id, behavior, "closed", verdict)
         raise ValueError(f"unknown behavior {behavior!r}")
     except (OSError, asyncio.TimeoutError, ConnectionError) as error:
-        kind = "disconnected" if client.resume_token else "error"
-        return ClientOutcome(
-            session_id,
-            behavior,
-            kind,
-            detail=str(error),
-            resume_token=client.resume_token,
-        )
+        return _transport_outcome(client, behavior, error)
     finally:
         await client.close()

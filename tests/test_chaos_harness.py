@@ -5,9 +5,7 @@ import pytest
 
 from repro.faults.chaos import (
     INVARIANTS,
-    PAYLOAD_INVARIANTS,
     ChaosReport,
-    ChaosViolation,
     random_adversary_plan,
     random_fault_plan,
     random_rekey_policy,
@@ -56,27 +54,11 @@ class TestChaosReport:
     def test_violation_counts_zero_filled(self):
         report = ChaosReport(n_sessions=3, seed=0)
         counts = report.violation_counts()
-        assert set(counts) == set(INVARIANTS + PAYLOAD_INVARIANTS)
+        assert list(counts) == [
+            name for name, sweeps in INVARIANTS.items() if "library" in sweeps
+        ]
         assert all(v == 0 for v in counts.values())
         assert report.ok
-
-    def test_merge_accumulates(self):
-        a = ChaosReport(n_sessions=2, seed=0, successes=1, aborts=1,
-                        abort_reasons={"replay-detected": 1})
-        b = ChaosReport(n_sessions=3, seed=1, successes=2, aborts=1,
-                        abort_reasons={"replay-detected": 1})
-        b.violations.append(
-            ChaosViolation(
-                invariant="uncaught-exception", session=0, seed=1, detail="x"
-            )
-        )
-        merged = a.merge(b)
-        assert merged is a
-        assert merged.n_sessions == 5
-        assert merged.successes == 3
-        assert merged.abort_reasons == {"replay-detected": 2}
-        assert not merged.ok
-        assert merged.violation_counts()["uncaught-exception"] == 1
 
 
 class TestRunChaos:

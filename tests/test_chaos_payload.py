@@ -1,8 +1,9 @@
 """Payload-phase chaos: the secure channel under the invariant harness.
 
 The headline test is the negative control the acceptance criteria demand:
-a sweep over a deliberately broken channel (receive-side replay window
-disabled via the test hook) must demonstrably trip the
+a sweep over a deliberately broken channel (a receive-side replay window
+that never reports a replay, substituted with ``monkeypatch``) must
+demonstrably trip the
 ``no-nonce-reuse-ever`` invariant -- and *only* that invariant.  A harness
 whose alarms cannot fire proves nothing.
 """
@@ -10,10 +11,11 @@ whose alarms cannot fire proves nothing.
 import pytest
 
 from repro.faults.chaos import (
-    PAYLOAD_INVARIANTS,
+    INVARIANTS,
     ChaosReport,
     run_chaos,
 )
+from repro.secure.channel import ReplayWindow
 from repro.secure.records import OPEN_FAILURES
 from repro.secure.rekey import CLOSE_REASONS
 
@@ -51,14 +53,14 @@ class TestHealthyDataPhase:
         assert sweep.rekeys_completed >= 0
 
     def test_payload_invariants_are_the_declared_four(self, sweep):
-        counts = sweep.violation_counts()
-        assert set(PAYLOAD_INVARIANTS) <= set(counts)
-        assert PAYLOAD_INVARIANTS == (
+        payload = (
             "no-decrypt-under-mismatched-keys",
             "no-nonce-reuse-ever",
             "no-plaintext-on-auth-failure",
             "rekey-preserves-continuity",
         )
+        assert all("library" in INVARIANTS[name] for name in payload)
+        assert set(payload) <= set(sweep.violation_counts())
 
 
 class TestDataPhaseToggle:
@@ -74,14 +76,11 @@ class TestDataPhaseToggle:
 
 
 class TestBrokenChannelTripsTheAlarm:
-    def test_disabled_replay_window_trips_only_nonce_reuse(self, tiny_pipeline):
-        report = run_chaos(
-            tiny_pipeline,
-            SESSIONS,
-            seed=BROKEN_SEED,
-            n_rounds=ROUNDS,
-            replay_window_enabled=False,
-        )
+    def test_disabled_replay_window_trips_only_nonce_reuse(
+        self, tiny_pipeline, monkeypatch
+    ):
+        monkeypatch.setattr(ReplayWindow, "seen", lambda self, sequence: False)
+        report = run_chaos(tiny_pipeline, SESSIONS, seed=BROKEN_SEED, n_rounds=ROUNDS)
         assert not report.ok
         reuse = [
             v for v in report.violations if v.invariant == "no-nonce-reuse-ever"
@@ -95,42 +94,6 @@ class TestBrokenChannelTripsTheAlarm:
         assert other == []
         assert report.nonce_reuses == len(reuse)
         # Every reuse the ledger saw is an accept-side duplicate (the
-        # sender's monotonic counter is untouched by the hook).
+        # sender's monotonic counter is untouched by the broken window).
         assert all("accept" in v.detail for v in reuse)
 
-
-class TestReportPlumbing:
-    def test_merge_folds_payload_fields(self):
-        a = ChaosReport(
-            n_sessions=1,
-            seed=0,
-            secured_sessions=1,
-            records_delivered=5,
-            payload_failures={"auth-failed": 1},
-            rekeys_completed=1,
-            channels_closed=1,
-            close_reasons={"rekey-establish-failed": 1},
-            nonce_reuses=0,
-        )
-        b = ChaosReport(
-            n_sessions=1,
-            seed=1,
-            secured_sessions=1,
-            records_delivered=3,
-            payload_failures={"auth-failed": 2, "nonce-replayed": 1},
-            rekeys_completed=0,
-            channels_closed=1,
-            close_reasons={"rekey-attempts-exhausted": 1},
-            nonce_reuses=2,
-        )
-        merged = a.merge(b)
-        assert merged.secured_sessions == 2
-        assert merged.records_delivered == 8
-        assert merged.payload_failures == {"auth-failed": 3, "nonce-replayed": 1}
-        assert merged.rekeys_completed == 1
-        assert merged.channels_closed == 2
-        assert merged.close_reasons == {
-            "rekey-establish-failed": 1,
-            "rekey-attempts-exhausted": 1,
-        }
-        assert merged.nonce_reuses == 2

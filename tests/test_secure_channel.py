@@ -149,12 +149,13 @@ class TestNonceLedger:
         assert reuse.kind == "seal"
         assert reuse.sequence == 9
 
-    def test_disabled_replay_window_is_caught_at_accept(self):
-        # The replay_window_enabled=False hook builds the deliberately
+    def test_disabled_replay_window_is_caught_at_accept(self, monkeypatch):
+        # A replay window that never reports a replay is the deliberately
         # broken channel: the double-accept the window would have stopped
         # lands in the ledger as an accept reuse.
+        monkeypatch.setattr(ReplayWindow, "seen", lambda self, sequence: False)
         ledger = NonceLedger()
-        link = SecureLink(make_keys(), ledger=ledger, replay_window_enabled=False)
+        link = SecureLink(make_keys(), ledger=ledger)
         wire = link.initiator.seal(b"twice")
         assert link.responder.open(wire).ok
         assert link.responder.open(wire).ok  # the window would have said no
