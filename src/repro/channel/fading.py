@@ -199,7 +199,7 @@ class TemporalJakesFading(_SumOfSinusoids):
 def batched_spatial_gain_db(
     fadings: Sequence[SpatialJakesFading],
     displacements_m: np.ndarray,
-    chunk_elems: int = 1_000_000,
+    chunk_elems: int = 65_536,
 ) -> np.ndarray:
     """Evaluate S fading realizations on S displacement rows in one sweep.
 
@@ -216,12 +216,13 @@ def batched_spatial_gain_db(
         fadings: Homogeneous realizations (same ``n_paths``, ``rician_k``
             and ``trig_precision``; wavelengths may differ per row).
         displacements_m: ``[S, T]`` displacement rows, one per realization.
-        chunk_elems: Cap on the ``S * T_chunk * n_paths`` intermediate so
-            the build/reduce/trig passes reuse a cache-resident block
-            instead of streaming a huge tensor through memory ~6 times
-            (about 2.5x on a paper-scale batch).  Chunking is along the
-            time axis only, so it never perturbs the path-axis reduction
-            order.
+        chunk_elems: Cap on the ``S * T_chunk * n_paths`` intermediate.
+            The default keeps each float64 temporary of the angle, trig
+            and reduction passes at 512 KiB, small enough to stay in
+            cache; at 1,000,000 elements each was 8 MB and every pass
+            streamed through memory (``docs/PERFORMANCE.md`` has the
+            measured costs).  Chunking is along the time axis only, so
+            it never perturbs the path-axis reduction order.
 
     Returns:
         ``[S, T]`` float64 power gains in dB, floored at -60 dB.

@@ -228,9 +228,12 @@ class PredictionQuantizationModel:
         """
         windows = np.atleast_2d(np.asarray(bob_raw_windows, dtype=float))
         require(windows.shape[1] == self.seq_len, "window length must equal seq_len")
-        return np.stack(
-            [self.bob_quantizer.quantize(row).bits for row in windows]
-        ).astype(np.uint8)
+        codes, kept = self.bob_quantizer.quantize_rows(windows)
+        require(
+            bool(kept.all()),
+            "every sample needs key bits: a guard-free quantizer over finite windows",
+        )
+        return codes.reshape(len(windows), -1)
 
     # -- training-state snapshots -------------------------------------------------
     def _capture_snapshot(

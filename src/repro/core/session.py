@@ -280,13 +280,7 @@ class KeyAgreementSession:
         self.inference_guard = inference_guard
         self.session_nonce = session_nonce
 
-    # -- per-side bit extraction -----------------------------------------------
-    def alice_keep_mask(self, probabilities: np.ndarray) -> np.ndarray:
-        """Alice's per-sample confidence mask over one window's outputs."""
-        bits_per_sample = self.model.bob_quantizer.bits_per_sample
-        margins = np.abs(probabilities - 0.5).reshape(-1, bits_per_sample)
-        return margins.min(axis=1) >= self.alice_confidence_margin
-
+    # -- bit extraction ----------------------------------------------------------
     def extract_detail(
         self, dataset, alice_probabilities: Optional[np.ndarray] = None
     ) -> "ExtractionDetail":
@@ -294,11 +288,19 @@ class KeyAgreementSession:
 
         The masks are what both parties broadcast during index
         reconciliation, so attack harnesses legitimately see them too.
+        All windows are quantized in one pass; each party's bits are its
+        codes at the agreed ``[window, sample]`` positions, in that
+        order.  Alice keeps a sample when all its predicted bit
+        probabilities are at least ``alice_confidence_margin`` from 0.5.
 
         When an :class:`~repro.core.guard.InferenceGuard` is configured
         and rejects the batch's raw windows, extraction degrades to the
-        conventional quantizer path (see :meth:`_extract_detail_degraded`)
-        instead of feeding the model out-of-distribution inputs.
+        conventional quantizer path instead of feeding the model
+        out-of-distribution inputs: Alice quantizes her *own* raw windows
+        with a guard-banded multi-bit quantizer mirroring Bob's -- the
+        classic reciprocity scheme that needs no model.  Windows holding
+        non-finite values keep no sample, so a corrupted burst can reduce
+        throughput but never poisons key material.
 
         Args:
             dataset: The window dataset to extract bits from.
@@ -312,104 +314,35 @@ class KeyAgreementSession:
         verdict = None
         if self.inference_guard is not None:
             verdict = self.inference_guard.check(dataset.alice_raw)
-            if not verdict.ok:
-                return self._extract_detail_degraded(dataset, verdict)
-        bits_per_sample = self.model.bob_quantizer.bits_per_sample
-        if alice_probabilities is not None:
-            alice_probs = np.asarray(alice_probabilities)
-            require(
-                len(alice_probs) == len(dataset),
-                "alice_probabilities must cover every dataset window",
+        degraded = verdict is not None and not verdict.ok
+        bob_codes, bob_keep = self.bob_quantizer.quantize_rows(dataset.bob_raw)
+        if degraded:
+            alice_codes, alice_keep = self.alice_fallback_quantizer.quantize_rows(
+                dataset.alice_raw
             )
         else:
-            alice_probs = self.model.predict_bit_probabilities(dataset.alice)
-        alice_bits = (alice_probs > 0.5).astype(np.uint8)
-
-        alice_stream: List[np.ndarray] = []
-        bob_stream: List[np.ndarray] = []
-        masks: List[np.ndarray] = []
-        kept = 0
-        total = 0
-        consensus_bytes = 0
-        for index in range(len(dataset)):
-            bob_result = self.bob_quantizer.quantize(dataset.bob_raw[index])
-            alice_keep = self.alice_keep_mask(alice_probs[index])
-            keep = consensus_mask(bob_result.kept, alice_keep)
-            masks.append(keep)
-            total += keep.size
-            kept += int(keep.sum())
-            # Each side publishes its mask: one bit per sample, both ways.
-            consensus_bytes += 2 * ((keep.size + 7) // 8)
-            if not keep.any():
-                continue
-            bob_stream.append(
-                self.bob_quantizer.quantize_with_mask(dataset.bob_raw[index], keep)
-            )
-            groups = alice_bits[index].reshape(-1, bits_per_sample)
-            alice_stream.append(groups[keep].reshape(-1))
-        alice_all = (
-            np.concatenate(alice_stream) if alice_stream else np.zeros(0, np.uint8)
-        )
-        bob_all = np.concatenate(bob_stream) if bob_stream else np.zeros(0, np.uint8)
-        kept_fraction = kept / total if total else 0.0
-        return ExtractionDetail(
-            alice_bits=alice_all,
-            bob_bits=bob_all,
-            masks=masks,
-            kept_fraction=kept_fraction,
-            consensus_bytes=consensus_bytes,
-            ood_windows=0 if verdict is None else verdict.n_ood,
-        )
-
-    def _extract_detail_degraded(self, dataset, verdict) -> "ExtractionDetail":
-        """Conventional-quantizer extraction for OOD window batches.
-
-        Alice quantizes her *own* raw windows with a guard-banded
-        multi-bit quantizer mirroring Bob's -- the classic reciprocity
-        scheme that needs no model.  Windows containing non-finite values
-        contribute no samples (their keep-mask is all-``False``), so a
-        corrupted burst can reduce throughput but never poisons key
-        material.
-        """
-        alice_stream: List[np.ndarray] = []
-        bob_stream: List[np.ndarray] = []
-        masks: List[np.ndarray] = []
-        kept = 0
-        total = 0
-        consensus_bytes = 0
-        for index in range(len(dataset)):
-            bob_result = self.bob_quantizer.quantize(dataset.bob_raw[index])
-            window = dataset.alice_raw[index]
-            if np.isfinite(window).all():
-                alice_result = self.alice_fallback_quantizer.quantize(window)
-                keep = consensus_mask(bob_result.kept, alice_result.kept)
+            if alice_probabilities is not None:
+                alice_probs = np.asarray(alice_probabilities)
+                require(
+                    len(alice_probs) == len(dataset),
+                    "alice_probabilities must cover every dataset window",
+                )
             else:
-                keep = np.zeros(bob_result.kept.size, dtype=bool)
-            masks.append(keep)
-            total += keep.size
-            kept += int(keep.sum())
-            consensus_bytes += 2 * ((keep.size + 7) // 8)
-            if not keep.any():
-                continue
-            bob_stream.append(
-                self.bob_quantizer.quantize_with_mask(dataset.bob_raw[index], keep)
-            )
-            alice_stream.append(
-                self.alice_fallback_quantizer.quantize_with_mask(window, keep)
-            )
-        alice_all = (
-            np.concatenate(alice_stream) if alice_stream else np.zeros(0, np.uint8)
-        )
-        bob_all = np.concatenate(bob_stream) if bob_stream else np.zeros(0, np.uint8)
-        kept_fraction = kept / total if total else 0.0
+                alice_probs = self.model.predict_bit_probabilities(dataset.alice)
+            margins = np.abs(alice_probs - 0.5).reshape(bob_codes.shape)
+            alice_keep = margins.min(axis=2) >= self.alice_confidence_margin
+            alice_codes = (alice_probs > 0.5).astype(np.uint8).reshape(margins.shape)
+        keep = consensus_mask(bob_keep, alice_keep)
+        n_windows, n_samples = keep.shape
         return ExtractionDetail(
-            alice_bits=alice_all,
-            bob_bits=bob_all,
-            masks=masks,
-            kept_fraction=kept_fraction,
-            consensus_bytes=consensus_bytes,
-            degraded=True,
-            ood_windows=verdict.n_ood,
+            alice_bits=alice_codes[keep].reshape(-1),
+            bob_bits=bob_codes[keep].reshape(-1),
+            masks=list(keep),
+            kept_fraction=int(keep.sum()) / keep.size if keep.size else 0.0,
+            # Each side publishes its mask: one bit per sample, both ways.
+            consensus_bytes=n_windows * 2 * ((n_samples + 7) // 8),
+            degraded=degraded,
+            ood_windows=0 if verdict is None else verdict.n_ood,
         )
 
     # -- message validation ------------------------------------------------------

@@ -27,7 +27,8 @@ Two engines produce traces:
   faults every round's start time is a deterministic affine function of
   the round index, so it precomputes the
   ``[n_sessions, n_rounds, n_samples]`` timestamp grid, evaluates the
-  channel stack once per direction for the whole group, and draws all
+  channel stack once for the whole group (both directions' register
+  reads and every decodability instant), and draws all
   measurement noise in bulk from the same per-party seed streams --
   reproducing the loop bit-for-bit (``tests/test_probing_vectorized.py``
   and ``tests/test_probing_cross_session.py`` pin this).
@@ -532,15 +533,15 @@ def _group_path_gain(
 
 def _group_received_power(
     protocols: Sequence[ProbingProtocol],
+    gains: np.ndarray,
     times_1d: np.ndarray,
     trajectory_of: Callable[[ProbingProtocol], object],
 ) -> np.ndarray:
     """``[n_sessions, len(times)]`` received powers at one endpoint.
 
-    :meth:`ProbingProtocol._received_power` per row, over the (batched)
-    path gains of the group.
+    :meth:`ProbingProtocol._received_power` per row, over the group's
+    ``[n_sessions, len(times)]`` path gains at ``times_1d``.
     """
-    gains = _group_path_gain(protocols, times_1d)
     return np.stack(
         [
             protocol._received_power(gains[i], times_1d, trajectory_of(protocol))
@@ -678,11 +679,32 @@ def run_fastpath_group(
         z_bob[i] = bob_noise.standard_normal((n_rounds, n_samples + 1))
         z_alice[i] = alice_noise.standard_normal((n_rounds, n_samples + 1))
 
+    # One channel evaluation serves every instant the group needs: both
+    # parties' register reads, then the mid-probe and mid-response
+    # decodability instants.  Lazy channel state is order-invariant.
+    n_reads = n_rounds * n_samples
+    gains = _group_path_gain(
+        protocols,
+        np.concatenate(
+            [
+                probe_times.ravel(),
+                response_times.ravel(),
+                probe_starts + airtime / 2.0,
+                response_starts + airtime / 2.0,
+            ]
+        ),
+    )
     bob_power = _group_received_power(
-        protocols, probe_times.ravel(), lambda p: p.channel.motion.trajectory_b
+        protocols,
+        gains[:, :n_reads],
+        probe_times.ravel(),
+        lambda p: p.channel.motion.trajectory_b,
     )
     alice_power = _group_received_power(
-        protocols, response_times.ravel(), lambda p: p.channel.motion.trajectory_a
+        protocols,
+        gains[:, n_reads : 2 * n_reads],
+        response_times.ravel(),
+        lambda p: p.channel.motion.trajectory_a,
     )
     bob_rssi = bob_sampler.readings_for_power(
         bob_power.reshape(n_sessions, n_rounds, n_samples),
@@ -714,8 +736,8 @@ def run_fastpath_group(
         )
     ]
 
-    probe_gain = _group_path_gain(protocols, probe_starts + airtime / 2.0)
-    response_gain = _group_path_gain(protocols, response_starts + airtime / 2.0)
+    probe_gain = gains[:, 2 * n_reads : 2 * n_reads + n_rounds]
+    response_gain = gains[:, 2 * n_reads + n_rounds :]
     valid = first.link_budget.is_decodable(
         probe_gain, first.phy
     ) & first.link_budget.is_decodable(response_gain, first.phy)

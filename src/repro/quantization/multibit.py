@@ -10,6 +10,8 @@ model (Sec. IV-B).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.quantization.base import QuantizationResult, Quantizer
@@ -33,6 +35,9 @@ class MultiBitQuantizer(Quantizer):
             by the two parties; fixed boundaries remove that asymmetry
             (and make the bin function learnable by the quantization
             head, which is why the Vehicle-Key pipeline uses this mode).
+
+    A window holding a non-finite value (NaN or +/-inf) is not quantized:
+    it keeps no sample and yields no bits.
     """
 
     def __init__(
@@ -47,6 +52,14 @@ class MultiBitQuantizer(Quantizer):
         self.guard_band_fraction = float(guard_band_fraction)
         self.fixed_thresholds = bool(fixed_thresholds)
         self._codebook = gray_code_table(self.bits_per_sample)
+        # Internal bin boundaries as CDF positions and, for fixed
+        # thresholds, the standard normal quantiles at them.
+        self._boundary_cdf = np.arange(1, self.n_levels) / self.n_levels
+        self._normal_boundaries = None
+        if self.fixed_thresholds:
+            from scipy.stats import norm
+
+            self._normal_boundaries = norm.ppf(self._boundary_cdf)
 
     @property
     def n_levels(self) -> int:
@@ -56,35 +69,63 @@ class MultiBitQuantizer(Quantizer):
     def quantize(self, values: np.ndarray) -> QuantizationResult:
         window = np.asarray(values, dtype=float)
         require(window.ndim == 1, "values must be 1-D")
+        codes, kept = self.quantize_rows(window[np.newaxis])
+        return QuantizationResult(
+            bits=codes[0][kept[0]].reshape(-1),
+            kept=kept[0],
+            bits_per_sample=self.bits_per_sample,
+        )
+
+    def quantize_rows(self, windows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Quantize every row of a ``[W, L]`` window matrix on its own.
+
+        :meth:`quantize` is a one-row call of this method.
+
+        Returns:
+            ``(codes, kept)``: ``codes`` is the ``[W, L, bits_per_sample]``
+            ``uint8`` Gray codeword of every sample's bin and ``kept`` the
+            ``[W, L]`` guard-band keep-mask, so row ``i``'s key bits are
+            ``codes[i][kept[i]].reshape(-1)``.  Rows holding a non-finite
+            value keep nothing (their codes are zero).
+        """
+        windows = np.asarray(windows, dtype=float)
+        require(windows.ndim == 2, "windows must be [window, sample]")
+        n_windows, length = windows.shape
         require(
-            window.size >= self.n_levels,
-            f"window of {window.size} samples is too small for "
+            length >= self.n_levels,
+            f"window of {length} samples is too small for "
             f"{self.n_levels} quantile bins",
         )
-        probabilities = np.arange(1, self.n_levels) / self.n_levels
+        codes = np.zeros((n_windows, length, self.bits_per_sample), dtype=np.uint8)
+        kept = np.zeros((n_windows, length), dtype=bool)
+        finite = np.isfinite(windows).all(axis=1)
+        rows = windows[finite]
         if self.fixed_thresholds:
-            from scipy.stats import norm
-
-            std = window.std()
-            normalized = (window - window.mean()) / (std if std > 0 else 1.0)
-            boundaries = norm.ppf(probabilities)
-            levels = np.searchsorted(boundaries, normalized, side="right")
+            mean = rows.mean(axis=1, keepdims=True)
+            std = rows.std(axis=1, keepdims=True)
+            normalized = (rows - mean) / np.where(std > 0, std, 1.0)
+            levels = np.searchsorted(self._normal_boundaries, normalized, side="right")
         else:
-            # Empirical quantile boundaries (internal only).
-            boundaries = np.quantile(window, probabilities)
-            levels = np.searchsorted(boundaries, window, side="right")
+            # Empirical quantile boundaries (internal only), one set per
+            # row.  They are sorted, so a sample's bin is the number of
+            # boundaries at or below it -- what a right-sided
+            # searchsorted on the row's own boundaries returns.
+            boundaries = np.quantile(rows, self._boundary_cdf, axis=1).T
+            levels = (rows[:, :, np.newaxis] >= boundaries[:, np.newaxis, :]).sum(axis=2)
+        codes[finite] = self._codebook[levels]
 
-        kept = np.ones(window.size, dtype=bool)
+        row_kept = np.ones(rows.shape, dtype=bool)
         if self.guard_band_fraction > 0:
             # Drop samples whose empirical CDF position is within
-            # guard_band_fraction of a boundary's CDF position.
-            order = np.argsort(window, kind="stable")
-            cdf = np.empty(window.size)
-            cdf[order] = (np.arange(window.size) + 0.5) / window.size
+            # guard_band_fraction of a boundary's CDF position.  The CDF
+            # position depends only on the sample's stable rank in its
+            # row, so the keep decision is made once per rank.
+            rank_cdf = (np.arange(length) + 0.5) / length
             guard = self.guard_band_fraction / self.n_levels
-            for boundary_cdf in (np.arange(1, self.n_levels) / self.n_levels):
-                kept &= np.abs(cdf - boundary_cdf) > guard
-        bits = self._codebook[levels[kept]].reshape(-1)
-        return QuantizationResult(
-            bits=bits.astype(np.uint8), kept=kept, bits_per_sample=self.bits_per_sample
-        )
+            rank_kept = (
+                np.abs(rank_cdf[:, np.newaxis] - self._boundary_cdf) > guard
+            ).all(axis=1)
+            order = np.argsort(rows, axis=1, kind="stable")
+            np.put_along_axis(row_kept, order, rank_kept, axis=1)
+        kept[finite] = row_kept
+        return codes, kept

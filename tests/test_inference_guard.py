@@ -150,14 +150,18 @@ class TestSessionFallback:
 
     def test_degraded_extraction_skips_non_finite_windows(self, tiny_pipeline):
         session = tiny_pipeline.build_session()
+        # Tolerating no OOD window, the guard rejects the batch for its
+        # one NaN window, so extraction takes the degraded path.
+        session.inference_guard = InferenceGuard(
+            tiny_pipeline.model.training_stats, max_ood_fraction=0.0
+        )
         seq_len = tiny_pipeline.config.seq_len
         rng = np.random.default_rng(8)
         alice = rng.normal(-80.0, 4.0, size=4 * seq_len)
         bob = alice + rng.normal(0.0, 0.5, size=alice.size)
         dataset = build_dataset(alice, bob, seq_len=seq_len)
         dataset.alice_raw[1, 3] = np.nan
-        verdict = session.inference_guard.check(dataset.alice_raw)
-        detail = session._extract_detail_degraded(dataset, verdict)
+        detail = session.extract_detail(dataset)
         assert detail.degraded
         assert not detail.masks[1].any()  # the NaN window contributed nothing
         assert np.isin(detail.alice_bits, (0, 1)).all()

@@ -25,6 +25,8 @@ from repro.exceptions import ConfigurationError
 from repro.faults.link import LinkFaultModel
 from repro.faults.plan import FaultPlan
 from repro.lora.airtime import LoRaPHYConfig
+from repro.lora.link_budget import LinkBudget
+from repro.probing import protocol as protocol_module
 from repro.probing.protocol import run_fastpath_group
 
 from tests.test_probing_vectorized import (
@@ -170,6 +172,73 @@ class TestGroupBitIdentity:
             return rows
 
         assert_each_matches_loop(make_rows)
+
+
+class TestOneChannelEvaluation:
+    """A group evaluates its channels once per batch, not once per use.
+
+    Bob's reads, Alice's reads and the mid-probe and mid-response
+    decodability instants share one evaluation; the traces stay
+    bit-identical to ``run_loop``.
+    """
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_homogeneous_group_makes_one_stacked_evaluation(self, monkeypatch):
+        group_calls = self.count_calls(monkeypatch, protocol_module, "_group_path_gain")
+        trig_calls = self.count_calls(
+            monkeypatch, protocol_module, "batched_spatial_gain_db"
+        )
+        protocols, factories = build_group([71, 72, 73])
+        traces = run_fastpath_group(protocols, 10, factories)
+        assert len(group_calls) == 1
+        assert len(trig_calls) == 1
+        for seed, trace in zip([71, 72, 73], traces):
+            protocol, seeds, _ = build_setup(seed)
+            assert_traces_bit_identical(protocol.run_loop(10, seeds), trace)
+
+    def test_weak_link_validity_reads_the_decodability_instants(self):
+        # Near sensitivity the mid-probe and mid-response slices of the
+        # shared evaluation decide each round's validity.
+        protocols, factories = build_group(
+            [91, 92, 93], link_budget=LinkBudget(tx_power_dbm=-35.0)
+        )
+        traces = run_fastpath_group(protocols, 24, factories)
+        assert all(0 < trace.valid.sum() < 24 for trace in traces)
+        for seed, trace in zip([91, 92, 93], traces):
+            protocol, seeds, _ = build_setup(
+                seed, link_budget=LinkBudget(tx_power_dbm=-35.0)
+            )
+            assert_traces_bit_identical(protocol.run_loop(24, seeds), trace)
+
+    def test_mixed_fading_group_evaluates_each_channel_once(self, monkeypatch):
+        def make_rows():
+            rows = [build_setup(seed) for seed in (81, 82, 83)]
+            set_path_count(rows[0][0], rows[0][1], 16)
+            make_fading_free(rows[2][0])
+            return rows
+
+        protocols, factories, _ = zip(*make_rows())
+        path_calls = self.count_calls(monkeypatch, ReciprocalChannel, "path_gain_db")
+        trig_calls = self.count_calls(
+            monkeypatch, protocol_module, "batched_spatial_gain_db"
+        )
+        traces = run_fastpath_group(protocols, 10, factories)
+        assert [call[0] for call in path_calls] == [p.channel for p in protocols]
+        assert not trig_calls
+        monkeypatch.undo()
+        for (protocol, seeds, _), trace in zip(make_rows(), traces):
+            assert_traces_bit_identical(protocol.run_loop(10, seeds), trace)
 
 
 class TestFallback:
