@@ -65,12 +65,9 @@ class SystemRunResult:
 
     def reconciliation_airtime_s(self, phy: LoRaPHYConfig) -> float:
         """LoRa airtime of the public reconciliation traffic."""
-        if self.reconciliation_messages == 0:
-            return 0.0
-        per_message = max(
-            1, min(255, -(-self.public_bytes // self.reconciliation_messages))
+        return self.reconciliation_messages * phy.message_airtime_s(
+            self.public_bytes, self.reconciliation_messages
         )
-        return self.reconciliation_messages * phy.with_payload(per_message).airtime_s
 
     def kgr_bps(self, phy: LoRaPHYConfig) -> float:
         """Verified key bits per second of total protocol time."""

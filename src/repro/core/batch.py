@@ -7,23 +7,24 @@ pass; the forward pass in particular leaves most of the batched-GEMM
 throughput of :class:`~repro.core.model.PredictionQuantizationModel` on
 the table when called with one session's handful of windows at a time.
 
-:class:`BatchedSessionRunner` is the fault-free batch engine.  It
+:class:`BatchedSessionRunner` is the fault-free batch engine.  Built on
+the stages of :class:`~repro.core.session.KeyAgreementSession`, it
 amortizes the work across ``N`` sessions:
 
 1. every session's probing trace comes from one call to the stacked
    fault-free probing kernel
    (:func:`~repro.probing.protocol.run_fastpath_group`),
-2. all sessions' arRSSI windows are stacked into one matrix and pushed
-   through a **single** ``predict_bit_probabilities`` call,
-3. each session then completes its own authenticated message exchange
-   with its precomputed slice of the predictions.
+2. each trace is windowed by ``session.window``,
+3. one ``session.predict`` call runs a **single** forward pass over every
+   session's windows,
+4. each session then completes its own authenticated message exchange
+   (``session.exchange``) with its slice of the predictions.
 
 Per-session outcomes are *bit-identical* to running
 :meth:`~repro.core.pipeline.VehicleKeyPipeline.establish_key` once per
-episode label (``tests/test_batched_sessions.py`` pins this): the
-stacked forward pass computes each window row independently, and the
-session layer consumes the precomputed probabilities through the same
-guarded extraction path it would otherwise compute itself.
+episode label (``tests/test_batched_sessions.py`` pins this): both
+engines run the same session stages, and the stacked forward pass
+computes each window row independently.
 
 Link faults, active attacks and re-probing are not the runner's job:
 :meth:`~repro.core.pipeline.VehicleKeyPipeline.establish_key` alone owns
@@ -36,11 +37,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.pipeline import KeyEstablishmentOutcome, VehicleKeyPipeline
-from repro.probing.dataset import build_dataset
-from repro.probing.features import arrssi_sequences
+# Unused here: perfbench/tracer.py still wraps these two names on this module.
+from repro.probing.dataset import build_dataset  # noqa: F401
+from repro.probing.features import arrssi_sequences  # noqa: F401
 from repro.probing.trace import ProbeTrace
 from repro.utils.validation import require, require_positive
 
@@ -83,7 +83,7 @@ class BatchReport:
         elapsed_s: Wall-clock time for the whole batch (probing through
             privacy amplification).
         phase_s: Wall-clock seconds per batch phase -- ``probe`` (trace
-            generation), ``window`` (stacked feature extraction),
+            generation), ``window`` (every session's arRSSI windows),
             ``predict`` (the single batched forward pass), ``reconcile``
             and ``amplify`` (summed from each session's own phase
             timings) and ``orchestrate`` (everything else: outcome
@@ -134,8 +134,8 @@ class BatchedSessionRunner:
             are shared copy-on-write rather than pickled per worker; the
             batch's labels are split into contiguous chunks and the
             merged outcomes keep session order, bit-identical to
-            ``shards=1`` (episodes are seeded by name, the same argument
-            that makes ``collect_dataset`` process-count invariant).  On
+            ``shards=1`` (episodes are seeded by name, so the process
+            that probes an episode cannot change its trace).  On
             platforms without a ``fork`` start method the batch silently
             runs in-process.
     """
@@ -195,57 +195,27 @@ class BatchedSessionRunner:
         start = time.perf_counter()
         phase_s = {}
         session = self.pipeline.build_session()
-        model = self.pipeline.model
-        feature_config = self.pipeline.config.feature_config
 
-        # 1. Bulk trace generation: every session's probing episode in
-        # one cross-session stacked evaluation (each with its own channel
-        # realization and noise streams).
         phase_start = time.perf_counter()
         traces: List[ProbeTrace] = self.pipeline.collect_traces(
             labels, n_rounds=self.n_rounds
         )
         phase_s["probe"] = time.perf_counter() - phase_start
 
-        # 2. Stacked feature extraction, mirroring the session layer's
-        # own windowing (including its too-short-trace filter) so the
-        # prediction slices line up with what each session will rebuild.
         phase_start = time.perf_counter()
-        datasets: List[Optional[object]] = []
-        for trace in traces:
-            bob_seq, alice_seq = arrssi_sequences(trace, feature_config)
-            if len(alice_seq) < model.seq_len:
-                datasets.append(None)
-                continue
-            datasets.append(build_dataset(alice_seq, bob_seq, seq_len=model.seq_len))
+        datasets = [session.window(trace) for trace in traces]
         phase_s["window"] = time.perf_counter() - phase_start
 
-        # 3. One forward pass over every session's windows.
         phase_start = time.perf_counter()
-        stacked = [dataset.alice for dataset in datasets if dataset is not None]
-        predictions: Dict[int, np.ndarray] = {}
-        if stacked:
-            all_probs = model.predict_bit_probabilities(np.concatenate(stacked))
-            cursor = 0
-            for index, dataset in enumerate(datasets):
-                if dataset is None:
-                    continue
-                predictions[index] = all_probs[cursor : cursor + len(dataset)]
-                cursor += len(dataset)
+        probabilities = session.predict(datasets)
         phase_s["predict"] = time.perf_counter() - phase_start
 
-        # 4. Per-session authenticated message exchange, reusing both the
-        # precomputed prediction slice and the already-built window
-        # dataset instead of recomputing either inside the session layer.
         outcomes: List[KeyEstablishmentOutcome] = []
         phase_s["reconcile"] = phase_s["amplify"] = 0.0
-        for index, trace in enumerate(traces):
-            probs = [predictions[index]] if index in predictions else None
-            result = session.run(
-                trace, alice_probabilities=probs, datasets=[datasets[index]]
-            )
-            phase_s["reconcile"] += result.phase_s.get("reconcile", 0.0)
-            phase_s["amplify"] += result.phase_s.get("amplify", 0.0)
+        for trace, dataset, probs in zip(traces, datasets, probabilities):
+            result = session.exchange([trace], [dataset], [probs])
+            phase_s["reconcile"] += result.phase_s["reconcile"]
+            phase_s["amplify"] += result.phase_s["amplify"]
             outcomes.append(self.pipeline.build_outcome(result, [trace]))
 
         elapsed = time.perf_counter() - start

@@ -22,7 +22,7 @@ import numpy as np
 from repro.channel.mobility import RelativeMotion
 from repro.channel.scenario import ScenarioConfig, ScenarioName, scenario_config
 from repro.core.model import PredictionQuantizationModel
-from repro.core.session import KeyAgreementSession, SessionResult
+from repro.core.session import KeyAgreementSession, SessionResult, window_trace
 from repro.exceptions import (
     InsufficientEntropyError,
     KeyEstablishmentError,
@@ -37,8 +37,8 @@ from repro.faults.retry import RetryPolicy
 from repro.lora.airtime import LoRaPHYConfig
 from repro.lora.radio import DRAGINO_LORA_SHIELD, TransceiverModel
 from repro.metrics.generation import key_generation_rate
-from repro.probing.dataset import DatasetSplits, KeyGenDataset, build_dataset, split_dataset
-from repro.probing.features import FeatureConfig, arrssi_sequences
+from repro.probing.dataset import DatasetSplits, KeyGenDataset, split_dataset
+from repro.probing.features import FeatureConfig
 from repro.probing.protocol import (
     EavesdropperSetup,
     ProbingProtocol,
@@ -100,59 +100,6 @@ class PipelineConfig:
         return cls(**overrides)
 
 
-def build_episode_protocol(
-    config: PipelineConfig,
-    episode_seeds: SeedSequenceFactory,
-    interference: Sequence = (),
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    adversary: Optional[ActiveAdversary] = None,
-) -> Tuple[ProbingProtocol, Tuple[object, object], object]:
-    """Fresh trajectories/channel/protocol for one probing episode.
-
-    Module-level (and model-free) so process-pool workers can build an
-    episode from just the picklable config and its seed factory; returns
-    ``(protocol, (alice, bob), channel)``.
-    """
-    alice, bob = config.scenario.build_trajectories(episode_seeds)
-    motion = RelativeMotion(alice, bob)
-    channel = config.scenario.build_channel(episode_seeds, motion)
-    # A null plan is the ideal link; skipping the fault model entirely
-    # keeps the no-fault path bit-identical to the seed behaviour.
-    fault_model = None
-    if fault_plan is not None and not fault_plan.is_null:
-        fault_model = LinkFaultModel(fault_plan, episode_seeds)
-    protocol = ProbingProtocol(
-        channel=channel,
-        phy=config.phy,
-        alice_device=config.alice_device,
-        bob_device=config.bob_device,
-        interference=interference,
-        fault_model=fault_model,
-        retry_policy=retry_policy,
-        adversary=adversary,
-    )
-    return protocol, (alice, bob), channel
-
-
-def _episode_dataset(
-    config: PipelineConfig, root_seed: int, episode_label: str
-) -> Optional[KeyGenDataset]:
-    """One training episode's window dataset (``None`` if it fell short).
-
-    Worker for parallel dataset collection.  Episode seeds are derived by
-    *name* from the root seed, so the result is byte-identical no matter
-    which process (or how many) runs the episode.
-    """
-    episode_seeds = SeedSequenceFactory(root_seed).child(f"episode-{episode_label}")
-    protocol, _, _ = build_episode_protocol(config, episode_seeds)
-    trace = protocol.run(config.rounds_per_episode, episode_seeds)
-    bob_seq, alice_seq = arrssi_sequences(trace, config.feature_config)
-    if len(alice_seq) < config.seq_len:
-        return None  # an episode that lost too many packets
-    return build_dataset(alice_seq, bob_seq, seq_len=config.seq_len)
-
-
 class VehicleKeyPipeline:
     """Train and run Vehicle-Key in a simulated IoV scenario.
 
@@ -200,11 +147,21 @@ class VehicleKeyPipeline:
     ) -> Tuple[ProbingProtocol, SeedSequenceFactory, object, object]:
         """Fresh trajectories/channel/protocol for one probing episode."""
         episode_seeds = self.seeds.child(f"episode-{episode}")
-        protocol, (alice, bob), channel = build_episode_protocol(
-            self.config,
-            episode_seeds,
+        alice, bob = self.config.scenario.build_trajectories(episode_seeds)
+        motion = RelativeMotion(alice, bob)
+        channel = self.config.scenario.build_channel(episode_seeds, motion)
+        # A null plan is the ideal link; skipping the fault model entirely
+        # keeps the no-fault path bit-identical to the seed behaviour.
+        fault_model = None
+        if fault_plan is not None and not fault_plan.is_null:
+            fault_model = LinkFaultModel(fault_plan, episode_seeds)
+        protocol = ProbingProtocol(
+            channel=channel,
+            phy=self.config.phy,
+            alice_device=self.config.alice_device,
+            bob_device=self.config.bob_device,
             interference=interference,
-            fault_plan=fault_plan,
+            fault_model=fault_model,
             retry_policy=retry_policy,
             adversary=adversary,
         )
@@ -276,54 +233,27 @@ class VehicleKeyPipeline:
         return run_fastpath_group(protocols, rounds, factories)
 
     def collect_dataset(
-        self,
-        n_episodes: int = 12,
-        episode_prefix: str = "train",
-        jobs: int = 1,
+        self, n_episodes: int = 12, episode_prefix: str = "train"
     ) -> KeyGenDataset:
         """Windows from several independent episodes, concatenated.
 
-        Windows never straddle episode boundaries.
+        Windows never straddle episode boundaries; an episode too short
+        for one window is skipped.
 
         Args:
             n_episodes: Independent probing episodes to collect.
             episode_prefix: Label prefix; episode ``i`` is seeded from
                 ``{prefix}-{i}``.
-            jobs: Worker processes.  Episodes are seeded by name, so the
-                dataset is byte-identical for any ``jobs`` value; parallel
-                collection requires the pipeline to have an integer root
-                seed.
         """
         require_positive(n_episodes, "n_episodes")
-        labels = [f"{episode_prefix}-{index}" for index in range(n_episodes)]
-        if jobs > 1 and n_episodes > 1:
-            require(
-                self.seeds.root_seed is not None,
-                "parallel dataset collection needs an integer root seed",
+        parts: List[KeyGenDataset] = []
+        for index in range(n_episodes):
+            trace = self.collect_trace(f"{episode_prefix}-{index}")
+            dataset = window_trace(
+                trace, self.config.feature_config, self.config.seq_len
             )
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = None
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, n_episodes), mp_context=context
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _episode_dataset, self.config, self.seeds.root_seed, label
-                    )
-                    for label in labels
-                ]
-                results = [future.result() for future in futures]
-        else:
-            results = [
-                _episode_dataset(self.config, self.seeds.root_seed, label)
-                for label in labels
-            ]
-        parts: List[KeyGenDataset] = [part for part in results if part is not None]
+            if dataset is not None:
+                parts.append(dataset)
         require(bool(parts), "no episode produced a full window; check the link budget")
         return KeyGenDataset(
             alice=np.concatenate([p.alice for p in parts]),
@@ -691,10 +621,7 @@ class VehicleKeyPipeline:
 
     def reconciliation_airtime_s(self, messages: int, payload_bytes: int) -> float:
         """LoRa airtime consumed by reconciliation traffic."""
-        if messages == 0:
-            return 0.0
-        per_message = max(1, min(255, -(-payload_bytes // messages)))
-        return messages * self.config.phy.with_payload(per_message).airtime_s
+        return messages * self.config.phy.message_airtime_s(payload_bytes, messages)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Runs the key-derivation half of Vehicle-Key over an already-collected
 probing trace:
 
-1. **Windowing** -- both sides extract arRSSI windows.
+1. **Windowing** -- both sides extract arRSSI windows
+   (:func:`window_trace`, the one windowing step of the package).
 2. **Bit extraction** -- Alice runs the prediction/quantization model;
    Bob runs his guard-banded multi-bit quantizer (paper Sec. IV-B).
 3. **Consensus masking** -- Bob publishes which samples his guard bands
@@ -28,6 +29,10 @@ nonces, malformed or spoofed syndromes, wholesale MAC failure, tampered
 confirmations -- drives the session into a terminal, machine-readable
 :class:`~repro.core.statemachine.SessionAbort` instead of raising or
 silently corrupting state.
+
+:meth:`KeyAgreementSession.run` chains three public stages that both
+establishment engines drive: ``window`` (step 1), ``predict`` (Alice's
+forward pass, one model call over every window) and ``exchange`` (2-6).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -54,13 +59,33 @@ from repro.faults.adversary import ActiveAdversary
 from repro.faults.messages import LossyMessageChannel
 from repro.metrics.agreement import AgreementSummary, agreement_statistics
 from repro.privacy.amplification import amplify_to_bytes
-from repro.probing.dataset import build_dataset
+from repro.probing.dataset import KeyGenDataset, build_dataset
 from repro.probing.features import FeatureConfig, arrssi_sequences
 from repro.probing.trace import ProbeTrace
 from repro.quantization.base import consensus_mask
 from repro.reconciliation.autoencoder import AutoencoderReconciliation
 from repro.reconciliation.mac import MAC_BYTES, compute_mac, verify_mac
 from repro.utils.validation import require, require_in_range, require_positive
+
+#: Re-request rounds Alice may ask for after the first syndrome pass when
+#: the transport is lossy or attacked.  A reliable transport delivers every
+#: block in the first pass, so this bound never applies there.
+MAX_REREQUESTS = 2
+
+
+def window_trace(
+    trace: ProbeTrace, feature_config: FeatureConfig, seq_len: int
+) -> Optional[KeyGenDataset]:
+    """Alice's and Bob's arRSSI windows of one probing trace.
+
+    Returns ``None`` when the trace yields fewer than ``seq_len`` arRSSI
+    samples (an episode that lost too many packets), so callers skip it
+    rather than fail.
+    """
+    bob_seq, alice_seq = arrssi_sequences(trace, feature_config)
+    if len(alice_seq) < seq_len:
+        return None
+    return build_dataset(alice_seq, bob_seq, seq_len=seq_len)
 
 
 @dataclass(frozen=True)
@@ -128,7 +153,8 @@ class SessionResult:
         verified_blocks: Block indices that passed MAC verification.
         n_blocks: Total reconciliation blocks processed.
         n_windows: arRSSI windows the trace yielded.
-        kept_fraction: Samples surviving the two-sided consensus mask.
+        kept_fraction: Share of all windowed samples, over every pooled
+            trace, that survive the two-sided consensus mask.
         final_key_alice: Alice's final key bytes (``None`` if too few
             verified bits).
         final_key_bob: Bob's final key bytes.
@@ -166,8 +192,10 @@ class SessionResult:
             (arRSSI sequence + dataset construction), ``extract`` (model
             forward / quantization + consensus masking), ``reconcile``
             (syndrome exchange + MAC verification) and ``amplify``
-            (privacy amplification + key confirmation).  The throughput
-            benchmark's per-phase breakdown aggregates these.
+            (privacy amplification + key confirmation).  When a caller
+            runs :meth:`KeyAgreementSession.exchange` itself, ``window``
+            is 0 and ``extract`` leaves out the forward pass; the caller
+            times those stages.
     """
 
     raw_agreement: AgreementSummary
@@ -233,11 +261,9 @@ class KeyAgreementSession:
             quantizer (his side of the two-sided guard band).  Training
             targets always come from the model's guard-free quantizer so
             the bit layout stays fixed.
-        session_nonce: Fresh public nonce; defaults to a digest of the
-            trace timing (deterministic for reproducibility).
         inference_guard: Optional out-of-distribution guard over Alice's
             raw windows.  When the guard rejects a window batch, Alice's
-            bits come from her conventional guard-banded quantizer instead
+            bits come from the conventional guard-banded quantizer instead
             of the learned model -- a degraded but sound mode reported via
             :attr:`SessionResult.degraded_mode`, never a silent success.
             ``None`` (the default) always trusts the model.
@@ -251,7 +277,6 @@ class KeyAgreementSession:
         final_key_bits: int = 128,
         alice_confidence_margin: float = 0.15,
         bob_guard_fraction: float = 0.30,
-        session_nonce: bytes = None,
         inference_guard: Optional[InferenceGuard] = None,
     ):
         require_positive(final_key_bits, "final_key_bits")
@@ -264,21 +289,15 @@ class KeyAgreementSession:
         self.alice_confidence_margin = float(alice_confidence_margin)
         from repro.quantization.multibit import MultiBitQuantizer
 
+        # Bob's runtime quantizer.  It holds no state, so Alice quantizes
+        # her own raw windows with it too when the inference guard rejects
+        # a window batch and the session degrades to quantizer-vs-quantizer.
         self.bob_quantizer = MultiBitQuantizer(
             bits_per_sample=model.bob_quantizer.bits_per_sample,
             guard_band_fraction=bob_guard_fraction,
             fixed_thresholds=model.bob_quantizer.fixed_thresholds,
         )
-        # Alice's conventional-path quantizer, mirroring Bob's runtime
-        # configuration; only exercised when the inference guard rejects a
-        # window batch and the session degrades to quantizer-vs-quantizer.
-        self.alice_fallback_quantizer = MultiBitQuantizer(
-            bits_per_sample=model.bob_quantizer.bits_per_sample,
-            guard_band_fraction=bob_guard_fraction,
-            fixed_thresholds=model.bob_quantizer.fixed_thresholds,
-        )
         self.inference_guard = inference_guard
-        self.session_nonce = session_nonce
 
     # -- bit extraction ----------------------------------------------------------
     def extract_detail(
@@ -297,19 +316,18 @@ class KeyAgreementSession:
         and rejects the batch's raw windows, extraction degrades to the
         conventional quantizer path instead of feeding the model
         out-of-distribution inputs: Alice quantizes her *own* raw windows
-        with a guard-banded multi-bit quantizer mirroring Bob's -- the
-        classic reciprocity scheme that needs no model.  Windows holding
+        with Bob's guard-banded multi-bit quantizer -- the classic
+        reciprocity scheme that needs no model.  Windows holding
         non-finite values keep no sample, so a corrupted burst can reduce
         throughput but never poisons key material.
 
         Args:
             dataset: The window dataset to extract bits from.
             alice_probabilities: Optional precomputed output of
-                ``model.predict_bit_probabilities(dataset.alice)``, used
-                by the batched multi-session engine to amortize one big
-                forward pass across sessions.  The guard (if any) still
-                runs first; a degraded batch ignores the precomputed
-                values, exactly as it ignores the model.
+                ``model.predict_bit_probabilities(dataset.alice)`` (what
+                :meth:`predict` returns for the dataset).  The guard (if
+                any) still runs first; a degraded batch ignores the
+                precomputed values, exactly as it ignores the model.
         """
         verdict = None
         if self.inference_guard is not None:
@@ -317,7 +335,7 @@ class KeyAgreementSession:
         degraded = verdict is not None and not verdict.ok
         bob_codes, bob_keep = self.bob_quantizer.quantize_rows(dataset.bob_raw)
         if degraded:
-            alice_codes, alice_keep = self.alice_fallback_quantizer.quantize_rows(
+            alice_codes, alice_keep = self.bob_quantizer.quantize_rows(
                 dataset.alice_raw
             )
         else:
@@ -373,45 +391,94 @@ class KeyAgreementSession:
         return hashlib.sha256(tag + nonce + key).digest()[:16]
 
     # -- the session -------------------------------------------------------------
+    def window(self, trace: ProbeTrace) -> Optional[KeyGenDataset]:
+        """Step 1 for one trace: :func:`window_trace` at the model's ``seq_len``."""
+        return window_trace(trace, self.feature_config, self.model.seq_len)
+
+    def predict(
+        self, datasets: Sequence[Optional[KeyGenDataset]]
+    ) -> List[Optional[np.ndarray]]:
+        """Alice's bit probabilities for each dataset, from one forward pass.
+
+        Every non-``None`` dataset's windows are stacked into a single
+        ``predict_bit_probabilities`` call, whose output is sliced back
+        into one array per dataset (``None`` for a ``None`` dataset).  The
+        model computes each window row on its own, so a slice equals a
+        per-dataset call bit for bit.
+        """
+        present = [dataset for dataset in datasets if dataset is not None]
+        if not present:
+            return [None] * len(datasets)
+        stacked = self.model.predict_bit_probabilities(
+            np.concatenate([dataset.alice for dataset in present])
+        )
+        probabilities: List[Optional[np.ndarray]] = []
+        cursor = 0
+        for dataset in datasets:
+            if dataset is None:
+                probabilities.append(None)
+                continue
+            probabilities.append(stacked[cursor : cursor + len(dataset)])
+            cursor += len(dataset)
+        return probabilities
+
     def run(
         self,
         trace,
         tamper=None,
         channel: Optional[LossyMessageChannel] = None,
-        max_rerequests: int = 2,
-        alice_probabilities: Optional[List[np.ndarray]] = None,
         adversary: Optional[ActiveAdversary] = None,
-        datasets: Optional[List] = None,
     ) -> SessionResult:
-        """Execute the session.
+        """Execute the session: :meth:`window`, :meth:`predict`, :meth:`exchange`.
+
+        ``trace`` is a completed probing trace, or a sequence of traces
+        whose surviving bits are pooled (key establishment may span
+        several probing bursts before enough verified bits exist); one
+        forward pass covers every trace's windows.  ``tamper``,
+        ``channel`` and ``adversary`` go to :meth:`exchange`, whose
+        :class:`SessionResult` this returns.
+        """
+        traces = [trace] if isinstance(trace, ProbeTrace) else list(trace)
+        phase_start = time.perf_counter()
+        datasets = [self.window(part) for part in traces]
+        window_s = time.perf_counter() - phase_start
+        phase_start = time.perf_counter()
+        probabilities = self.predict(datasets)
+        predict_s = time.perf_counter() - phase_start
+        result = self.exchange(
+            traces, datasets, probabilities, tamper=tamper, channel=channel,
+            adversary=adversary,
+        )
+        result.phase_s["window"] = window_s
+        result.phase_s["extract"] += predict_s
+        return result
+
+    def exchange(
+        self,
+        traces: Sequence[ProbeTrace],
+        datasets: Sequence[Optional[KeyGenDataset]],
+        probabilities: Sequence[Optional[np.ndarray]],
+        tamper=None,
+        channel: Optional[LossyMessageChannel] = None,
+        adversary: Optional[ActiveAdversary] = None,
+    ) -> SessionResult:
+        """Steps 2-6 over windowed traces and Alice's predictions.
 
         Args:
-            trace: A completed probing trace, or a sequence of traces whose
-                surviving bits are pooled (key establishment may span
-                several probing bursts before enough verified bits exist).
+            traces: The session's probing traces, in order.  The public
+                session nonce is a digest of the first one's round
+                timing, so a session is reproducible from its traces.
+            datasets: :meth:`window` of each trace.
+            probabilities: :meth:`predict` of ``datasets``.
             tamper: Optional fault-injection hook mapping a
                 :class:`SyndromeMessage` to a (possibly modified) message;
                 used by the MITM tests.
             channel: Optional lossy transport for the syndrome exchange.
                 Messages may be dropped, duplicated or reordered; Alice
                 re-requests blocks that did not verify, up to
-                ``max_rerequests`` extra rounds, and blocks that never
+                :data:`MAX_REREQUESTS` extra rounds, and blocks that never
                 arrive are discarded rather than failing the session.
                 ``None`` is the reliable transport of the seed behaviour.
-            max_rerequests: Re-request rounds allowed when ``channel`` is
-                lossy.  Ignored on a reliable transport, where the single
-                pass always delivers every block.
-            alice_probabilities: Optional precomputed model outputs, one
-                array per trace that yields at least ``seq_len`` windows
-                (in trace order) -- the batched engine's hook for sharing
-                a single stacked forward pass across sessions.  ``None``
-                runs the model per dataset as usual.
-            datasets: Optional precomputed window datasets, one entry per
-                trace (``None`` for a trace that fell short of
-                ``seq_len`` windows) -- the batched engine's hook for
-                skipping the re-windowing it already performed.  Entries
-                must be exactly what :func:`build_dataset` would produce
-                for the trace; ``None`` windows each trace here as usual.
             adversary: Optional active attacker whose message-layer
                 attacks (syndrome tamper/replay/spoof, confirmation
                 tamper) are woven into the exchange.  Attacker input
@@ -426,60 +493,43 @@ class KeyAgreementSession:
             The :class:`SessionResult`, with ``abort``/``confirmed``/
             ``final_state`` reporting the state machine's verdict.
         """
-        traces = [trace] if isinstance(trace, ProbeTrace) else list(trace)
         require(bool(traces), "need at least one probing trace")
+        require(
+            len(datasets) == len(traces) == len(probabilities),
+            "need one dataset and one prediction entry (or None) per trace",
+        )
         machine = SessionStateMachine()
-        nonce = self.session_nonce
-        if nonce is None:
-            nonce = hashlib.sha256(
-                np.ascontiguousarray(traces[0].round_start_s).tobytes()
-            ).digest()[:8]
+        nonce = hashlib.sha256(
+            np.ascontiguousarray(traces[0].round_start_s).tobytes()
+        ).digest()[:8]
         machine.advance(SessionState.EXTRACTING)
 
         alice_parts, bob_parts = [], []
-        kept_fractions = []
+        kept_samples = all_samples = 0
         consensus_bytes = 0
         n_windows = 0
         degraded = False
         ood_windows = 0
-        precomputed = list(alice_probabilities) if alice_probabilities else None
-        prebuilt = list(datasets) if datasets is not None else None
-        if prebuilt is not None:
-            require(
-                len(prebuilt) == len(traces),
-                "datasets must supply one entry (or None) per trace",
-            )
         phase_s = {"window": 0.0, "extract": 0.0, "reconcile": 0.0, "amplify": 0.0}
-        for trace_index, part in enumerate(traces):
-            phase_start = time.perf_counter()
-            if prebuilt is not None:
-                dataset = prebuilt[trace_index]
-                phase_s["window"] += time.perf_counter() - phase_start
-                if dataset is None:
-                    continue
-            else:
-                bob_seq, alice_seq = arrssi_sequences(part, self.feature_config)
-                if len(alice_seq) < self.model.seq_len:
-                    phase_s["window"] += time.perf_counter() - phase_start
-                    continue
-                dataset = build_dataset(alice_seq, bob_seq, seq_len=self.model.seq_len)
-                phase_s["window"] += time.perf_counter() - phase_start
+        phase_start = time.perf_counter()
+        for dataset, probs in zip(datasets, probabilities):
+            if dataset is None:
+                continue
             n_windows += len(dataset)
-            probs = precomputed.pop(0) if precomputed else None
-            phase_start = time.perf_counter()
             detail = self.extract_detail(dataset, alice_probabilities=probs)
-            phase_s["extract"] += time.perf_counter() - phase_start
             alice_parts.append(detail.alice_bits)
             bob_parts.append(detail.bob_bits)
-            kept_fractions.append(detail.kept_fraction)
+            kept_samples += sum(int(mask.sum()) for mask in detail.masks)
+            all_samples += sum(mask.size for mask in detail.masks)
             consensus_bytes += detail.consensus_bytes
             degraded = degraded or detail.degraded
             ood_windows += detail.ood_windows
+        phase_s["extract"] = time.perf_counter() - phase_start
         alice_all = (
             np.concatenate(alice_parts) if alice_parts else np.zeros(0, np.uint8)
         )
         bob_all = np.concatenate(bob_parts) if bob_parts else np.zeros(0, np.uint8)
-        kept_fraction = float(np.mean(kept_fractions)) if kept_fractions else 0.0
+        kept_fraction = kept_samples / all_samples if all_samples else 0.0
         block_bits = self.reconciler.key_bits
         n_blocks = alice_all.size // block_bits
 
@@ -574,7 +624,7 @@ class KeyAgreementSession:
         )
         phase_start = time.perf_counter()
         outstanding = list(range(n_blocks))
-        for request_round in range(max(0, max_rerequests) + 1):
+        for request_round in range(MAX_REREQUESTS + 1):
             if not outstanding or machine.aborted:
                 break
             if request_round > 0:

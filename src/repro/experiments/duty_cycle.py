@@ -22,14 +22,9 @@ def _paced_kgr(run_result, phy, plan: RegionalPlan) -> float:
     round_airtime = phy.airtime_s
     n_probe_packets = 2 * int(round(run_result.probing_time_s / (2 * round_airtime)))
     probing = paced_duration_s(max(2, n_probe_packets), round_airtime, plan)
-    per_message = max(
-        1,
-        min(
-            255,
-            -(-run_result.public_bytes // max(1, run_result.reconciliation_messages)),
-        ),
+    message_airtime = phy.message_airtime_s(
+        run_result.public_bytes, run_result.reconciliation_messages
     )
-    message_airtime = phy.with_payload(per_message).airtime_s
     reconciliation = paced_duration_s(
         run_result.reconciliation_messages, message_airtime, plan
     )

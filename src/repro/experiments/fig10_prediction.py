@@ -16,8 +16,6 @@ import numpy as np
 
 from repro.channel.scenario import ALL_SCENARIOS
 from repro.experiments.common import ExperimentResult, get_scale, get_trained_pipeline
-from repro.probing.dataset import build_dataset
-from repro.probing.features import arrssi_sequences
 from repro.quantization.base import consensus_mask
 
 
@@ -81,8 +79,9 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
             trace = pipeline.collect_trace(
                 f"fig10-{index}", n_rounds=scale.session_rounds
             )
-            bob_seq, alice_seq = arrssi_sequences(trace, pipeline.config.feature_config)
-            dataset = build_dataset(alice_seq, bob_seq, seq_len=pipeline.config.seq_len)
+            dataset = session.window(trace)
+            if dataset is None:
+                continue
             without.extend(_without_prediction(session, dataset))
             with_pred.extend(_with_prediction(session, dataset))
         result.add_row(

@@ -14,8 +14,6 @@ import numpy as np
 from repro.channel.scenario import ScenarioName
 from repro.experiments.common import ExperimentResult, get_scale, get_trained_pipeline
 from repro.privacy.amplification import amplify
-from repro.probing.dataset import build_dataset
-from repro.probing.features import arrssi_sequences
 from repro.security.nist import run_nist_suite
 
 
@@ -27,10 +25,9 @@ def generate_key_stream(
     chunks = []
     for index in range(n_sessions):
         trace = pipeline.collect_trace(f"nist-{index}", n_rounds=session_rounds)
-        bob_seq, alice_seq = arrssi_sequences(trace, pipeline.config.feature_config)
-        if len(alice_seq) < pipeline.config.seq_len:
+        dataset = session.window(trace)
+        if dataset is None:
             continue
-        dataset = build_dataset(alice_seq, bob_seq, seq_len=pipeline.config.seq_len)
         detail = session.extract_detail(dataset)
         bits = detail.bob_bits
         for start in range(0, bits.size - 255, 256):

@@ -156,6 +156,16 @@ class LoRaPHYConfig:
         """A copy of this config with a different payload size."""
         return replace(self, payload_bytes=payload_bytes)
 
+    def message_airtime_s(self, payload_bytes: int, messages: int) -> float:
+        """Airtime of one of ``messages`` packets sharing ``payload_bytes``.
+
+        The payload is split evenly, rounded up, and each packet's share
+        is clamped to LoRa's 1..255-byte payload range; no messages count
+        as one.  Reconciliation airtime is ``messages`` times this.
+        """
+        share = -(-payload_bytes // max(1, messages))
+        return self.with_payload(max(1, min(255, share))).airtime_s
+
     def describe(self) -> str:
         """Human-readable one-line summary."""
         return (

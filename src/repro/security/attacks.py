@@ -102,10 +102,9 @@ def run_attack(
     correlations: List[float] = []
 
     for trace in traces:
-        bob_seq, alice_seq = arrssi_sequences(trace, session.feature_config)
-        if len(alice_seq) < model.seq_len:
+        dataset = session.window(trace)
+        if dataset is None:
             continue
-        dataset = build_dataset(alice_seq, bob_seq, seq_len=model.seq_len)
         detail = session.extract_detail(dataset)
         legit_alice.append(detail.alice_bits)
         legit_bob.append(detail.bob_bits)
@@ -126,6 +125,7 @@ def run_attack(
         eve_candidate.append(
             np.concatenate(parts) if parts else np.zeros(0, np.uint8)
         )
+        _, alice_seq = arrssi_sequences(trace, session.feature_config)
         correlations.append(
             detrended_correlation(eve_as_alice, alice_seq[: len(eve_as_alice)])
         )

@@ -158,7 +158,7 @@ def _reference_extract_detail_degraded(session, dataset, verdict) -> ExtractionD
         bob_result = reference_quantize(session.bob_quantizer, dataset.bob_raw[index])
         window = dataset.alice_raw[index]
         if np.isfinite(window).all():
-            alice_result = reference_quantize(session.alice_fallback_quantizer, window)
+            alice_result = reference_quantize(session.bob_quantizer, window)
             keep = consensus_mask(bob_result.kept, alice_result.kept)
         else:
             keep = np.zeros(bob_result.kept.size, dtype=bool)
@@ -172,7 +172,7 @@ def _reference_extract_detail_degraded(session, dataset, verdict) -> ExtractionD
             _quantize_with_mask(session.bob_quantizer, dataset.bob_raw[index], keep)
         )
         alice_stream.append(
-            _quantize_with_mask(session.alice_fallback_quantizer, window, keep)
+            _quantize_with_mask(session.bob_quantizer, window, keep)
         )
     alice_all = (
         np.concatenate(alice_stream) if alice_stream else np.zeros(0, np.uint8)

@@ -95,8 +95,7 @@ class TestShardedRunner:
 
     Shards inherit the trained model by copy-on-write fork (nothing is
     pickled but episode labels and outcomes), and every episode is seeded
-    by name, so the worker count can never change a result -- the same
-    argument that makes ``collect_dataset`` jobs-invariant.
+    by name, so the worker count can never change a result.
     """
 
     def test_shard_sweep_matches_sequential(self, tiny_pipeline):
@@ -235,9 +234,89 @@ class TestPrecomputedProbabilities:
     def test_session_rejects_mismatched_probabilities(self, tiny_pipeline):
         session = tiny_pipeline.build_session()
         trace = tiny_pipeline.collect_trace("precomp-bad", n_rounds=192)
-        bad = [np.full((1, tiny_pipeline.config.key_bits), 0.5)]
+        bad = np.full((1, tiny_pipeline.config.key_bits), 0.5)
         with pytest.raises(ConfigurationError):
-            session.run(trace, alice_probabilities=bad)
+            session.exchange([trace], [session.window(trace)], [bad])
+
+
+class TestSingleExtractionPath:
+    """Both engines window in the session and run one forward pass."""
+
+    @pytest.fixture
+    def pool(self, tiny_pipeline):
+        """Two traces of different lengths, pooled as a re-probe would."""
+        return [
+            tiny_pipeline.collect_trace("one-path-64", n_rounds=64),
+            tiny_pipeline.collect_trace("one-path-192", n_rounds=192),
+        ]
+
+    @staticmethod
+    def count_predicts(monkeypatch, model):
+        """Record the window count of every forward pass ``model`` makes."""
+        calls = []
+        original = model.predict_bit_probabilities
+
+        def counting(windows):
+            calls.append(len(windows))
+            return original(windows)
+
+        monkeypatch.setattr(model, "predict_bit_probabilities", counting)
+        return calls
+
+    def test_pooled_run_makes_one_forward_pass(
+        self, tiny_pipeline, pool, monkeypatch
+    ):
+        calls = self.count_predicts(monkeypatch, tiny_pipeline.model)
+        pooled = tiny_pipeline.build_session().run(pool)
+        assert calls == [pooled.n_windows]
+
+        # Reference: the same run with one model call per dataset.
+        per_dataset = tiny_pipeline.build_session()
+        model = per_dataset.model
+        monkeypatch.setattr(
+            per_dataset,
+            "predict",
+            lambda datasets: [
+                None if dataset is None
+                else model.predict_bit_probabilities(dataset.alice)
+                for dataset in datasets
+            ],
+        )
+        reference = per_dataset.run(pool)
+        assert len(calls) == 3
+        assert pooled.final_key_alice == reference.final_key_alice
+        assert pooled.final_key_bob == reference.final_key_bob
+        assert pooled.verified_blocks == reference.verified_blocks
+
+    def test_in_process_batch_makes_one_forward_pass(
+        self, tiny_pipeline, monkeypatch
+    ):
+        calls = self.count_predicts(monkeypatch, tiny_pipeline.model)
+        report = BatchedSessionRunner(tiny_pipeline, n_rounds=64).run_episodes(
+            ["one-path-a", "one-path-b", "one-path-c"]
+        )
+        assert calls == [sum(o.session.n_windows for o in report.outcomes)]
+
+    def test_predict_slices_equal_per_dataset_calls(self, tiny_pipeline, pool):
+        session = tiny_pipeline.build_session()
+        first, second = (session.window(trace) for trace in pool)
+        stacked = session.predict([first, None, second])
+        assert stacked[1] is None
+        for dataset, probabilities in ((first, stacked[0]), (second, stacked[2])):
+            alone = session.model.predict_bit_probabilities(dataset.alice)
+            assert probabilities.dtype == alone.dtype
+            np.testing.assert_array_equal(probabilities, alone)
+
+    def test_pooled_kept_fraction_weights_every_sample(self, tiny_pipeline, pool):
+        session = tiny_pipeline.build_session()
+        details = [session.extract_detail(session.window(trace)) for trace in pool]
+        masks = [mask for detail in details for mask in detail.masks]
+        kept = sum(int(mask.sum()) for mask in masks)
+        total = sum(mask.size for mask in masks)
+        # The traces' own fractions differ, so an unweighted mean of them
+        # misreports the pool.
+        assert details[0].kept_fraction != details[1].kept_fraction
+        assert session.run(pool).kept_fraction == kept / total
 
 
 class TestCliBatch:

@@ -337,7 +337,7 @@ class TestGracefulDegradation:
         )
 
         class StubSession:
-            def run(self, trace, tamper=None, channel=None, max_rerequests=2):
+            def run(self, trace, tamper=None, channel=None, adversary=None):
                 return mismatched
 
         monkeypatch.setattr(tiny_pipeline, "build_session", lambda: StubSession())

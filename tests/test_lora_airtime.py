@@ -119,3 +119,54 @@ class TestDataRateSweep:
 
     def test_describe_mentions_rate(self):
         assert "bps" in LoRaPHYConfig().describe()
+
+
+class TestMessageAirtime:
+    """The one per-message airtime formula behind every KGR figure."""
+
+    PHYS = (
+        LoRaPHYConfig(),
+        LoRaPHYConfig(
+            spreading_factor=7, bandwidth_hz=500_000.0, coding_rate=CodingRate.CR_4_5
+        ),
+    )
+    # Zero messages, empty payloads and shares above 255 bytes included.
+    GRID = [
+        (phy, payload, messages)
+        for phy in PHYS
+        for payload in (0, 1, 17, 255, 256, 511, 766, 2000)
+        for messages in (0, 1, 2, 3, 9)
+    ]
+
+    def test_pins_the_three_former_expressions(self):
+        for phy, payload, messages in self.GRID:
+            per_message = phy.message_airtime_s(payload, messages)
+            # VehicleKeyPipeline.reconciliation_airtime_s and
+            # SystemRunResult.reconciliation_airtime_s (the same body).
+            if messages == 0:
+                total = 0.0
+            else:
+                share = max(1, min(255, -(-payload // messages)))
+                total = messages * phy.with_payload(share).airtime_s
+            assert messages * per_message == total
+            # duty_cycle._paced_kgr's per-message airtime.
+            share = max(1, min(255, -(-payload // max(1, messages))))
+            assert per_message == phy.with_payload(share).airtime_s
+
+    def test_reconciliation_airtime_callers_share_it(self):
+        from repro.core.baselines.common import SystemRunResult
+        from repro.core.pipeline import VehicleKeyPipeline
+        from repro.metrics.agreement import AgreementSummary
+
+        pipeline = VehicleKeyPipeline()
+        phy = pipeline.config.phy
+        summary = AgreementSummary(mean=1.0, std=0.0, n_pairs=1)
+        for payload, messages in ((0, 0), (40, 3), (2000, 2)):
+            expected = messages * phy.message_airtime_s(payload, messages)
+            assert pipeline.reconciliation_airtime_s(messages, payload) == expected
+            run = SystemRunResult(
+                system="s", raw_agreement=summary, reconciled_agreement=summary,
+                matched_blocks=0, n_blocks=0, block_bits=64, probing_time_s=1.0,
+                reconciliation_messages=messages, public_bytes=payload,
+            )
+            assert run.reconciliation_airtime_s(phy) == expected

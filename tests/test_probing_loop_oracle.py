@@ -51,7 +51,7 @@ def plan_case(index):
 
 
 def build_attacked(seed, fault_plan, adversary_plan, policy, **setup_kwargs):
-    """A fresh protocol carrying the plans, as ``build_episode_protocol`` does."""
+    """A fresh protocol carrying the plans, as the pipeline builds one."""
     protocol, seeds, eavesdroppers = build_setup(seed, **setup_kwargs)
     if not fault_plan.is_null:
         protocol.fault_model = LinkFaultModel(fault_plan, seeds)
