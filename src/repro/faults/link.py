@@ -18,7 +18,7 @@ a :class:`~repro.faults.plan.FaultPlan`:
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -157,25 +157,39 @@ class LinkFaultModel:
             lost = bool(self._snr_rng[direction].random() < per) or lost
         return lost
 
+    def register_glitch(self, size: int) -> Optional[slice]:
+        """The run of a reception's ``size`` register reads that glitches.
+
+        Models the occasional bogus RSSI register read-out seen on SX127x
+        hosts (SPI glitches, reads racing the AGC); ``None`` when no glitch
+        fires.  The draws depend on ``size`` alone, never on the readings,
+        so a glitch may be decided before the reads are measured.
+        """
+        config = self.plan.register
+        if not config.active or self._register_rng.random() >= config.probability:
+            return None
+        burst = min(config.burst_symbols, size)
+        start = int(self._register_rng.integers(0, size - burst + 1))
+        return slice(start, start + burst)
+
+    def apply_glitch(
+        self, samples: np.ndarray, glitch: Optional[slice], floor_dbm: float
+    ) -> np.ndarray:
+        """``samples`` with the run ``glitch`` collapsed toward the floor."""
+        if glitch is None:
+            return samples
+        out = samples.copy()
+        magnitude = self.plan.register.magnitude_db
+        out[glitch] = np.maximum(out[glitch] - magnitude, floor_dbm)
+        return out
+
     def corrupt_register(
         self, samples: np.ndarray, floor_dbm: float
     ) -> np.ndarray:
-        """Maybe glitch one run of register reads in a reception's trace.
+        """Maybe glitch one run of a reception's register reads.
 
-        Models the occasional bogus RSSI register read-out seen on SX127x
-        hosts (SPI glitches, reads racing the AGC): a short run of samples
-        collapses toward the floor.  Returns the input unchanged (same
-        object) when no glitch fires.
+        :meth:`register_glitch` then :meth:`apply_glitch`; returns the
+        input unchanged (same object) when no glitch fires.
         """
-        config = self.plan.register
-        if not config.active:
-            return samples
-        if self._register_rng.random() >= config.probability:
-            return samples
-        out = samples.copy()
-        burst = min(config.burst_symbols, out.size)
-        start = int(self._register_rng.integers(0, out.size - burst + 1))
-        out[start : start + burst] = np.maximum(
-            out[start : start + burst] - config.magnitude_db, floor_dbm
-        )
-        return out
+        glitch = self.register_glitch(samples.size)
+        return self.apply_glitch(samples, glitch, floor_dbm)

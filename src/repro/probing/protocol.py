@@ -15,31 +15,37 @@ magnitude larger than the propagation delay, propagation is ignored
 transmissions through their *own* channels, sampled at exactly the same
 instants as the legitimate receivers.
 
-Two engines produce traces:
+Two engines produce traces, and both measure through one register
+pipeline, :func:`_measure_rounds` (read-time grids, one channel
+evaluation, received power, register readings, packet-RSSI noise and
+eavesdroppers):
 
-- :meth:`ProbingProtocol.run_loop` is the per-round loop, and the only
-  engine that supports ARQ fault injection and active attacks
-  (retransmission timing depends on which packets were lost, so the
-  timeline cannot be precomputed).  Each attempt evaluates the channel
-  once for both receptions; the loop is pinned bit for bit to its
-  frozen predecessor (``tests/oracles/probing_loop.py``).
-- :func:`run_fastpath_group` is the stacked fault-free kernel.  Without
-  faults every round's start time is a deterministic affine function of
-  the round index, so it precomputes the
-  ``[n_sessions, n_rounds, n_samples]`` timestamp grid, evaluates the
-  channel stack once for the whole group (both directions' register
-  reads and every decodability instant), and draws all
-  measurement noise in bulk from the same per-party seed streams --
-  reproducing the loop bit-for-bit (``tests/test_probing_vectorized.py``
-  and ``tests/test_probing_cross_session.py`` pin this).
+- :func:`run_fastpath_group` is the fault-free engine.  Without faults
+  every round is one attempt on a timeline fixed in advance
+  (:func:`_success_timeline`), so it measures a whole batch of sessions
+  at once, as ``[n_sessions, n_rounds, n_samples]`` grids with the
+  decodability instants in the same channel evaluation.
   :meth:`ProbingProtocol.run` on a fault-free link is a one-session call
   to it.
+- :meth:`ProbingProtocol.run_loop` is the ARQ engine, the only one that
+  supports link faults and active attacks.  Retransmission timing
+  depends on which packets were lost, but an attempt's outcome depends
+  only on the gains at its mid-probe and mid-response instants and on
+  fault and attack draws that never read a register.  So a cheap
+  sequential pass decides every attempt first, and one stacked pass then
+  measures each round's final attempt -- the only one a trace keeps.
+
+Each engine replays the per-party noise streams row-major, so the
+fault-free kernel is bit-identical to ``run_loop``, and ``run_loop`` to
+the frozen per-attempt loop in ``tests/oracles/probing_loop.py``
+(``tests/test_probing_loop_oracle.py``, ``test_probing_vectorized.py``
+and ``test_probing_cross_session.py`` pin this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,124 +205,77 @@ class ProbingProtocol:
         eavesdroppers: Sequence[EavesdropperSetup] = (),
         start_time_s: float = 0.0,
     ) -> ProbeTrace:
-        """Per-round implementation of :meth:`run`: the ARQ engine.
+        """The ARQ engine: :meth:`run` one attempt at a time, in two passes.
 
-        One probe/response attempt at a time, each attempt evaluating the
-        channel once for both of its receptions.  It is the only path
-        that supports ARQ fault injection and active attacks
-        (retransmission timing depends on which packets were lost, so the
-        timeline cannot be precomputed), and the reference the stacked
-        kernel :func:`run_fastpath_group` is pinned against.  It is itself
-        pinned bit for bit to the frozen per-attempt loop in
+        The *timeline pass* decides each attempt in order from the path
+        gains at its mid-probe and mid-response instants, with every
+        fault, attack and backoff draw in the frozen loop's per-attempt
+        order.  The gains come from a memo keyed on the exact attempt
+        start; a miss makes one ``path_gain_db`` call over the decision
+        instants of every remaining round on the all-success timeline
+        from that attempt (:func:`_success_timeline`).  Gains are a pure
+        function of time, so a hit is exact.  The *measurement pass*
+        measures what the trace keeps, each round's final attempt, with
+        the stacked kernel's register pipeline (:func:`_measure_rounds`),
+        then applies the recorded register glitches and injected probes.
+
+        Pinned bit for bit to the frozen per-attempt loop in
         ``tests/oracles/probing_loop.py``.  Arguments and return value are
         exactly those of :meth:`run`.
         """
         require_positive(n_rounds, "n_rounds")
         airtime = self.phy.airtime_s
+        n_samples = self.phy.total_symbols
+        sf = self.phy.spreading_factor
+        faults = self.fault_model
+        policy = self.retry_policy
+        adversary = self.adversary
+        arq = faults is not None or adversary is not None
+        # Backoff jitter draws from its own named session stream, keeping
+        # runs reproducible without perturbing the measurement streams.
+        backoff_rng = seeds.generator("arq-backoff")
 
-        alice_sampler = RegisterRssiSampler(self.phy, self.alice_device)
-        bob_sampler = RegisterRssiSampler(self.phy, self.bob_device)
-        eve_samplers = {
-            setup.label: RegisterRssiSampler(self.phy, setup.device)
-            for setup in eavesdroppers
-        }
-        alice_noise = seeds.generator("alice-rssi-noise")
-        bob_noise = seeds.generator("bob-rssi-noise")
-        eve_noise = {
-            setup.label: seeds.generator(f"eve-{setup.label}-rssi-noise")
-            for setup in eavesdroppers
-        }
-
-        n_samples = alice_sampler.n_samples
-        alice_rssi = np.empty((n_rounds, n_samples))
-        bob_rssi = np.empty((n_rounds, n_samples))
-        alice_prssi = np.empty(n_rounds)
-        bob_prssi = np.empty(n_rounds)
         round_start = np.empty(n_rounds)
         valid = np.ones(n_rounds, dtype=bool)
         retries = np.zeros(n_rounds, dtype=np.int32)
         dropped = np.zeros(n_rounds, dtype=bool)
-        injected = np.zeros(n_rounds, dtype=bool)
         replays_rejected = np.zeros(n_rounds, dtype=np.int32)
         backoff_time = np.zeros(n_rounds, dtype=float)
-        eve_of_alice: Dict[str, np.ndarray] = {
-            s.label: np.empty((n_rounds, n_samples)) for s in eavesdroppers
-        }
-        eve_of_bob: Dict[str, np.ndarray] = {
-            s.label: np.empty((n_rounds, n_samples)) for s in eavesdroppers
-        }
-
-        trajectory_a = self.channel.motion.trajectory_a
-        trajectory_b = self.channel.motion.trajectory_b
-        faults = self.fault_model
-        policy = self.retry_policy
-        adversary = self.adversary
-        # Backoff jitter draws from its own named session stream, keeping
-        # runs reproducible without perturbing the measurement streams.
-        backoff_rng = seeds.generator("arq-backoff")
-        sf = self.phy.spreading_factor
-
-        def receive(sampler, gains, times, trajectory, noise):
-            """Register readings and packet RSSI of one legitimate reception.
-
-            The receiver's stream supplies the register noise, then the
-            packet-RSSI noise; a link fault may glitch the register reads
-            before the packet RSSI averages them.
-            """
-            device = sampler.device
-            z = noise.standard_normal(n_samples + 1)
-            readings = sampler.readings_for_power(
-                self._received_power(gains, times, trajectory), z[:n_samples]
-            )
-            if faults is not None:
-                readings = faults.corrupt_register(readings, device.rssi_floor_dbm)
-            packet = float(np.mean(readings))
-            packet += device.packet_rssi_noise_std_db * float(z[n_samples])
-            return readings, quantize_packet_rssi(packet, device.rssi_resolution_db)
-
-        def overhear(setup, channel, times):
-            """Eve's readings of one transmission, at the receiver's instants."""
-            return eve_samplers[setup.label].readings_for_power(
-                self._eve_power(channel)(times),
-                eve_noise[setup.label].standard_normal(n_samples),
-            )
+        # Each round's final attempt, as the measurement pass needs it: its
+        # probe and response start, Bob's and Alice's register glitches
+        # and any injected probe.  Earlier attempts' entries are replaced.
+        final_starts = np.empty((2, n_rounds))
+        glitches: Tuple[list, list] = ([None] * n_rounds, [None] * n_rounds)
+        injections: Dict[int, np.ndarray] = {}
+        decision_gains: Dict[float, Tuple[float, float]] = {}
 
         def attempt(k: int, attempt_start: float):
-            """One probe/response attempt's physical measurements.
+            """Decide one attempt of round ``k``, recording it as the final one.
 
-            Fills round ``k``'s slots (overwriting any earlier attempt of
-            the same round: ARQ retransmissions reuse the sequence
-            number) and returns ``(probe_ok, response_ok,
-            response_start)``.  Every instant the attempt needs is known
-            when it starts, so one reciprocal-channel evaluation serves
-            both receptions and both decodability checks: row 0 of the
-            grid holds Bob's register reads then the mid-probe instant,
-            row 1 Alice's reads then the mid-response instant.  Noise
-            draws follow the stacked kernel's per-party stream order.
-            Adversary hooks run *after* every legitimate draw of the
-            attempt's direction, in a fixed order (jam a2b, replay,
-            inject, jam b2a), from the attacker's own seed streams.
+            Returns ``(probe_ok, response_ok, response_start)``.  A register
+            glitch's draws never depend on the readings, so it is decided
+            here, in the stream order of the reception it hits.
             """
-            injected[k] = False  # a retransmission replaces any poisoned row
+            if attempt_start not in decision_gains:
+                probe_starts, response_starts = _success_timeline(
+                    self, attempt_start, n_rounds - k
+                )
+                gains = self.channel.path_gain_db(
+                    np.concatenate([probe_starts, response_starts]) + airtime / 2.0
+                ).reshape(2, -1)
+                decision_gains.update(
+                    zip(probe_starts.tolist(), zip(*gains.tolist()))
+                )
+            probe_gain, response_gain = decision_gains[attempt_start]
             response_start = (
                 attempt_start + airtime + self.bob_device.processing_delay_s
             )
-            starts = np.array([attempt_start, response_start])
-            times = np.empty((2, n_samples + 1))
-            times[:, :n_samples] = bob_sampler.reception_times(starts)
-            times[:, n_samples] = starts + airtime / 2.0
-            gains = self.channel.path_gain_db(times)
-            read_times, read_gains = times[:, :n_samples], gains[:, :n_samples]
+            final_starts[:, k] = attempt_start, response_start
+            injections.pop(k, None)  # a retransmission replaces a poisoned row
 
-            # --- Alice's probe, received by Bob (and overheard by Eve).
-            bob_rssi[k], bob_prssi[k] = receive(
-                bob_sampler, read_gains[0], read_times[0], trajectory_b, bob_noise
-            )
-            for setup in eavesdroppers:
-                eve_of_alice[setup.label][k] = overhear(
-                    setup, setup.channel_from_alice, read_times[0]
-                )
-            probe_gain = float(gains[0, n_samples])
+            # --- Alice's probe, received by Bob.
+            if faults is not None:
+                glitches[0][k] = faults.register_glitch(n_samples)
             probe_ok = self.link_budget.is_decodable(probe_gain, self.phy)
             if faults is not None and probe_ok:
                 probe_ok = not faults.packet_lost(
@@ -338,23 +297,12 @@ class ProbingProtocol:
                     # attacker-chosen power: Bob accepts it, poisoning his
                     # measurement for this round.  Reciprocity breaks, so
                     # the MAC/confirmation layers must catch the damage.
-                    bob_rssi[k] = adversary.injected_register_samples(n_samples)
-                    bob_prssi[k] = quantize_packet_rssi(
-                        float(np.mean(bob_rssi[k])),
-                        self.bob_device.rssi_resolution_db,
-                    )
-                    injected[k] = True
+                    injections[k] = adversary.injected_register_samples(n_samples)
                     probe_ok = True
 
             # --- Bob's response after his turnaround delay.
-            alice_rssi[k], alice_prssi[k] = receive(
-                alice_sampler, read_gains[1], read_times[1], trajectory_a, alice_noise
-            )
-            for setup in eavesdroppers:
-                eve_of_bob[setup.label][k] = overhear(
-                    setup, setup.channel_from_bob, read_times[1]
-                )
-            response_gain = float(gains[1, n_samples])
+            if faults is not None:
+                glitches[1][k] = faults.register_glitch(n_samples)
             response_ok = self.link_budget.is_decodable(response_gain, self.phy)
             if faults is not None and response_ok:
                 response_ok = not faults.packet_lost(
@@ -367,25 +315,15 @@ class ProbingProtocol:
         cursor = float(start_time_s)
         for k in range(n_rounds):
             round_start[k] = cursor
-            if faults is None and adversary is None:
-                probe_ok, response_ok, response_start = attempt(k, cursor)
-                valid[k] = probe_ok and response_ok
-                cursor = (
-                    response_start
-                    + airtime
-                    + self.alice_device.processing_delay_s
-                    + self.inter_round_gap_s
-                )
-                continue
-
             # --- ARQ: retransmit round k's probe until the acknowledging
-            # response arrives or the retry budget runs out.
+            # response arrives or the retry budget runs out.  Without an
+            # ARQ layer every round is a single attempt.
             attempt_start = cursor
             n_retries = 0
             while True:
                 probe_ok, response_ok, response_start = attempt(k, attempt_start)
-                if probe_ok and response_ok:
-                    valid[k] = True
+                if (probe_ok and response_ok) or not arq:
+                    valid[k] = probe_ok and response_ok
                     next_free = (
                         response_start
                         + airtime
@@ -418,17 +356,40 @@ class ProbingProtocol:
             retries[k] = n_retries
             cursor = next_free + self.inter_round_gap_s
 
-        eve_traces = {
-            label: EveTrace(of_alice_rssi=eve_of_alice[label], of_bob_rssi=eve_of_bob[label])
-            for label in eve_of_alice
-        }
+        # --- Measurement pass over each round's final attempt.
+        (bob_rssi, bob_z), (alice_rssi, alice_z), eve_traces, _ = _measure_rounds(
+            [self],
+            [seeds],
+            [eavesdroppers],
+            final_starts,
+            np.cumsum(retries + 1) - 1,
+        )
+        bob_rssi, alice_rssi = bob_rssi[0], alice_rssi[0]
+        if faults is not None:
+            for readings, party_glitches, device in zip(
+                (bob_rssi, alice_rssi), glitches, (self.bob_device, self.alice_device)
+            ):
+                for k, glitch in enumerate(party_glitches):
+                    readings[k] = faults.apply_glitch(
+                        readings[k], glitch, device.rssi_floor_dbm
+                    )
+        bob_prssi = _packet_rssi(bob_rssi, bob_z[0], self.bob_device)
+        alice_prssi = _packet_rssi(alice_rssi, alice_z[0], self.alice_device)
+        injected = np.zeros(n_rounds, dtype=bool)
+        for k, samples in injections.items():
+            bob_rssi[k] = samples
+            bob_prssi[k] = quantize_packet_rssi(
+                float(np.mean(samples)), self.bob_device.rssi_resolution_db
+            )
+            injected[k] = True
+
         return ProbeTrace(
             phy=self.phy,
             alice_rssi=alice_rssi,
             bob_rssi=bob_rssi,
             round_start_s=round_start,
             valid=valid,
-            eve=eve_traces,
+            eve=eve_traces[0],
             alice_prssi=alice_prssi,
             bob_prssi=bob_prssi,
             retries=retries,
@@ -436,37 +397,34 @@ class ProbingProtocol:
             injected=injected,
             replays_rejected=replays_rejected,
             backoff_time_s=backoff_time,
-            retry_limit=(
-                policy.max_retries
-                if (faults is not None or adversary is not None)
-                else None
-            ),
+            retry_limit=policy.max_retries if arq else None,
         )
 
-    def _received_power(
-        self, gains: np.ndarray, times: np.ndarray, trajectory
-    ) -> np.ndarray:
-        """True received power at one endpoint from its path gains.
 
-        Link budget over the reciprocal channel's gain at ``times``, plus
-        any interference picked up at the receiver's own positions
-        (``trajectory``) -- the one definition :meth:`run_loop` and
-        :func:`_group_received_power` share.
-        """
-        total = self.link_budget.received_power_dbm(gains)
-        if self.interference:
-            positions = trajectory.position_m(times)
-            for source in self.interference:
-                total = combine_power_dbm(total, source.power_dbm(times, positions))
-        return total
+def _success_timeline(
+    protocol: ProbingProtocol, start_time_s: float, n_rounds: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Probe and response start times of rounds that succeed first time.
 
-    def _eve_power(self, channel: ReciprocalChannel):
-        budget = self.link_budget
-
-        def power(times: np.ndarray) -> np.ndarray:
-            return budget.received_power_dbm(channel.path_gain_db(times))
-
-        return power
+    The round timeline of a fault-free link, and the one an ARQ session
+    keeps to while its attempts succeed.  The start times are affine in
+    the round index, but the loop's running-cursor additions (same
+    association order) are reproduced rather than closing the form, so
+    the timestamps -- and everything downstream -- match bit-for-bit.
+    """
+    airtime = protocol.phy.airtime_s
+    turnaround = protocol.bob_device.processing_delay_s
+    settle = protocol.alice_device.processing_delay_s
+    gap = protocol.inter_round_gap_s
+    probe_starts = np.empty(n_rounds)
+    response_starts = np.empty(n_rounds)
+    cursor = float(start_time_s)
+    for k in range(n_rounds):
+        probe_starts[k] = cursor
+        response_start = cursor + airtime + turnaround
+        response_starts[k] = response_start
+        cursor = response_start + airtime + settle + gap
+    return probe_starts, response_starts
 
 
 def _group_compatible(protocols: Sequence[ProbingProtocol]) -> bool:
@@ -534,54 +492,158 @@ def _group_path_gain(
 def _group_received_power(
     protocols: Sequence[ProbingProtocol],
     gains: np.ndarray,
-    times_1d: np.ndarray,
+    times: np.ndarray,
     trajectory_of: Callable[[ProbingProtocol], object],
 ) -> np.ndarray:
-    """``[n_sessions, len(times)]`` received powers at one endpoint.
+    """``[n_sessions, len(times)]`` true received powers at one endpoint.
 
-    :meth:`ProbingProtocol._received_power` per row, over the group's
-    ``[n_sessions, len(times)]`` path gains at ``times_1d``.
+    Row ``i`` is the link budget over session ``i``'s path gains at
+    ``times``, plus any interference the receiver picks up at its own
+    positions (``trajectory_of(protocols[i])``).
     """
-    return np.stack(
-        [
-            protocol._received_power(gains[i], times_1d, trajectory_of(protocol))
-            for i, protocol in enumerate(protocols)
-        ]
-    )
+    rows = []
+    for protocol, row in zip(protocols, gains):
+        total = protocol.link_budget.received_power_dbm(row)
+        if protocol.interference:
+            positions = trajectory_of(protocol).position_m(times)
+            for source in protocol.interference:
+                total = combine_power_dbm(total, source.power_dbm(times, positions))
+        rows.append(total)
+    return np.stack(rows)
+
+
+def _final_rows(
+    rng: np.random.Generator, final: np.ndarray, width: int
+) -> np.ndarray:
+    """The ``width`` draws of a noise stream each round's final attempt used.
+
+    Every attempt consumes ``width`` draws, so a row-major
+    ``[n_attempts, width]`` draw replays the stream and ``final`` (the
+    final attempts' indices) picks the measured rows.
+    """
+    return rng.standard_normal((int(final[-1]) + 1, width))[final]
 
 
 def _overheard(
     protocol: ProbingProtocol,
     setup: EavesdropperSetup,
     seeds: SeedSequenceFactory,
-    probe_times: np.ndarray,
-    response_times: np.ndarray,
-) -> EveTrace:
-    """One eavesdropper's trace on the session's reception-time grids.
+    read_times: Sequence[np.ndarray],
+    final: np.ndarray,
+):
+    """One eavesdropper's ``(sampler, true power, standard noise)``.
 
-    Eve samples at exactly the legitimate receivers' instants, through
-    Eve's own channels and device.  Per round the loop draws
-    ``n_samples`` for the probe overhear, then ``n_samples`` for the
-    response overhear, from Eve's own stream; one row-major
-    ``[n_rounds, 2 * n_samples]`` draw replays it.
+    Eve samples at exactly the legitimate receivers' instants (the probe's
+    and the response's ``read_times``), through her own channels and
+    device; per attempt she draws the probe overhear's ``n_samples``, then
+    the response's.  Both receptions stack on a leading axis of 2.
     """
-    sampler = RegisterRssiSampler(protocol.phy, setup.device)
-    n_rounds, n_samples = probe_times.shape
-    z_eve = seeds.generator(f"eve-{setup.label}-rssi-noise").standard_normal(
-        (n_rounds, 2 * n_samples)
+    n_rounds, n_samples = read_times[0].shape
+    power = np.stack(
+        [
+            protocol.link_budget.received_power_dbm(
+                channel.path_gain_db(times.ravel())
+            ).reshape(times.shape)
+            for channel, times in zip(
+                (setup.channel_from_alice, setup.channel_from_bob), read_times
+            )
+        ]
+    )
+    z_eve = _final_rows(
+        seeds.generator(f"eve-{setup.label}-rssi-noise"), final, 2 * n_samples
+    )
+    noise = z_eve.reshape(n_rounds, 2, n_samples).swapaxes(0, 1)
+    return RegisterRssiSampler(protocol.phy, setup.device), power, noise
+
+
+def _measure_rounds(
+    protocols: Sequence[ProbingProtocol],
+    seeds: Sequence[SeedSequenceFactory],
+    eavesdroppers: Sequence[Sequence[EavesdropperSetup]],
+    starts: Sequence[np.ndarray],
+    final: np.ndarray,
+    decision_times: np.ndarray = (),
+):
+    """The register pipeline of both probing engines.
+
+    Measures each round's final attempt for every session of a compatible
+    group (:func:`_group_compatible`): ``starts`` holds those attempts'
+    ``[n_rounds]`` probe and response starts, ``final`` their indices
+    among all attempts.  An attempt consumes ``n_samples + 1`` draws of
+    each party's stream (register, then packet-RSSI noise) and
+    ``2 * n_samples`` of each eavesdropper's.  One :func:`_group_path_gain`
+    call serves both parties' reads and ``decision_times``; one
+    ``readings_for_power`` call serves each party and each eavesdropper.
+
+    Returns Bob's and Alice's ``(readings, packet_z)``
+    (``[n_sessions, n_rounds, n_samples]`` reads and the standard
+    packet-RSSI noise for :func:`_packet_rssi`), one eavesdropper dict per
+    session, and the ``[n_sessions, len(decision_times)]`` gains.
+    """
+    first = protocols[0]
+    n_samples = first.phy.total_symbols
+    parties = (
+        ("bob", first.bob_device, lambda p: p.channel.motion.trajectory_b),
+        ("alice", first.alice_device, lambda p: p.channel.motion.trajectory_a),
+    )
+    samplers = [RegisterRssiSampler(first.phy, device) for _, device, _ in parties]
+    read_times = [
+        sampler.reception_times(party_starts)
+        for sampler, party_starts in zip(samplers, starts)
+    ]
+    n_reads = read_times[0].size
+    # Lazy channel state is order-invariant, so one evaluation serves
+    # every instant the group needs.
+    gains = _group_path_gain(
+        protocols,
+        np.concatenate([times.ravel() for times in read_times] + [decision_times]),
+    )
+    receptions, packet_z = [], []
+    for i, (name, _, trajectory_of) in enumerate(parties):
+        z = np.stack(
+            [
+                _final_rows(s.generator(f"{name}-rssi-noise"), final, n_samples + 1)
+                for s in seeds
+            ]
+        )
+        power = _group_received_power(
+            protocols,
+            gains[:, i * n_reads : (i + 1) * n_reads],
+            read_times[i].ravel(),
+            trajectory_of,
+        )
+        reads = z[..., :n_samples]
+        receptions.append((samplers[i], power.reshape(reads.shape), reads))
+        packet_z.append(z[..., n_samples])
+    listeners = []
+    for i, (protocol, session_seeds, session_eves) in enumerate(
+        zip(protocols, seeds, eavesdroppers)
+    ):
+        for setup in session_eves:
+            receptions.append(
+                _overheard(protocol, setup, session_seeds, read_times, final)
+            )
+            listeners.append((i, setup.label))
+    readings = [
+        sampler.readings_for_power(power, noise)
+        for sampler, power, noise in receptions
+    ]
+    eve_traces: List[Dict[str, EveTrace]] = [{} for _ in protocols]
+    for (i, label), (of_alice, of_bob) in zip(listeners, readings[2:]):
+        eve_traces[i][label] = EveTrace(of_alice_rssi=of_alice, of_bob_rssi=of_bob)
+    return (
+        (readings[0], packet_z[0]),
+        (readings[1], packet_z[1]),
+        eve_traces,
+        gains[:, 2 * n_reads :],
     )
 
-    def readings(channel: ReciprocalChannel, times: np.ndarray, noise: np.ndarray):
-        power = protocol._eve_power(channel)(times.ravel())
-        return sampler.readings_for_power(power.reshape(times.shape), noise)
 
-    return EveTrace(
-        of_alice_rssi=readings(
-            setup.channel_from_alice, probe_times, z_eve[:, :n_samples]
-        ),
-        of_bob_rssi=readings(
-            setup.channel_from_bob, response_times, z_eve[:, n_samples:]
-        ),
+def _packet_rssi(readings: np.ndarray, packet_z: np.ndarray, device) -> np.ndarray:
+    """Packet RSSI: the mean register read plus packet-RSSI noise, quantized."""
+    return quantize_packet_rssi(
+        readings.mean(axis=-1) + device.packet_rssi_noise_std_db * packet_z,
+        device.rssi_resolution_db,
     )
 
 
@@ -594,16 +656,17 @@ def run_fastpath_group(
 ) -> List[ProbeTrace]:
     """Run one fault-free probing session per protocol, stacked.
 
-    The one fault-free probing engine: the ``[n_rounds, n_samples]``
-    reception grids of a whole batch are stacked into
-    ``[n_sessions, n_rounds, n_samples]`` so the channel evaluation and
-    the register-reading pipeline each run once for the group.
-    Per-session randomness is replayed row-major -- each session draws
-    its own ``bob`` block then its own ``alice`` block from its own named
-    streams, exactly the per-round loop's draw order -- so every returned
-    :class:`ProbeTrace` is bit-identical to
-    ``protocols[i].run_loop(n_rounds, seeds[i], eavesdroppers[i],
-    start_time_s)`` (``tests/test_probing_cross_session.py`` pins this).
+    The one fault-free probing engine: without faults every round is one
+    attempt on the :func:`_success_timeline`, so the reception grids of a
+    whole batch are stacked into ``[n_sessions, n_rounds, n_samples]``
+    and the channel evaluation (register reads and decodability
+    instants) and the register pipeline (:func:`_measure_rounds`) each
+    run once for the group.  Per-session randomness is replayed
+    row-major from each session's own named streams, exactly the
+    per-round loop's draw order, so every returned :class:`ProbeTrace`
+    is bit-identical to ``protocols[i].run_loop(n_rounds, seeds[i],
+    eavesdroppers[i], start_time_s)`` and to the frozen loop it is
+    pinned to (``tests/test_probing_cross_session.py``).
 
     Args:
         protocols: One protocol per session.
@@ -642,112 +705,29 @@ def run_fastpath_group(
         ]
 
     first = protocols[0]
-    airtime = first.phy.airtime_s
-    alice_sampler = RegisterRssiSampler(first.phy, first.alice_device)
-    bob_sampler = RegisterRssiSampler(first.phy, first.bob_device)
-    n_samples = alice_sampler.n_samples
-    n_sessions = len(protocols)
-
-    # Shared round timeline.  The start times are affine in the round
-    # index, but the loop's running-cursor additions (same association
-    # order) are reproduced rather than closing the form, so the
-    # timestamps -- and everything downstream -- match bit-for-bit.
-    probe_starts = np.empty(n_rounds)
-    response_starts = np.empty(n_rounds)
-    cursor = float(start_time_s)
-    for k in range(n_rounds):
-        probe_starts[k] = cursor
-        response_start = cursor + airtime + first.bob_device.processing_delay_s
-        response_starts[k] = response_start
-        cursor = (
-            response_start
-            + airtime
-            + first.alice_device.processing_delay_s
-            + first.inter_round_gap_s
+    starts = _success_timeline(first, start_time_s, n_rounds)
+    (bob_rssi, bob_z), (alice_rssi, alice_z), eve_traces, decision_gains = (
+        _measure_rounds(
+            protocols,
+            seeds,
+            eavesdroppers,
+            starts,
+            np.arange(n_rounds),
+            np.concatenate(starts) + first.phy.airtime_s / 2.0,
         )
-    probe_times = bob_sampler.reception_times(probe_starts)
-    response_times = alice_sampler.reception_times(response_starts)
-
-    # Each round consumes n_samples register-noise draws plus one
-    # packet-RSSI draw per party, in that order; a row-major bulk draw
-    # per session therefore replays the loop's streams exactly.
-    z_bob = np.empty((n_sessions, n_rounds, n_samples + 1))
-    z_alice = np.empty_like(z_bob)
-    for i, session_seeds in enumerate(seeds):
-        alice_noise = session_seeds.generator("alice-rssi-noise")
-        bob_noise = session_seeds.generator("bob-rssi-noise")
-        z_bob[i] = bob_noise.standard_normal((n_rounds, n_samples + 1))
-        z_alice[i] = alice_noise.standard_normal((n_rounds, n_samples + 1))
-
-    # One channel evaluation serves every instant the group needs: both
-    # parties' register reads, then the mid-probe and mid-response
-    # decodability instants.  Lazy channel state is order-invariant.
-    n_reads = n_rounds * n_samples
-    gains = _group_path_gain(
-        protocols,
-        np.concatenate(
-            [
-                probe_times.ravel(),
-                response_times.ravel(),
-                probe_starts + airtime / 2.0,
-                response_starts + airtime / 2.0,
-            ]
-        ),
     )
-    bob_power = _group_received_power(
-        protocols,
-        gains[:, :n_reads],
-        probe_times.ravel(),
-        lambda p: p.channel.motion.trajectory_b,
-    )
-    alice_power = _group_received_power(
-        protocols,
-        gains[:, n_reads : 2 * n_reads],
-        response_times.ravel(),
-        lambda p: p.channel.motion.trajectory_a,
-    )
-    bob_rssi = bob_sampler.readings_for_power(
-        bob_power.reshape(n_sessions, n_rounds, n_samples),
-        z_bob[:, :, :n_samples],
-    )
-    alice_rssi = alice_sampler.readings_for_power(
-        alice_power.reshape(n_sessions, n_rounds, n_samples),
-        z_alice[:, :, :n_samples],
-    )
-    bob_prssi = quantize_packet_rssi(
-        bob_rssi.mean(axis=2)
-        + first.bob_device.packet_rssi_noise_std_db * z_bob[:, :, n_samples],
-        first.bob_device.rssi_resolution_db,
-    )
-    alice_prssi = quantize_packet_rssi(
-        alice_rssi.mean(axis=2)
-        + first.alice_device.packet_rssi_noise_std_db * z_alice[:, :, n_samples],
-        first.alice_device.rssi_resolution_db,
-    )
-    eve_traces = [
-        {
-            setup.label: _overheard(
-                protocol, setup, session_seeds, probe_times, response_times
-            )
-            for setup in session_eves
-        }
-        for protocol, session_seeds, session_eves in zip(
-            protocols, seeds, eavesdroppers
-        )
-    ]
-
-    probe_gain = gains[:, 2 * n_reads : 2 * n_reads + n_rounds]
-    response_gain = gains[:, 2 * n_reads + n_rounds :]
+    bob_prssi = _packet_rssi(bob_rssi, bob_z, first.bob_device)
+    alice_prssi = _packet_rssi(alice_rssi, alice_z, first.alice_device)
     valid = first.link_budget.is_decodable(
-        probe_gain, first.phy
-    ) & first.link_budget.is_decodable(response_gain, first.phy)
+        decision_gains[:, :n_rounds], first.phy
+    ) & first.link_budget.is_decodable(decision_gains[:, n_rounds:], first.phy)
 
     return [
         ProbeTrace(
             phy=protocol.phy,
             alice_rssi=alice_rssi[i],
             bob_rssi=bob_rssi[i],
-            round_start_s=probe_starts.copy(),
+            round_start_s=starts[0].copy(),
             valid=valid[i],
             eve=eve_traces[i],
             alice_prssi=alice_prssi[i],

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.lora.airtime import LoRaPHYConfig
+from repro.lora.rssi import quantize_packet_rssi
 
 
 @dataclass
@@ -90,10 +91,10 @@ class ProbeTrace:
             raise ConfigurationError("valid must have one entry per round")
         if self.alice_prssi is None:
             # Fallback: derive packet RSSI from the register samples (no
-            # separate packet-register error).
-            self.alice_prssi = self.alice_rssi.mean(axis=1).round()
+            # separate packet-register error), by the chip's rounding rule.
+            self.alice_prssi = quantize_packet_rssi(self.alice_rssi.mean(axis=1))
         if self.bob_prssi is None:
-            self.bob_prssi = self.bob_rssi.mean(axis=1).round()
+            self.bob_prssi = quantize_packet_rssi(self.bob_rssi.mean(axis=1))
         if self.alice_prssi.shape != (n_rounds,) or self.bob_prssi.shape != (n_rounds,):
             raise ConfigurationError("packet-RSSI series must have one entry per round")
         if self.retries is None:

@@ -166,6 +166,40 @@ class TestLinkFaultModel:
         out = model.corrupt_register(np.full(8, -120.0), -137.0)
         assert out.min() >= -137.0
 
+    @pytest.mark.parametrize(
+        "register",
+        [
+            RegisterCorruptionConfig(),
+            RegisterCorruptionConfig(probability=0.4, burst_symbols=24),
+            RegisterCorruptionConfig(probability=0.4, burst_symbols=3),
+        ],
+        ids=["inactive", "burst-covers-reception", "short-burst"],
+    )
+    def test_glitches_decided_before_the_reads_match_corrupt_register(
+        self, register
+    ):
+        """``register_glitch`` then ``apply_glitch`` is ``corrupt_register``.
+
+        Twin models on one seed: one corrupts each reception as it
+        arrives, the other decides every glitch first and applies them
+        afterwards, as ``run_loop``'s two passes do.  Outputs, identity
+        on a miss, and the stream state afterwards must all agree.
+        """
+        plan = FaultPlan(register=register)
+        whole = LinkFaultModel(plan, SeedSequenceFactory(11))
+        split = LinkFaultModel(plan, SeedSequenceFactory(11))
+        receptions = np.random.default_rng(3).normal(-90.0, 5.0, size=(200, 16))
+        glitches = [split.register_glitch(16) for _ in receptions]
+        fired = 0
+        for samples, glitch in zip(receptions, glitches):
+            expected = whole.corrupt_register(samples, -110.0)
+            actual = split.apply_glitch(samples, glitch, -110.0)
+            np.testing.assert_array_equal(actual, expected)
+            assert (actual is samples) == (expected is samples)
+            fired += expected is not samples
+        assert whole._register_rng.random() == split._register_rng.random()
+        assert (0 < fired < 200) if register.active else fired == 0
+
 
 class TestLossyMessageChannel:
     def test_reliable_when_all_rates_zero(self):

@@ -7,7 +7,8 @@ Sharing work across sessions must never change a single bit of any
 session's trace: these tests build each session twice from the same
 seed (fresh channel objects both times, so lazy caches grow under each
 path's own query pattern) and compare the grouped trace against the
-frozen per-round loop (``run_loop``, the oracle) with exact equality.
+frozen per-attempt loop (``tests/oracles/probing_loop.py``, the oracle)
+with exact equality.
 
 The same contract is pinned one layer up for
 :meth:`KeyAgreementPipeline.collect_traces` versus
@@ -29,6 +30,7 @@ from repro.lora.link_budget import LinkBudget
 from repro.probing import protocol as protocol_module
 from repro.probing.protocol import run_fastpath_group
 
+from tests.oracles.probing_loop import reference_run_loop
 from tests.test_probing_vectorized import (
     assert_traces_bit_identical,
     build_setup,
@@ -48,7 +50,7 @@ def build_group(seeds_list, **setup_kwargs):
 def assert_group_matches_singles(
     seeds_list, n_rounds=10, start_time_s=0.0, **setup_kwargs
 ):
-    """Grouped traces must be bit-identical to per-session loop runs."""
+    """Grouped traces must be bit-identical to per-session oracle runs."""
     protocols, factories = build_group(seeds_list, **setup_kwargs)
     group_traces = run_fastpath_group(
         protocols, n_rounds, factories, start_time_s=start_time_s
@@ -56,14 +58,14 @@ def assert_group_matches_singles(
     assert len(group_traces) == len(seeds_list)
     for seed, group_trace in zip(seeds_list, group_traces):
         single_protocol, single_seeds, _ = build_setup(seed, **setup_kwargs)
-        single_trace = single_protocol.run_loop(
-            n_rounds, single_seeds, start_time_s=start_time_s
+        single_trace = reference_run_loop(
+            single_protocol, n_rounds, single_seeds, start_time_s=start_time_s
         )
         assert_traces_bit_identical(single_trace, group_trace)
 
 
 def assert_each_matches_loop(make_rows, n_rounds=8):
-    """Group ``make_rows()`` and compare each trace with ``run_loop``.
+    """Group ``make_rows()`` and compare each trace with the frozen loop.
 
     ``make_rows`` returns ``(protocol, factory, eavesdroppers)`` rows
     built fresh on every call, so the oracle runs on its own channels.
@@ -75,7 +77,7 @@ def assert_each_matches_loop(make_rows, n_rounds=8):
     assert len(group_traces) == len(protocols)
     for (protocol, factory, eves), group_trace in zip(make_rows(), group_traces):
         assert_traces_bit_identical(
-            protocol.run_loop(n_rounds, factory, eavesdroppers=eves), group_trace
+            reference_run_loop(protocol, n_rounds, factory, eves), group_trace
         )
     return group_traces
 
@@ -133,7 +135,9 @@ class TestGroupBitIdentity:
         group_traces = run_fastpath_group(protocols, 8, factories)
         singles, single_factories = make_setups()
         for protocol, factory, group_trace in zip(singles, single_factories, group_traces):
-            assert_traces_bit_identical(protocol.run_loop(8, factory), group_trace)
+            assert_traces_bit_identical(
+                reference_run_loop(protocol, 8, factory), group_trace
+            )
 
     def test_per_session_eavesdroppers(self):
         # Two attackers on the first session, none on the second, one on
@@ -179,7 +183,7 @@ class TestOneChannelEvaluation:
 
     Bob's reads, Alice's reads and the mid-probe and mid-response
     decodability instants share one evaluation; the traces stay
-    bit-identical to ``run_loop``.
+    bit-identical to the frozen loop.
     """
 
     @staticmethod
@@ -205,7 +209,7 @@ class TestOneChannelEvaluation:
         assert len(trig_calls) == 1
         for seed, trace in zip([71, 72, 73], traces):
             protocol, seeds, _ = build_setup(seed)
-            assert_traces_bit_identical(protocol.run_loop(10, seeds), trace)
+            assert_traces_bit_identical(reference_run_loop(protocol, 10, seeds), trace)
 
     def test_weak_link_validity_reads_the_decodability_instants(self):
         # Near sensitivity the mid-probe and mid-response slices of the
@@ -219,7 +223,7 @@ class TestOneChannelEvaluation:
             protocol, seeds, _ = build_setup(
                 seed, link_budget=LinkBudget(tx_power_dbm=-35.0)
             )
-            assert_traces_bit_identical(protocol.run_loop(24, seeds), trace)
+            assert_traces_bit_identical(reference_run_loop(protocol, 24, seeds), trace)
 
     def test_mixed_fading_group_evaluates_each_channel_once(self, monkeypatch):
         def make_rows():
@@ -238,7 +242,7 @@ class TestOneChannelEvaluation:
         assert not trig_calls
         monkeypatch.undo()
         for (protocol, seeds, _), trace in zip(make_rows(), traces):
-            assert_traces_bit_identical(protocol.run_loop(10, seeds), trace)
+            assert_traces_bit_identical(reference_run_loop(protocol, 10, seeds), trace)
 
 
 class TestFallback:
@@ -255,10 +259,10 @@ class TestFallback:
             4, phy=LoRaPHYConfig(spreading_factor=9)
         )
         assert_traces_bit_identical(
-            single_sf7.run_loop(5, single_seeds_a), group_traces[0]
+            reference_run_loop(single_sf7, 5, single_seeds_a), group_traces[0]
         )
         assert_traces_bit_identical(
-            single_sf9.run_loop(5, single_seeds_b), group_traces[1]
+            reference_run_loop(single_sf9, 5, single_seeds_b), group_traces[1]
         )
 
     def test_fault_model_falls_back_per_session(self):
@@ -274,8 +278,12 @@ class TestFallback:
         group_traces = run_fastpath_group([protocol_a, protocol_b], 6, [seeds_a, seeds_b])
         ref_a, ref_seeds_a = faulty_setup(11)
         ref_b, ref_seeds_b = faulty_setup(12)
-        assert_traces_bit_identical(ref_a.run_loop(6, ref_seeds_a), group_traces[0])
-        assert_traces_bit_identical(ref_b.run_loop(6, ref_seeds_b), group_traces[1])
+        for ref, ref_seeds, group_trace in zip(
+            (ref_a, ref_b), (ref_seeds_a, ref_seeds_b), group_traces
+        ):
+            assert_traces_bit_identical(
+                reference_run_loop(ref, 6, ref_seeds), group_trace
+            )
 
     def test_mixed_faulted_group_keeps_input_order(self):
         # A faulted session between two fault-free ones: the group falls

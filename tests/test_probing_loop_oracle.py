@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.channel.interference import InterferenceSource
+from repro.channel.reciprocity import ReciprocalChannel
 from repro.channel.scenario import ScenarioName
 from repro.faults import chaos
 from repro.faults.adversary import AdversaryPlan, build_adversary
@@ -26,6 +27,7 @@ from repro.faults.retry import RetryPolicy
 from repro.lora.airtime import LoRaPHYConfig
 from repro.lora.link_budget import LinkBudget
 from repro.lora.radio import DRAGINO_LORA_SHIELD, MULTITECH_XDOT
+from repro.lora.rssi import RegisterRssiSampler
 from tests.oracles.probing_loop import reference_run_loop
 from tests.test_probing_vectorized import build_setup
 
@@ -210,3 +212,86 @@ class TestSpecialCases:
         assert expected.retry_limit is None
         assert 0 < actual.valid.sum() < actual.n_rounds
         assert_traces_equal(expected, actual)
+
+
+def record_calls(monkeypatch, owner, name, record):
+    """Call ``record(*args)`` on every call of ``owner.name``."""
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        record(*args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+class TestTwoPasses:
+    """The shape of ``run_loop``: decide per attempt, measure per round.
+
+    The frozen loop evaluates the channel and reads the registers once
+    per attempt.  ``run_loop`` evaluates the channel at decision
+    instants only, through a memo that misses once per attempt off the
+    success timeline, and then runs the register pipeline once per
+    receiver.
+    """
+
+    @pytest.mark.parametrize("index", range(N_PLANS))
+    def test_one_register_pipeline_call_per_receiver(self, index, monkeypatch):
+        setup, *plans = plan_case(index)
+        protocol, seeds, eavesdroppers = build_attacked(1000 + index, *plans, **setup)
+        calls = []
+        record_calls(
+            monkeypatch, RegisterRssiSampler, "readings_for_power",
+            lambda *args: calls.append(args),
+        )
+        protocol.run_loop(ROUNDS, seeds, eavesdroppers)
+        assert len(calls) == 2 + len(eavesdroppers)
+
+    @pytest.mark.parametrize("index", range(N_PLANS))
+    def test_channel_misses_once_per_attempt_off_the_success_timeline(
+        self, index, monkeypatch
+    ):
+        """Retransmissions and the first attempt after a dropped round.
+
+        Every other attempt starts where the memo's success timeline put
+        it; the register reads go through the stacked fading evaluation,
+        not ``path_gain_db``.
+        """
+        setup, *plans = plan_case(index)
+        protocol, seeds, eavesdroppers = build_attacked(1000 + index, *plans, **setup)
+        channels = []
+        record_calls(
+            monkeypatch, ReciprocalChannel, "path_gain_db",
+            lambda channel, times: channels.append(channel),
+        )
+        trace = protocol.run_loop(ROUNDS, seeds, eavesdroppers)
+        calls = sum(channel is protocol.channel for channel in channels)
+        off_timeline = int(trace.retries.sum() + trace.dropped[:-1].sum())
+        assert 1 <= calls <= off_timeline + 1
+
+    @pytest.mark.parametrize("index", range(N_PLANS))
+    def test_memo_stays_within_the_frozen_loops_horizon(self, index, monkeypatch):
+        """The memo looks no further ahead than the dropped rounds allow.
+
+        It speculates along the success timeline.  Only a round dropped
+        after a lost probe, with a timeout shorter than airtime plus Bob's
+        turnaround, ends sooner than a successful one; each such round can
+        pull the real timeline in by that difference, which is the only
+        slack allowed past the frozen loop's last channel instant.
+        """
+        setup, *plans = plan_case(index)
+        latest = []
+        for name in ("path_gain_db", "prefading_gain_db"):
+            record_calls(
+                monkeypatch, ReciprocalChannel, name,
+                lambda channel, times: latest.append(float(np.max(times))),
+            )
+        protocol, seeds, eavesdroppers = build_attacked(1000 + index, *plans, **setup)
+        reference_run_loop(protocol, ROUNDS, seeds, eavesdroppers)
+        oracle_latest, latest[:] = max(latest), []
+        protocol, seeds, eavesdroppers = build_attacked(1000 + index, *plans, **setup)
+        trace = protocol.run_loop(ROUNDS, seeds, eavesdroppers)
+        policy = protocol.retry_policy
+        shortcut = protocol.phy.airtime_s + protocol.bob_device.processing_delay_s
+        slack = trace.dropped.sum() * max(0.0, shortcut - policy.timeout_s)
+        assert max(latest) <= oracle_latest + slack

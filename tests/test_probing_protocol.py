@@ -154,6 +154,23 @@ class TestTraceContainers:
                 valid=np.ones(3, dtype=bool),
             )
 
+    def test_packet_rssi_fallback_rounds_half_up(self):
+        """Without packet RSSI, tied row means round toward +infinity.
+
+        ``quantize_packet_rssi`` is the one rounding rule; ``ndarray.round``
+        would send -87.5 to -88.0 (half to even) but -86.5 to -86.0.
+        """
+        register = np.array([[-87.0, -88.0], [-86.0, -87.0], [-90.0, -90.0]])
+        trace = ProbeTrace(
+            phy=LoRaPHYConfig(),
+            alice_rssi=register,
+            bob_rssi=register - 1.0,
+            round_start_s=np.zeros(3),
+            valid=np.ones(3, dtype=bool),
+        )
+        np.testing.assert_array_equal(trace.alice_prssi, [-87.0, -86.0, -90.0])
+        np.testing.assert_array_equal(trace.bob_prssi, [-88.0, -87.0, -91.0])
+
     def test_eve_trace_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             EveTrace(of_alice_rssi=np.zeros((2, 3)), of_bob_rssi=np.zeros((2, 4)))

@@ -1,13 +1,16 @@
-"""Pinned-seed equivalence of fault-free probing and the per-round loop.
+"""Pinned-seed equivalence of fault-free probing and the frozen loop.
 
 On a fault-free link ``ProbingProtocol.run`` is a one-session call to
 the stacked kernel (``run_fastpath_group``); it must reproduce the
-frozen per-round loop (``run_loop``), the oracle, *bit-for-bit*: same
-register-RSSI matrices, same packet RSSI, same eavesdropper traces, same
-round timestamps and validity flags.  These tests build two independent
-protocol instances from the same seed (separate channel objects, so the
-lazy channel caches grow under each path's own query pattern) and
-compare every trace field with exact equality.
+frozen per-attempt loop (``tests/oracles/probing_loop.py``), the oracle,
+*bit-for-bit*: same register-RSSI matrices, same packet RSSI, same
+eavesdropper traces, same round timestamps and validity flags.  The
+oracle shares no code with the register pipeline the kernel and
+``run_loop`` have in common, so it checks that pipeline on its own.
+These tests build two independent protocol instances from the same seed
+(separate channel objects, so the lazy channel caches grow under each
+path's own query pattern) and compare every trace field with exact
+equality.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ from repro.lora.rssi import quantize_packet_rssi
 from repro.probing.eve import EveConfig, build_eavesdropping_eve, build_imitating_eve
 from repro.probing.protocol import ProbingProtocol
 from repro.utils.rng import SeedSequenceFactory
+from tests.oracles.probing_loop import reference_run_loop
 
 FAST_PHY = LoRaPHYConfig(spreading_factor=7, coding_rate=CodingRate.CR_4_5)
 
@@ -96,7 +100,7 @@ def assert_traces_bit_identical(loop_trace, fast_trace):
 def run_both_paths(seed, n_rounds=12, **setup_kwargs):
     """Run the frozen loop and ``run`` from identical fresh state."""
     loop_protocol, loop_seeds, loop_eves = build_setup(seed, **setup_kwargs)
-    loop_trace = loop_protocol.run_loop(n_rounds, loop_seeds, eavesdroppers=loop_eves)
+    loop_trace = reference_run_loop(loop_protocol, n_rounds, loop_seeds, loop_eves)
     fast_protocol, fast_seeds, fast_eves = build_setup(seed, **setup_kwargs)
     fast_trace = fast_protocol.run(n_rounds, fast_seeds, eavesdroppers=fast_eves)
     return loop_trace, fast_trace
@@ -131,7 +135,7 @@ class TestBitIdentity:
         loop_protocol, loop_seeds, _ = build_setup(
             13, scenario=ScenarioName.V2I_URBAN, interference=make_interference()
         )
-        loop_trace = loop_protocol.run_loop(8, loop_seeds)
+        loop_trace = reference_run_loop(loop_protocol, 8, loop_seeds)
         fast_protocol, fast_seeds, _ = build_setup(
             13, scenario=ScenarioName.V2I_URBAN, interference=make_interference()
         )
@@ -156,7 +160,7 @@ class TestBitIdentity:
 
     def test_nonzero_start_time(self):
         loop_protocol, loop_seeds, _ = build_setup(5)
-        loop_trace = loop_protocol.run_loop(6, loop_seeds, start_time_s=17.3)
+        loop_trace = reference_run_loop(loop_protocol, 6, loop_seeds, start_time_s=17.3)
         fast_protocol, fast_seeds, _ = build_setup(5)
         fast_trace = fast_protocol.run(6, fast_seeds, start_time_s=17.3)
         assert_traces_bit_identical(loop_trace, fast_trace)
