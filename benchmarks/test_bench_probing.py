@@ -3,18 +3,20 @@
 Times the vectorized fault-free probing path (``after``) against the
 frozen per-round loop (``before``, ``tests/oracles/probing_loop.py``)
 at paper scale (SF12, 256 rounds), the batched multi-session engine
-against a sequential ``establish_key`` loop, and the whole-matrix
+against a sequential ``establish_key`` loop, the whole-matrix
 consensus extraction against the frozen per-window one
-(``tests/oracles/extraction.py``), persisting the numbers to
-``BENCH_probing.json`` at the repo root.
+(``tests/oracles/extraction.py``), and the per-piece relative-motion
+grid against the frozen per-point one (``tests/oracles/motion_grid.py``),
+persisting the numbers to ``BENCH_probing.json`` at the repo root.
 
 Like ``BENCH_kernels.json``, the committed copy is the perf baseline: CI
 regenerates it and ``scripts/check_bench_regression.py`` fails the build
 if any measured speedup falls more than 25% below the committed one.
-Both execution paths produce bit-identical traces, keys and extraction
-output (``tests/test_probing_vectorized.py`` /
-``tests/test_batched_sessions.py`` / ``tests/test_extraction_oracle.py``),
-so these entries time pure implementation differences.
+Both execution paths produce bit-identical traces, keys, extraction
+output and motion grids (``tests/test_probing_vectorized.py`` /
+``tests/test_batched_sessions.py`` / ``tests/test_extraction_oracle.py`` /
+``tests/test_motion_grid_oracle.py``), so these entries time pure
+implementation differences.
 """
 
 import json
@@ -36,6 +38,7 @@ from repro.probing.features import FeatureConfig, arrssi_sequences
 from repro.probing.protocol import ProbingProtocol
 from repro.utils.rng import SeedSequenceFactory
 from tests.oracles.extraction import assert_details_equal, reference_extract_detail
+from tests.oracles.motion_grid import ReferenceMotionGrid
 from tests.oracles.probing_loop import reference_run_loop
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_probing.json"
@@ -81,11 +84,11 @@ def write_results():
         "units": "seconds, min over interleaved repetitions",
         "before": (
             "frozen per-round probing loop / sequential establish_key / "
-            "frozen per-window extraction"
+            "frozen per-window extraction / frozen per-point motion grid"
         ),
         "after": (
             "vectorized fault-free path / BatchedSessionRunner / "
-            "whole-matrix extract_detail"
+            "whole-matrix extract_detail / per-piece motion grid"
         ),
         "numpy": np.__version__,
         "entries": dict(sorted(_ENTRIES.items())),
@@ -141,6 +144,46 @@ class TestTraceGeneration:
         # scripts/check_bench_regression.py against the committed
         # baseline, so one loaded machine doesn't fail two different
         # thresholds in two different places.
+        assert entry["speedup"] >= 2.0
+
+
+class TestMotionGrid:
+    """The relative-motion grid of one paper-scale episode (SF12, 256 rounds)."""
+
+    ROUNDS = 256
+
+    def test_per_piece_vs_per_point(self):
+        scenario = scenario_config(ScenarioName.V2I_URBAN)
+        protocol, seeds = _fresh_probing_setup(scenario=ScenarioName.V2I_URBAN)
+        trace = protocol.run(self.ROUNDS, seeds)
+        # The episode's last channel instant: the end of the last response.
+        horizon_s = float(trace.round_start_s[-1]) + 2.0 * protocol.phy.airtime_s
+        grids = {}
+
+        def fresh_trajectories():
+            return scenario.build_trajectories(SeedSequenceFactory(5))
+
+        def before():
+            oracle = ReferenceMotionGrid(*fresh_trajectories())
+            oracle.ensure_grid(horizon_s)
+            grids["before"] = oracle.grid
+
+        def after():
+            motion = RelativeMotion(*fresh_trajectories())
+            motion.relative_displacement_m(horizon_s)
+            grids["after"] = motion._grid_cumulative
+
+        before_s, after_s = _compare(before, after, reps=15, warmup=2)
+        assert np.array_equal(grids["before"], grids["after"])
+        entry = _record(
+            "motion_grid@v2i_urban_r256",
+            before_s,
+            after_s,
+            grid_points=len(grids["after"]),
+        )
+        # One integrand evaluation per constant-velocity piece instead of
+        # per 10 ms grid point; both sides build fresh trajectories.  The
+        # committed baseline gates the fine-grained ratio in CI.
         assert entry["speedup"] >= 2.0
 
 

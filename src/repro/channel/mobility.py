@@ -11,7 +11,11 @@ consumes two derived signals:
 
 Three trajectory families cover the paper's scenarios: a static roadside
 unit (V2I), constant-speed highway driving (rural), and stop-and-go urban
-traffic with random speed segments.
+traffic with random speed segments.  All of them have *piecewise-constant
+velocity*, and every trajectory reports the instants where its velocity
+may change (:meth:`Trajectory.velocity_breaks_s`).  :class:`RelativeMotion`
+relies on that contract: it evaluates the integrand once per
+constant-velocity piece, not once per integration grid point.
 """
 
 from __future__ import annotations
@@ -36,6 +40,16 @@ class Trajectory(abc.ABC):
     def velocity_m_s(self, time_s) -> np.ndarray:
         """Velocity vector(s) in m/s; shape ``(..., 2)`` for array input."""
 
+    @abc.abstractmethod
+    def velocity_breaks_s(self, horizon_s: float) -> np.ndarray:
+        """Ascending instants in ``(0, horizon_s]`` where velocity may change.
+
+        Velocity is constant from each break up to the next one, the
+        break included, so the velocity at a break is the new piece's.
+        A trajectory whose velocity varies continuously cannot honour
+        this, and :class:`RelativeMotion` would integrate it wrongly.
+        """
+
     def speed_m_s(self, time_s) -> np.ndarray:
         """Scalar speed(s) in m/s."""
         return np.linalg.norm(self.velocity_m_s(time_s), axis=-1)
@@ -50,11 +64,16 @@ class StaticTrajectory(Trajectory):
 
     def position_m(self, time_s) -> np.ndarray:
         t = np.asarray(time_s, dtype=float)
-        return np.broadcast_to(self._position, t.shape + (2,)).copy()
+        positions = np.empty(t.shape + (2,))
+        positions[...] = self._position
+        return positions
 
     def velocity_m_s(self, time_s) -> np.ndarray:
         t = np.asarray(time_s, dtype=float)
         return np.zeros(t.shape + (2,))
+
+    def velocity_breaks_s(self, horizon_s: float) -> np.ndarray:
+        return np.empty(0)
 
 
 class StraightLineTrajectory(Trajectory):
@@ -79,6 +98,9 @@ class StraightLineTrajectory(Trajectory):
     def velocity_m_s(self, time_s) -> np.ndarray:
         t = np.asarray(time_s, dtype=float)
         return np.broadcast_to(self._velocity, t.shape + (2,)).copy()
+
+    def velocity_breaks_s(self, horizon_s: float) -> np.ndarray:
+        return np.empty(0)
 
 
 class StopAndGoTrajectory(Trajectory):
@@ -146,27 +168,38 @@ class StopAndGoTrajectory(Trajectory):
             )
         return self._segment_cache
 
-    def _distance_along(self, t: np.ndarray) -> np.ndarray:
+    def _segments(self, t: np.ndarray):
+        """``(flat times, segment index of each)``, extending as needed."""
         flat = np.atleast_1d(t).ravel()
-        require(np.all(flat >= 0), "StopAndGoTrajectory is defined for t >= 0")
-        self._extend_to(float(flat.max(initial=0.0)) + 1.0)
-        bounds, cumulative, speeds = self._segment_arrays()
-        idx = np.clip(np.searchsorted(bounds, flat, side="right") - 1, 0, len(speeds) - 1)
-        dist = cumulative[idx] + speeds[idx] * (flat - bounds[idx])
-        return dist.reshape(np.shape(t))
+        require(flat.min(initial=0.0) >= 0, "StopAndGoTrajectory is defined for t >= 0")
+        horizon = float(flat.max(initial=0.0))
+        # Extending to an infinite horizon would never return.
+        require(horizon < np.inf, "StopAndGoTrajectory is defined for finite t")
+        self._extend_to(horizon + 1.0)
+        bounds = self._segment_arrays()[0]
+        idx = np.searchsorted(bounds, flat, side="right") - 1
+        return flat, np.minimum(np.maximum(idx, 0), len(self._speeds) - 1)
 
     def position_m(self, time_s) -> np.ndarray:
         t = np.asarray(time_s, dtype=float)
-        return self._start + self._distance_along(t)[..., np.newaxis] * self._direction
+        flat, idx = self._segments(t)
+        bounds, cumulative, speeds = self._segment_arrays()
+        dist = cumulative[idx] + speeds[idx] * (flat - bounds[idx])
+        return self._start + dist.reshape(t.shape)[..., np.newaxis] * self._direction
 
     def velocity_m_s(self, time_s) -> np.ndarray:
         t = np.asarray(time_s, dtype=float)
-        flat = np.atleast_1d(t).ravel()
-        self._extend_to(float(flat.max(initial=0.0)) + 1.0)
-        bounds, _, speeds = self._segment_arrays()
-        idx = np.clip(np.searchsorted(bounds, flat, side="right") - 1, 0, len(speeds) - 1)
-        speed = speeds[idx].reshape(np.shape(t))
+        _, idx = self._segments(t)
+        speed = self._segment_arrays()[2][idx].reshape(t.shape)
         return speed[..., np.newaxis] * self._direction
+
+    def velocity_breaks_s(self, horizon_s: float) -> np.ndarray:
+        # Extend as velocity_m_s(horizon_s) would.  Segments are drawn in
+        # order from this trajectory's own stream, so extending earlier
+        # than a query would changes no segment.
+        self._extend_to(float(horizon_s) + 1.0)
+        bounds = self._segment_arrays()[0]
+        return bounds[1 : np.searchsorted(bounds, horizon_s, side="right")]
 
 
 class RelativeMotion:
@@ -177,6 +210,12 @@ class RelativeMotion:
     the spatial fading process.  The integral is evaluated on a cached
     uniform grid (default 10 ms) extended lazily, so repeated queries are
     cheap and deterministic.
+
+    Both trajectories have piecewise-constant velocity, so the integrand
+    ``|v_A - v_B|`` is evaluated once per constant-velocity piece (the
+    union of both trajectories' :meth:`~Trajectory.velocity_breaks_s`)
+    and spread over the grid points the piece covers; the trapezoid
+    running sum over the grid is unchanged.
     """
 
     def __init__(
@@ -194,7 +233,9 @@ class RelativeMotion:
     def distance_m(self, time_s) -> np.ndarray:
         """Separation distance between the endpoints."""
         delta = self.trajectory_a.position_m(time_s) - self.trajectory_b.position_m(time_s)
-        return np.linalg.norm(delta, axis=-1)
+        # What np.linalg.norm(delta, axis=-1) computes for 2-vectors.
+        delta *= delta
+        return np.sqrt(delta[..., 0] + delta[..., 1])
 
     def relative_speed_m_s(self, time_s) -> np.ndarray:
         """Magnitude of the vector velocity difference."""
@@ -211,30 +252,47 @@ class RelativeMotion:
         # Extend incrementally (with slack) so repeated growth stays linear.
         needed = max(needed, 2 * current)
         start_index = max(current - 1, 0)
-        times = (start_index + np.arange(needed - start_index)) * self._step
-        speeds = self.relative_speed_m_s(times)
-        increments = 0.5 * (speeds[1:] + speeds[:-1]) * self._step
-        base = 0.0 if current == 0 else float(self._grid_cumulative[-1])
-        # Seed the running sum with the stored base so accumulation stays
-        # strictly sequential: grid values are then bit-identical no matter
-        # how queries chunked the growth (one bulk query vs many small
-        # ones), which the vectorized probing fast path relies on.
-        extension = np.cumsum(np.concatenate([[base], increments]))[1:]
-        if current == 0:
-            self._grid_cumulative = np.concatenate([[0.0], extension])
-        else:
-            self._grid_cumulative = np.concatenate(
-                [self._grid_cumulative, extension]
-            )
+        # Float arange holds the same exact integers as an int one, and
+        # skips the int-to-float cast in the product.
+        times = np.arange(start_index, needed, dtype=float)
+        times *= self._step
+        # One integrand evaluation per constant-velocity piece.  A grid
+        # instant on a break belongs to the new piece, and a piece
+        # between two grid instants covers none of them.
+        breaks = np.union1d(
+            self.trajectory_a.velocity_breaks_s(times[-1]),
+            self.trajectory_b.velocity_breaks_s(times[-1]),
+        )
+        breaks = breaks[breaks > times[0]]
+        piece_speeds = self.relative_speed_m_s(np.concatenate([times[:1], breaks]))
+        edges = np.searchsorted(times, breaks, side="left")
+        speeds = np.repeat(
+            piece_speeds, np.diff(edges, prepend=0, append=len(times))
+        )
+        grid = np.empty(needed)
+        grid[: start_index + 1] = self._grid_cumulative if current else 0.0
+        # Trapezoid increments, then the running sum seeded with the
+        # stored base, in place.  Accumulation stays strictly sequential:
+        # grid values are then bit-identical no matter how queries
+        # chunked the growth (one bulk query vs many small ones), which
+        # the vectorized probing fast path relies on.
+        increments = grid[start_index + 1 :]
+        np.add(speeds[1:], speeds[:-1], out=increments)
+        increments *= 0.5
+        increments *= self._step
+        np.cumsum(grid[start_index:], out=grid[start_index:])
+        self._grid_cumulative = grid
 
     def relative_displacement_m(self, time_s) -> np.ndarray:
         """Accumulated relative displacement up to the given time(s)."""
         t = np.asarray(time_s, dtype=float)
         flat = np.atleast_1d(t).ravel()
-        require(np.all(flat >= 0), "relative displacement is defined for t >= 0")
+        require(flat.min(initial=0.0) >= 0, "relative displacement is defined for t >= 0")
         self._ensure_grid(float(flat.max(initial=0.0)))
         positions = flat / self._step
-        idx = np.clip(positions.astype(int), 0, len(self._grid_cumulative) - 2)
+        idx = np.minimum(
+            np.maximum(positions.astype(int), 0), len(self._grid_cumulative) - 2
+        )
         frac = positions - idx
         lo = self._grid_cumulative[idx]
         hi = self._grid_cumulative[idx + 1]

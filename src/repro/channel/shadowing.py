@@ -126,7 +126,9 @@ class GudmundsonShadowing:
         positions = disp / self._step
         node = np.floor(positions)
         frac = positions - node
-        idx = np.clip(node.astype(int) - self._offset, 0, grid.size - 2)
+        idx = np.minimum(
+            np.maximum(node.astype(int) - self._offset, 0), grid.size - 2
+        )
         result = grid[idx] + frac * (grid[idx + 1] - grid[idx])
         if np.isscalar(displacement_m):
             return float(result[0])

@@ -99,6 +99,9 @@ class _OffsetTrajectory(Trajectory):
     def velocity_m_s(self, time_s) -> np.ndarray:
         return self._base.velocity_m_s(time_s)
 
+    def velocity_breaks_s(self, horizon_s: float) -> np.ndarray:
+        return self._base.velocity_breaks_s(horizon_s)
+
 
 def _eve_channels(
     scenario: ScenarioConfig,

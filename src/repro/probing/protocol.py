@@ -408,23 +408,25 @@ def _success_timeline(
 
     The round timeline of a fault-free link, and the one an ARQ session
     keeps to while its attempts succeed.  The start times are affine in
-    the round index, but the loop's running-cursor additions (same
-    association order) are reproduced rather than closing the form, so
-    the timestamps -- and everything downstream -- match bit-for-bit.
+    the round index, but the running cursor's additions are kept rather
+    than closing the form: one sequential accumulate over the per-round
+    addends ``[start | gap, airtime, turnaround, airtime, settle]``
+    performs the same left-to-right additions as a loop carrying the
+    cursor, so the timestamps -- and everything downstream -- match
+    bit-for-bit.
     """
     airtime = protocol.phy.airtime_s
-    turnaround = protocol.bob_device.processing_delay_s
-    settle = protocol.alice_device.processing_delay_s
-    gap = protocol.inter_round_gap_s
-    probe_starts = np.empty(n_rounds)
-    response_starts = np.empty(n_rounds)
-    cursor = float(start_time_s)
-    for k in range(n_rounds):
-        probe_starts[k] = cursor
-        response_start = cursor + airtime + turnaround
-        response_starts[k] = response_start
-        cursor = response_start + airtime + settle + gap
-    return probe_starts, response_starts
+    addends = np.empty((n_rounds, 5))
+    addends[:] = (
+        protocol.inter_round_gap_s,
+        airtime,
+        protocol.bob_device.processing_delay_s,
+        airtime,
+        protocol.alice_device.processing_delay_s,
+    )
+    addends[0, 0] = start_time_s
+    cursor = np.add.accumulate(addends.ravel()).reshape(n_rounds, 5)
+    return cursor[:, 0], cursor[:, 2]
 
 
 def _group_compatible(protocols: Sequence[ProbingProtocol]) -> bool:

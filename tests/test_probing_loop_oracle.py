@@ -13,8 +13,11 @@ The sweep draws its fault plan, attack plan and retry policy the way
 two eavesdroppers and symmetric and asymmetric devices.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channel.interference import InterferenceSource
 from repro.channel.reciprocity import ReciprocalChannel
@@ -28,6 +31,7 @@ from repro.lora.airtime import LoRaPHYConfig
 from repro.lora.link_budget import LinkBudget
 from repro.lora.radio import DRAGINO_LORA_SHIELD, MULTITECH_XDOT
 from repro.lora.rssi import RegisterRssiSampler
+from repro.probing.protocol import _success_timeline
 from tests.oracles.probing_loop import reference_run_loop
 from tests.test_probing_vectorized import build_setup
 
@@ -295,3 +299,47 @@ class TestTwoPasses:
         shortcut = protocol.phy.airtime_s + protocol.bob_device.processing_delay_s
         slack = trace.dropped.sum() * max(0.0, shortcut - policy.timeout_s)
         assert max(latest) <= oracle_latest + slack
+
+
+def loop_success_timeline(protocol, start_time_s, n_rounds):
+    """The success timeline as a loop carrying the round cursor."""
+    airtime = protocol.phy.airtime_s
+    turnaround = protocol.bob_device.processing_delay_s
+    settle = protocol.alice_device.processing_delay_s
+    gap = protocol.inter_round_gap_s
+    probe_starts = np.empty(n_rounds)
+    response_starts = np.empty(n_rounds)
+    cursor = float(start_time_s)
+    for k in range(n_rounds):
+        probe_starts[k] = cursor
+        response_start = cursor + airtime + turnaround
+        response_starts[k] = response_start
+        cursor = response_start + airtime + settle + gap
+    return probe_starts, response_starts
+
+
+class TestSuccessTimeline:
+    """One sequential accumulate replays the loop's cursor additions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.floats(0.0, 1e5),
+        n_rounds=st.integers(1, 300),
+        airtime=st.floats(1e-3, 5.0),
+        turnaround=st.floats(0.0, 0.5),
+        settle=st.floats(0.0, 0.5),
+        gap=st.one_of(st.just(0.0), st.floats(0.0, 600.0)),
+    )
+    def test_matches_the_cursor_loop(
+        self, start, n_rounds, airtime, turnaround, settle, gap
+    ):
+        protocol = SimpleNamespace(
+            phy=SimpleNamespace(airtime_s=airtime),
+            bob_device=SimpleNamespace(processing_delay_s=turnaround),
+            alice_device=SimpleNamespace(processing_delay_s=settle),
+            inter_round_gap_s=gap,
+        )
+        expected = loop_success_timeline(protocol, start, n_rounds)
+        actual = _success_timeline(protocol, start, n_rounds)
+        for want, got in zip(expected, actual):
+            assert np.array_equal(want, got)
