@@ -1,7 +1,7 @@
 """Kernel microbenchmarks: the perf trajectory behind the fused kernels.
 
 Times the vectorized recurrent kernels (``after``) against the frozen
-pre-refactor implementations in :mod:`repro.nn.layers.reference`
+pre-refactor implementations in :mod:`tests.oracles.nn_kernels`
 (``before``) at layer level (forward train/infer, backward), training
 level (full ``fit()`` epochs), and protocol level (an end-to-end key
 establishment session), and persists the numbers to
@@ -30,9 +30,9 @@ from repro.core.pipeline import PipelineConfig, VehicleKeyPipeline
 from repro.nn.layers.bilstm import BiLSTM
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.lstm import LSTM
-from repro.nn.layers.reference import ReferenceBiLSTM, ReferenceLSTM
 from repro.nn.model import Model
 from repro.probing.features import FeatureConfig
+from tests.oracles.nn_kernels import ReferenceBiLSTM, ReferenceLSTM
 from tests.oracles.probing_loop import reference_run_loop
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
@@ -102,7 +102,7 @@ def write_results():
     payload = {
         "benchmark": "recurrent-kernels",
         "units": "seconds, min over interleaved repetitions",
-        "before": "frozen pre-refactor kernels (repro.nn.layers.reference)",
+        "before": "frozen pre-refactor kernels (tests.oracles.nn_kernels)",
         "after": "fused vectorized kernels (repro.nn.layers.lstm/bilstm)",
         "numpy": np.__version__,
         "entries": dict(sorted(_ENTRIES.items())),

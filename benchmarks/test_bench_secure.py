@@ -10,9 +10,11 @@ must never decrypt), and epoch rollover.  Timings land in
 
 The ``seal_open`` and ``tamper_reject`` entries carry honest
 before/after speedups: the "before" loop replays the pre-optimization
-data plane (the frozen :mod:`repro.secure.reference` crypto inside the
-same per-record channel flow -- parse, verify, replay window, decrypt,
-outcome) in the *same run*, so the ratio cancels machine noise.
+data plane (the frozen :mod:`tests.oracles.secure_records` crypto
+inside the same per-record channel flow -- parse, verify, replay window,
+decrypt, outcome) in the *same run*, so the ratio cancels machine noise.
+The "after" side opens every record cryptographically, as a peer in a
+separate process must.
 ``scripts/check_bench_regression.py`` gates those speedups at its
 tolerance; the remaining entries stay absolute-cost trackers
 (``speedup: null``) whose absolute seconds do not transfer across
@@ -31,9 +33,9 @@ from repro.secure import (
     SecureLink,
     derive_channel_keys,
 )
-from repro.secure import reference
 from repro.secure.channel import OpenOutcome, ReplayWindow
 from repro.secure.records import parse_record
+from tests.oracles import secure_records as reference
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_secure.json"
 
@@ -68,7 +70,7 @@ def write_results():
         "benchmark": "secure-channel-records",
         "units": "seconds per normalized loop, best of reps",
         "before": "per-record hmac.new keystream + per-byte XOR (reference)",
-        "after": "midstate-copy keystream, word XOR, batched seal/open + memo",
+        "after": "midstate-copy keystream, word XOR, batched seal/open",
         "numpy": np.__version__,
         "entries": dict(sorted(_ENTRIES.items())),
     }
@@ -116,9 +118,9 @@ def _reference_pair_loop(keys, plaintext, n):
     return elapsed
 
 
-def _batched_pair_loop(keys, plaintext, n, share_records=True):
+def _batched_pair_loop(keys, plaintext, n):
     """One rep of the optimized data plane: batched seal+open on a link."""
-    link = SecureLink(keys, share_records=share_records)
+    link = SecureLink(keys)
     payloads = [plaintext] * BATCH
     start = time.perf_counter()
     for _ in range(n // BATCH):
@@ -176,28 +178,6 @@ def test_seal_open_throughput(payload_bytes, n_after, n_before, floor):
         batch=BATCH,
     )
     assert entry["speedup"] >= floor
-
-
-def test_seal_open_no_memo_tracker():
-    """The memo-less batched path (cross-process topology), for honesty.
-
-    Absolute tracker: quantifies how much of the shared-link speedup is
-    the :class:`~repro.secure.channel.RecordMemo` simulation affordance
-    versus the keystream/MAC/batching work that transfers to real
-    deployments.
-    """
-    keys = derive_channel_keys(MASTER, _context())
-    plaintext = bytes(1024)
-    n = 1024
-    elapsed = _best_of(
-        3, lambda: _batched_pair_loop(keys, plaintext, n, share_records=False)
-    )
-    _record(
-        "seal_open_nomemo@1024B",
-        elapsed,
-        records_per_sec=round(n / elapsed, 1),
-        batch=BATCH,
-    )
 
 
 def test_tamper_rejection_cost():

@@ -1,15 +1,16 @@
 """Adaptive probing: get the key as soon as the channel allows.
 
 A deployed IoV node does not know its channel's key rate in advance.
-This example uses :func:`repro.core.establish_key_adaptive` to probe in
-short bursts and stop the moment a full 128-bit key is verified,
-comparing against the fixed-length session on the same scenario.
+This example asks :meth:`VehicleKeyPipeline.establish_key` for short
+96-round bursts with up to 8 attempts: an attempt that ends short of a
+full 128-bit key probes a fresh burst and pools it with the earlier
+ones, and the loop stops at the first key.  It compares against the
+fixed-length session on the same scenario.
 
 Run:  python examples/adaptive_probing.py
 """
 
 from repro import ScenarioName, VehicleKeyPipeline
-from repro.core import establish_key_adaptive
 
 
 def main() -> None:
@@ -26,12 +27,11 @@ def main() -> None:
     print(f"  verified bits: {fixed.session.agreed_bits}")
     print(f"  success      : {fixed.success}")
 
-    print("\nadaptive session (96-round bursts, stop at 128 verified bits):")
-    adaptive = establish_key_adaptive(pipeline, burst_rounds=96, max_bursts=8)
-    print(f"  bursts used  : {adaptive.bursts_used}")
-    print(f"  rounds used  : {adaptive.rounds_used}")
+    print("\nadaptive session (96-round bursts, stop at the first key):")
+    adaptive = pipeline.establish_key(episode="adaptive", n_rounds=96, max_attempts=8)
+    print(f"  attempts     : {adaptive.attempts}")
     print(f"  probing time : {adaptive.probing_time_s:8.1f} s")
-    print(f"  bit history  : {adaptive.burst_history}")
+    print(f"  verified bits: {adaptive.session.agreed_bits}")
     print(f"  success      : {adaptive.success}")
     if adaptive.success:
         print(f"  key          : {adaptive.final_key.hex()}")

@@ -245,6 +245,8 @@ class RelativeMotion:
         return np.linalg.norm(delta, axis=-1)
 
     def _ensure_grid(self, horizon_s: float) -> None:
+        # Also rejects NaN; an infinite horizon has no grid to build.
+        require(horizon_s < np.inf, "relative displacement is defined for finite t")
         needed = int(np.ceil(horizon_s / self._step)) + 2
         current = 0 if self._grid_cumulative is None else len(self._grid_cumulative)
         if needed <= current:

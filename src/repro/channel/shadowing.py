@@ -120,8 +120,15 @@ class GudmundsonShadowing:
         """
         disp = np.atleast_1d(np.asarray(displacement_m, dtype=float)).ravel()
         if disp.size:
-            self._ensure_index(int(np.floor(disp.min() / self._step)))
-            self._ensure_index(int(np.floor(disp.max() / self._step)) + 1)
+            low, high = disp.min(), disp.max()
+            # min and max propagate NaN, so the two bounds see every
+            # non-finite displacement.
+            require(
+                -np.inf < low and high < np.inf,
+                "shadowing is defined for finite displacements",
+            )
+            self._ensure_index(int(np.floor(low / self._step)))
+            self._ensure_index(int(np.floor(high / self._step)) + 1)
         grid = self._grid
         positions = disp / self._step
         node = np.floor(positions)

@@ -10,11 +10,8 @@
 """
 
 from repro.core.model import PredictionQuantizationModel
-from repro.core.adaptive import AdaptiveOutcome, establish_key_adaptive
 
 __all__ = [
-    "AdaptiveOutcome",
-    "establish_key_adaptive",
     "PredictionQuantizationModel",
     "VehicleKeyPipeline",
     "KeyEstablishmentOutcome",

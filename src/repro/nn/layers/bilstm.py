@@ -45,7 +45,8 @@ class BiLSTM(Layer):
     """
 
     #: LSTM implementation both directions are built from; the frozen
-    #: pre-vectorization baseline in ``layers/reference.py`` overrides it.
+    #: pre-vectorization baseline in ``tests/oracles/nn_kernels.py``
+    #: overrides it.
     lstm_cls = LSTM
 
     def __init__(

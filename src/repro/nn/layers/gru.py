@@ -16,7 +16,7 @@ in place, ``out=`` ufuncs throughout the recurrence, weight gradients
 accumulated with a single :func:`numpy.tensordot` over all steps, and an
 inference fast path that skips the backward cache when
 ``training=False``.  The pre-vectorization implementation is frozen in
-:mod:`repro.nn.layers.reference`.
+``tests/oracles/nn_kernels.py``.
 """
 
 from __future__ import annotations

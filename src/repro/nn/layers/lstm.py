@@ -32,7 +32,7 @@ Performance notes (see ``docs/PERFORMANCE.md``):
   :class:`~repro.exceptions.NotTrainedError`.
 
 The pre-vectorization implementation is frozen in
-:mod:`repro.nn.layers.reference` and the equivalence tests pin this
+``tests/oracles/nn_kernels.py`` and the equivalence tests pin this
 kernel's outputs to it.
 """
 

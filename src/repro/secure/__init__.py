@@ -22,7 +22,6 @@ silent mismatch.
 from repro.secure.channel import (
     NonceExhaustedError,
     OpenOutcome,
-    RecordMemo,
     ReplayWindow,
     SecureChannel,
     SecureLink,
@@ -66,7 +65,6 @@ __all__ = [
     "FAILURE_EPOCH",
     "SecureChannel",
     "SecureLink",
-    "RecordMemo",
     "ReplayWindow",
     "OpenOutcome",
     "NonceExhaustedError",

@@ -23,23 +23,15 @@ packing, ledger witnessing and attribute lookups across the burst.
 
 :class:`SecureLink` bundles the two endpoints of one simulated channel --
 the reproduction holds both parties in one process, exactly as the
-session layer holds Alice and Bob.  In that topology the link threads a
-:class:`RecordMemo` through both endpoints: the opener may recognize a
-record as byte-identical to what its in-process peer just sealed and
-reuse the sealed plaintext instead of re-deriving the keystream.  This
-is the same simulation-sharing move the probing layer makes (one
-channel-stack evaluation per direction) and it never changes an outcome:
-seal and open are deterministic functions, so byte-equal inputs have
-byte-equal results, and any record that is *not* byte-identical to the
-sealed original -- tampered, replayed after acceptance, foreign -- falls
-back to full cryptographic verification.
+session layer holds Alice and Bob.  Each endpoint verifies and
+decrypts every record it opens, exactly as a peer in another process
+must.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import ProtocolError
 from repro.secure.kdf import ChannelContext, ChannelKeys, derive_channel_keys
@@ -53,14 +45,11 @@ from repro.secure.records import (
     FAILURE_EXHAUSTED,
     FAILURE_REPLAY,
     FAILURE_TRUNCATED,
-    HEADER_BYTES,
     OPEN_FAILURES,
-    RECORD_OVERHEAD,
     RECORD_VERSION,
     RecordDamage,
     SecureRecord,
     STREAM_LABEL,
-    TAG_BYTES,
     _BLOCK_BYTES,
     _COUNTERS,
     _HEADER,
@@ -77,9 +66,6 @@ DEFAULT_MAX_SEQUENCE = 2**20
 
 #: Default replay-window width (sequence numbers tracked behind the highest).
 DEFAULT_REPLAY_WINDOW = 64
-
-#: Default sealed-record entries a :class:`RecordMemo` retains.
-DEFAULT_MEMO_CAPACITY = 1024
 
 
 class NonceExhaustedError(ProtocolError):
@@ -163,111 +149,6 @@ class OpenOutcome:
     record: Optional[SecureRecord] = None
 
 
-def _fast_record(
-    epoch: int, direction: int, sequence: int, ciphertext: bytes, tag: bytes
-) -> SecureRecord:
-    """Build a :class:`SecureRecord` without the frozen-dataclass __init__.
-
-    Semantically identical to the constructor (same fields, same
-    equality/hash); skipping ``object.__setattr__`` per field roughly
-    halves the cost, which is material at data-plane record rates.
-    """
-    record = object.__new__(SecureRecord)
-    attrs = record.__dict__
-    attrs["epoch"] = epoch
-    attrs["direction"] = direction
-    attrs["sequence"] = sequence
-    attrs["ciphertext"] = ciphertext
-    attrs["tag"] = tag
-    return record
-
-
-def _fast_outcome(plaintext: bytes, record: SecureRecord) -> OpenOutcome:
-    """Build a success :class:`OpenOutcome` bypassing the dataclass init."""
-    outcome = object.__new__(OpenOutcome)
-    attrs = outcome.__dict__
-    attrs["ok"] = True
-    attrs["plaintext"] = plaintext
-    attrs["failure"] = None
-    attrs["record"] = record
-    return outcome
-
-
-class RecordMemo:
-    """Sealed-record share table between the endpoints of one process.
-
-    The keystream (and hence the whole record) is a pure function of
-    ``(key_id, epoch, direction, sequence)`` and the plaintext, so when
-    both endpoints live in one simulation the opener can recognize a
-    delivered record as byte-identical to what its peer sealed and skip
-    re-deriving the keystream -- the same "one evaluation per direction"
-    sharing the probing layer performs.  **Correctness never rests on
-    the memo**: a lookup only short-circuits when the received bytes
-    equal the sealed original exactly (MAC equality follows because the
-    MAC is a function of those bytes); every other delivery -- tampered,
-    truncated, spliced, replayed, evicted -- takes the full
-    cryptographic path.  Entries are consumed on match and evicted FIFO
-    past ``capacity``, bounding memory for arbitrarily long sessions.
-
-    Attributes:
-        capacity: Maximum retained entries.
-        hits: Deliveries served from the memo.
-        misses: Lookups that fell back to the cryptographic path.
-    """
-
-    __slots__ = ("capacity", "hits", "misses", "_entries")
-
-    def __init__(self, capacity: int = DEFAULT_MEMO_CAPACITY):
-        require(capacity > 0, "memo capacity must be > 0")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[Tuple[str, int, int, int], Tuple[bytes, bytes]]" = (
-            OrderedDict()
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def put(
-        self,
-        key_id: str,
-        epoch: int,
-        direction: int,
-        sequence: int,
-        wire: bytes,
-        plaintext: bytes,
-    ) -> None:
-        """Remember one sealed record's wire bytes and plaintext."""
-        entries = self._entries
-        entries[(key_id, epoch, direction, sequence)] = (wire, plaintext)
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-
-    def match(
-        self, key_id: str, epoch: int, direction: int, sequence: int, data: bytes
-    ) -> Optional[bytes]:
-        """The sealed plaintext iff ``data`` is the sealed record, verbatim.
-
-        Consumes the entry on a match; returns ``None`` (and counts a
-        miss) whenever the entry is absent or the bytes differ in any
-        way, leaving the decision to the cryptographic path.  A
-        mismatched entry is kept -- the unmodified original may still
-        arrive after a tampered copy.
-        """
-        key = (key_id, epoch, direction, sequence)
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            self.misses += 1
-            return None
-        if entry[0] != data:
-            self._entries[key] = entry
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry[1]
-
-
 class SecureChannel:
     """One endpoint of an established secure channel.
 
@@ -282,11 +163,6 @@ class SecureChannel:
         ledger: Optional :class:`~repro.secure.ledger.NonceLedger` that
             witnesses every seal and accept (the chaos harness threads
             one global ledger through all sessions of a sweep).
-        memo: Optional :class:`RecordMemo` shared with the in-process
-            peer endpoint (see :class:`SecureLink`); ``None`` -- the
-            default, and the only correct choice when the peer is a
-            separate process -- always takes the full cryptographic
-            path.
     """
 
     def __init__(
@@ -296,14 +172,12 @@ class SecureChannel:
         max_sequence: int = DEFAULT_MAX_SEQUENCE,
         replay_window: int = DEFAULT_REPLAY_WINDOW,
         ledger: Optional[NonceLedger] = None,
-        memo: Optional[RecordMemo] = None,
     ):
         require(role in ("initiator", "responder"), f"unknown role {role!r}")
         require(max_sequence > 0, "max_sequence must be > 0")
         self.role = role
         self.max_sequence = max_sequence
         self.ledger = ledger
-        self.memo = memo
         self._keys = keys
         self._epoch = keys.epoch
         self._send_direction = (
@@ -353,11 +227,25 @@ class SecureChannel:
         """Failed opens across all taxonomy slugs."""
         return sum(self.open_failures.values())
 
-    def _seal_wire(self, plaintext: bytes, sequence: int) -> bytes:
-        """Seal one payload under ``sequence`` into its wire encoding."""
+    def seal(self, plaintext: bytes) -> bytes:
+        """Seal one plaintext into wire bytes; advances the send counter.
+
+        Raises :class:`NonceExhaustedError` once the counter bound is
+        reached -- the caller (the rekey layer) must roll the epoch.
+        """
+        if self._send_sequence > self.max_sequence:
+            raise NonceExhaustedError(
+                f"send counter exhausted at {self.max_sequence} "
+                f"(epoch {self.epoch}, role {self.role}); rekey required"
+            )
+        sequence = self._send_sequence
+        self._send_sequence += 1
         send_keys = self._send_keys
         epoch = self._epoch
         direction = self._send_direction
+        if self.ledger is not None:
+            self.ledger.record_seal(send_keys.key_id, direction, sequence)
+        plaintext = bytes(plaintext)
         keystream = keystream_bytes(
             send_keys, epoch, direction, sequence, len(plaintext)
         )
@@ -366,43 +254,8 @@ class SecureChannel:
             RECORD_VERSION, epoch, direction, sequence, len(ciphertext)
         )
         body = header + ciphertext
-        wire = body + send_keys.mac().tag(body)
-        if self.memo is not None:
-            self.memo.put(
-                send_keys.key_id, epoch, direction, sequence, wire, plaintext
-            )
         self.sealed += 1
-        return wire
-
-    def seal(self, plaintext: bytes, force_sequence: Optional[int] = None) -> bytes:
-        """Seal one plaintext into wire bytes; advances the send counter.
-
-        Raises :class:`NonceExhaustedError` once the counter bound is
-        reached -- the caller (the rekey layer) must roll the epoch.
-
-        Args:
-            plaintext: Payload bytes to protect.
-            force_sequence: **Test hook.**  Seal under a specific
-                sequence number without touching the counter -- the
-                deliberate-misuse tests use it to prove the nonce ledger
-                catches a sender that repeats a counter.  Production
-                paths never pass it.
-        """
-        if force_sequence is not None:
-            sequence = force_sequence
-        else:
-            if self._send_sequence > self.max_sequence:
-                raise NonceExhaustedError(
-                    f"send counter exhausted at {self.max_sequence} "
-                    f"(epoch {self.epoch}, role {self.role}); rekey required"
-                )
-            sequence = self._send_sequence
-            self._send_sequence += 1
-        if self.ledger is not None:
-            self.ledger.record_seal(
-                self._send_keys.key_id, self._send_direction, sequence
-            )
-        return self._seal_wire(bytes(plaintext), sequence)
+        return body + send_keys.mac().tag(body)
 
     def seal_records(self, payloads: Sequence[bytes]) -> List[bytes]:
         """Seal a burst of payloads; wire bytes and end state are exactly
@@ -435,9 +288,6 @@ class SecureChannel:
         pack_header = _HEADER.pack
         counters = _COUNTERS
         head = STREAM_LABEL + epoch.to_bytes(4, "big") + bytes((direction,))
-        memo = self.memo
-        memo_put = None if memo is None else memo.put
-        key_id = send_keys.key_id
         wires: List[bytes] = []
         append_wire = wires.append
         for offset in range(sealable):
@@ -470,10 +320,7 @@ class SecureChannel:
                 pack_header(RECORD_VERSION, epoch, direction, sequence, length)
                 + ciphertext
             )
-            wire = body + mac_tag(body)
-            if memo_put is not None:
-                memo_put(key_id, epoch, direction, sequence, wire, payload)
-            append_wire(wire)
+            append_wire(body + mac_tag(body))
         self.sealed += sealable
         if sealable < len(payloads):
             raise NonceExhaustedError(
@@ -520,44 +367,7 @@ class SecureChannel:
         maps to exactly one slug of the closed taxonomy, and the replay
         window is only advanced by *authenticated* records, so a forger
         cannot burn window state.
-
-        When a shared :class:`RecordMemo` holds this exact record (the
-        one-process link topology), the MAC check and decryption resolve
-        by byte equality with the sealed original -- same outcome, same
-        state transitions, no recomputed keystream.  Any deviation falls
-        through to the full path below.
         """
-        memo = self.memo
-        if memo is not None and len(data) >= RECORD_OVERHEAD:
-            version, epoch, direction, sequence, ct_len = _HEADER.unpack_from(data)
-            if (
-                version == RECORD_VERSION
-                and direction == self._recv_direction
-                and epoch == self._epoch
-                and len(data) == RECORD_OVERHEAD + ct_len
-                and sequence <= self.max_sequence
-                and not self._window.seen(sequence)
-            ):
-                plaintext = memo.match(
-                    self._recv_keys.key_id, epoch, direction, sequence, data
-                )
-                if plaintext is not None:
-                    self._window.mark(sequence)
-                    if self.ledger is not None:
-                        self.ledger.record_accept(
-                            self._recv_keys.key_id, direction, sequence
-                        )
-                    self.opened += 1
-                    return _fast_outcome(
-                        plaintext,
-                        _fast_record(
-                            epoch,
-                            direction,
-                            sequence,
-                            data[HEADER_BYTES : len(data) - TAG_BYTES],
-                            data[len(data) - TAG_BYTES :],
-                        ),
-                    )
         try:
             record = parse_record(data)
         except RecordDamage:
@@ -663,16 +473,13 @@ class SecureLink:
 
     The reproduction holds both parties in one process (exactly as the
     session layer holds Alice and Bob), so a link is a pair of
-    :class:`SecureChannel` endpoints over the same derived keys sharing
-    one :class:`RecordMemo` (see the module docstring; ``share_records=
-    False`` opts out and forces every open down the cryptographic path).
+    :class:`SecureChannel` endpoints over the same derived keys.
 
     Args:
         keys: One epoch's traffic keys.
         ledger: Optional shared nonce ledger (both endpoints register).
         max_sequence: Per-endpoint counter bound.
         replay_window: Receive-side window width for both endpoints.
-        share_records: Whether the endpoints share a :class:`RecordMemo`.
     """
 
     def __init__(
@@ -681,16 +488,13 @@ class SecureLink:
         ledger: Optional[NonceLedger] = None,
         max_sequence: int = DEFAULT_MAX_SEQUENCE,
         replay_window: int = DEFAULT_REPLAY_WINDOW,
-        share_records: bool = True,
     ):
-        self.memo = RecordMemo() if share_records else None
         self.initiator = SecureChannel(
             keys,
             "initiator",
             max_sequence=max_sequence,
             replay_window=replay_window,
             ledger=ledger,
-            memo=self.memo,
         )
         self.responder = SecureChannel(
             keys,
@@ -698,7 +502,6 @@ class SecureLink:
             max_sequence=max_sequence,
             replay_window=replay_window,
             ledger=ledger,
-            memo=self.memo,
         )
 
     @classmethod

@@ -8,8 +8,8 @@ every session, epoch and rekey of a sweep, and every sealed record and
 every accepted (successfully opened) record registers its
 ``(key_id, direction, sequence)`` triple here.  Any duplicate -- a seal
 counter that repeated, or a receiver that accepted the same nonce twice
-(e.g. with the replay window disabled under the test hook) -- is recorded
-as a :class:`NonceReuse` and trips the ``no-nonce-reuse-ever`` invariant.
+(e.g. a broken replay window) -- is recorded as a :class:`NonceReuse` and
+trips the ``no-nonce-reuse-ever`` invariant.
 
 Witnessed sequences are stored as sorted disjoint *interval runs* per
 ``(key_id, direction)``, not one set entry per record: honest traffic is

@@ -31,8 +31,9 @@ primed once per :class:`~repro.secure.kdf.DirectionKeys` (see
 record's counter blocks are generated in one pass, and the XOR runs over
 machine words (``int.from_bytes`` for short records, NumPy for long
 ones) instead of a per-byte generator.  Every byte on the wire is
-identical to the frozen :mod:`repro.secure.reference` implementation;
-the equivalence and known-answer tests pin that.
+identical to the frozen implementation in
+``tests/oracles/secure_records.py``; the equivalence and known-answer
+tests pin that.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 """Security analysis: NIST randomness tests and attack harnesses."""
 
 from repro.security.nist import NistTestSuite, run_nist_suite
-from repro.security.fips import run_fips_battery, fips_pass
 
-__all__ = ["NistTestSuite", "run_nist_suite", "run_fips_battery", "fips_pass"]
+__all__ = ["NistTestSuite", "run_nist_suite"]

@@ -146,6 +146,19 @@ class TestShadowing:
         right = process.value_at(10.001)
         assert abs(left - right) < 0.1
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_displacement_rejected(self, bad):
+        process = GudmundsonShadowing(6.0, 50.0, seed=6)
+        with pytest.raises(ConfigurationError):
+            process.value_at(bad)
+        with pytest.raises(ConfigurationError):
+            process.value_at(np.array([0.0, bad, 10.0]))
+        with pytest.raises(ConfigurationError):
+            process.shifted(25.0).value_at(bad)
+        # A rejected query leaves the realization intact.
+        fresh = GudmundsonShadowing(6.0, 50.0, seed=6)
+        assert process.value_at(-40.0) == fresh.value_at(-40.0)
+
     def test_theoretical_correlation(self):
         process = GudmundsonShadowing(6.0, 50.0, seed=1)
         assert process.theoretical_correlation(0.0) == 1.0

@@ -82,6 +82,17 @@ class TestRelativeMotion:
         )
         assert motion.relative_displacement_m(10.0) == pytest.approx(120.0, rel=1e-3)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_time_rejected(self, bad):
+        motion = RelativeMotion(
+            StraightLineTrajectory((0, 0), 12.0), StaticTrajectory((500, 0))
+        )
+        with pytest.raises(ConfigurationError):
+            motion.relative_displacement_m(bad)
+        with pytest.raises(ConfigurationError):
+            motion.relative_displacement_m(np.array([1.0, bad]))
+        assert motion.relative_displacement_m(10.0) == pytest.approx(120.0, rel=1e-3)
+
     def test_displacement_is_monotone(self):
         motion = RelativeMotion(
             StopAndGoTrajectory((0, 0), 15.0, seed=1), StaticTrajectory((300, 0))

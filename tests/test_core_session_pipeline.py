@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.session import SyndromeMessage
 from repro.core.statemachine import ABORT_REPLAY
+from repro.exceptions import RetryBudgetExhausted
 from tests.conftest import make_tiny_pipeline
 
 
@@ -84,6 +85,26 @@ class TestKeyEstablishment:
         pooled = session.run(traces)
         singles = [session.run(t) for t in traces]
         assert pooled.n_windows == sum(s.n_windows for s in singles)
+
+    def test_reprobing_pools_bursts_until_the_first_key(self, tiny_pipeline):
+        # A 24-round burst verifies too few bits on its own, so the loop
+        # re-probes and pools every burst into one session.
+        rounds = 24
+        outcome = tiny_pipeline.establish_key(
+            episode="pool", n_rounds=rounds, max_attempts=8
+        )
+        assert outcome.success
+        assert outcome.attempts >= 3
+        labels = ["pool"] + [f"pool-reprobe-{i}" for i in range(1, outcome.attempts)]
+        traces = [tiny_pipeline.collect_trace(label, n_rounds=rounds) for label in labels]
+        assert outcome.probing_time_s == sum(trace.duration_s for trace in traces)
+        # One burst fewer ends without a key: the loop stopped at the
+        # first attempt that produced one.
+        short = tiny_pipeline.establish_key(
+            episode="pool", n_rounds=rounds, max_attempts=outcome.attempts - 1
+        )
+        assert not short.success
+        assert short.failure_reason == RetryBudgetExhausted.reason
 
 
 def tiny_pipeline_final_bytes():

@@ -1,7 +1,7 @@
 """Pinned-seed equivalence of the vectorized kernels vs the frozen originals.
 
 The fused LSTM/GRU/BiLSTM kernels must reproduce the pre-refactor
-implementations (kept verbatim in :mod:`repro.nn.layers.reference`) to
+implementations (kept verbatim in :mod:`tests.oracles.nn_kernels`) to
 1e-10 in every mode -- forward (training and inference), backward input
 gradients, and every weight gradient.  Also covers the behavioural
 contracts the rewrite introduced: the inference fast path retains no
@@ -17,7 +17,7 @@ from repro.nn.layers.bilstm import BiLSTM
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.gru import GRU
 from repro.nn.layers.lstm import LSTM
-from repro.nn.layers.reference import ReferenceBiLSTM, ReferenceGRU, ReferenceLSTM
+from tests.oracles.nn_kernels import ReferenceBiLSTM, ReferenceGRU, ReferenceLSTM
 from repro.nn.model import Model
 
 TOL = 1e-10

@@ -12,10 +12,13 @@ from repro.secure.channel import (
 from repro.secure.kdf import ChannelContext, derive_channel_keys
 from repro.secure.ledger import NonceLedger
 from repro.secure.records import (
+    DIRECTION_I2R,
+    FAILURE_AUTH,
     FAILURE_EPOCH,
     FAILURE_EXHAUSTED,
     FAILURE_REPLAY,
 )
+from tests.oracles.secure_records import seal_record
 
 MASTER = b"\x5a" * 32
 NONCE = b"\x11" * 16
@@ -106,6 +109,29 @@ class TestSecureChannelBasics:
             SecureChannel(make_keys(), "eve")
 
 
+class TestAuthentication:
+    def test_tampered_copy_fails_and_original_still_opens(self):
+        link = SecureLink(make_keys())
+        wire = link.initiator.seal(b"precious")
+        tampered = wire[:-1] + bytes([wire[-1] ^ 1])
+        bad = link.responder.open(tampered)
+        assert not bad.ok and bad.failure == FAILURE_AUTH
+        assert bad.plaintext is None
+        # A rejected forgery burns no window state: the unmodified
+        # original still opens when it arrives late.
+        good = link.responder.open(wire)
+        assert good.ok and good.plaintext == b"precious"
+
+    def test_record_under_foreign_keys_fails_authentication(self):
+        foreign_keys = derive_channel_keys(
+            b"\x13" * 32, ChannelContext(session_nonce=b"\x33" * 16)
+        )
+        wire = SecureLink(foreign_keys).initiator.seal(b"not yours")
+        outcome = SecureLink(make_keys()).responder.open(wire)
+        assert not outcome.ok and outcome.failure == FAILURE_AUTH
+        assert outcome.plaintext is None
+
+
 class TestNonceExhaustion:
     def test_sender_refuses_to_wrap(self):
         channel = SecureChannel(make_keys(), "initiator", max_sequence=2)
@@ -117,9 +143,11 @@ class TestNonceExhaustion:
         assert channel.sealed == 3
 
     def test_receiver_rejects_past_its_own_bound(self):
-        sender = SecureChannel(make_keys(), "initiator", max_sequence=100)
-        receiver = SecureChannel(make_keys(), "responder", max_sequence=3)
-        wire = sender.seal(b"high", force_sequence=7)
+        keys = make_keys()
+        receiver = SecureChannel(keys, "responder", max_sequence=3)
+        wire = seal_record(
+            keys.send_keys("initiator"), 0, DIRECTION_I2R, 7, b"high"
+        ).encode()
         outcome = receiver.open(wire)
         assert not outcome.ok
         assert outcome.failure == FAILURE_EXHAUSTED
@@ -137,17 +165,16 @@ class TestNonceLedger:
         assert ledger.ok
 
     def test_forced_counter_reuse_is_caught_at_seal(self):
-        # The force_sequence test hook is the deliberate misuse: a sender
-        # that repeats a counter is flagged by the ledger even though the
-        # record itself is perfectly well-formed.
+        # The deliberate misuse: two endpoints over the same keys both
+        # seal sequence 0.  Each record is perfectly well-formed; only
+        # the ledger sees that the nonce repeated.
         ledger = NonceLedger()
-        channel = SecureChannel(make_keys(), "initiator", ledger=ledger)
-        channel.seal(b"a", force_sequence=9)
-        channel.seal(b"b", force_sequence=9)
+        for payload in (b"a", b"b"):
+            SecureChannel(make_keys(), "initiator", ledger=ledger).seal(payload)
         assert not ledger.ok
         (reuse,) = ledger.reuses
         assert reuse.kind == "seal"
-        assert reuse.sequence == 9
+        assert reuse.sequence == 0
 
     def test_disabled_replay_window_is_caught_at_accept(self, monkeypatch):
         # A replay window that never reports a replay is the deliberately

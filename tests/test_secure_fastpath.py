@@ -1,13 +1,11 @@
-"""Batched data plane, record memo, and cached-key fast paths.
+"""Batched data plane and cached-key fast paths.
 
-The perf rewrite added three kinds of shortcut -- batched
-``seal_records``/``open_records``, the :class:`RecordMemo` shared-link
-fast path, and per-key caches (primed MAC key, keystream midstates) --
-each promising *exactly* the sequential, uncached behaviour.  These tests
-hold every shortcut to that promise: wire bytes, outcomes, counters,
-window state and ledger totals must match the one-record-at-a-time path,
-and every deviation a memo could be fooled by (tampering, replay,
-foreign records, truncation) must fall back to full verification.
+The perf rewrite added two kinds of shortcut -- batched
+``seal_records``/``open_records`` and per-key caches (primed MAC key,
+keystream midstates) -- each promising *exactly* the sequential,
+uncached behaviour.  These tests hold every shortcut to that promise:
+wire bytes, outcomes, counters, window state and ledger totals must
+match the one-record-at-a-time path.
 """
 
 import copy
@@ -27,7 +25,6 @@ from repro.secure import (
     ManagedSecureLink,
     NonceExhaustedError,
     NonceLedger,
-    RecordMemo,
     RekeyPolicy,
     SecureLink,
 )
@@ -140,84 +137,6 @@ class TestBatchedParity:
         # Stops right after the second failure (index 3); record 4 unseen.
         assert len(outcomes) == 4
         assert [o.ok for o in outcomes] == [True, False, True, False]
-
-
-class TestRecordMemo:
-    def test_clean_delivery_hits_the_memo_with_identical_outcome(self, keys):
-        shared = SecureLink(keys, share_records=True)
-        plain = SecureLink(keys, share_records=False)
-        payload = bytes(range(64))
-        fast = shared.responder.open(shared.initiator.seal(payload))
-        slow = plain.responder.open(plain.initiator.seal(payload))
-        assert shared.memo.hits == 1
-        assert plain.memo is None
-        assert (fast.ok, fast.plaintext, fast.failure) == (
-            slow.ok,
-            slow.plaintext,
-            slow.failure,
-        )
-        assert fast.record == slow.record
-
-    def test_memoed_burst_matches_cryptographic_path(self, keys):
-        shared = SecureLink(keys, share_records=True)
-        plain = SecureLink(keys, share_records=False)
-        fast = shared.responder.open_records(shared.initiator.seal_records(BURST))
-        slow = plain.responder.open_records(plain.initiator.seal_records(BURST))
-        assert [(o.ok, o.plaintext, o.record) for o in fast] == [
-            (o.ok, o.plaintext, o.record) for o in slow
-        ]
-        assert shared.memo.hits == len(BURST)
-        assert _state(shared.responder) == _state(plain.responder)
-
-    def test_tampered_copy_falls_back_and_original_still_opens(self, keys):
-        link = SecureLink(keys, share_records=True)
-        wire = link.initiator.seal(b"precious")
-        tampered = wire[:-1] + bytes([wire[-1] ^ 1])
-        bad = link.responder.open(tampered)
-        assert not bad.ok and bad.failure == "auth-failed"
-        assert bad.plaintext is None
-        good = link.responder.open(wire)  # the unmodified original, late
-        assert good.ok and good.plaintext == b"precious"
-
-    def test_replayed_record_rejected_despite_memo(self, keys):
-        link = SecureLink(keys, share_records=True)
-        wire = link.initiator.seal(b"once")
-        assert link.responder.open(wire).ok
-        replay = link.responder.open(wire)
-        assert not replay.ok and replay.failure == "nonce-replayed"
-        assert replay.plaintext is None
-
-    def test_foreign_record_never_matches(self, keys):
-        foreign_keys = derive_channel_keys(
-            b"\x13" * 32, ChannelContext(session_nonce=b"\x33" * 16)
-        )
-        link = SecureLink(keys, share_records=True)
-        foreign = SecureLink(foreign_keys, share_records=True)
-        wire = foreign.initiator.seal(b"not yours")
-        outcome = link.responder.open(wire)
-        assert not outcome.ok and outcome.failure == "auth-failed"
-        assert outcome.plaintext is None
-
-    def test_truncated_record_skips_the_memo(self, keys):
-        link = SecureLink(keys, share_records=True)
-        wire = link.initiator.seal(b"short me")
-        outcome = link.responder.open(wire[: len(wire) - 2])
-        assert not outcome.ok and outcome.failure == "record-truncated"
-
-    def test_capacity_bounds_memory_fifo(self):
-        memo = RecordMemo(capacity=2)
-        for sequence in range(3):
-            memo.put("k", 0, 0, sequence, b"wire%d" % sequence, b"pt")
-        assert len(memo) == 2
-        assert memo.match("k", 0, 0, 0, b"wire0") is None  # evicted
-        assert memo.match("k", 0, 0, 2, b"wire2") == b"pt"
-        assert memo.misses == 1 and memo.hits == 1
-
-    def test_memo_entry_survives_a_mismatched_probe(self):
-        memo = RecordMemo()
-        memo.put("k", 0, 0, 7, b"original", b"pt")
-        assert memo.match("k", 0, 0, 7, b"tampered!") is None
-        assert memo.match("k", 0, 0, 7, b"original") == b"pt"
 
 
 class TestCachedKeys:

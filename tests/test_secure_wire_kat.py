@@ -2,8 +2,8 @@
 
 The optimized record layer (:mod:`repro.secure.records`) promises that
 **not a single wire byte changed** relative to the frozen
-:mod:`repro.secure.reference` implementation.  Two independent pins hold
-it to that:
+:mod:`tests.oracles.secure_records` implementation.  Two independent
+pins hold it to that:
 
 - **Known answers**: SHA-256 digests of whole wire records (plus full
   hex for the tiniest sizes) generated from the *reference* path and
@@ -21,7 +21,7 @@ and large epoch/sequence values that exercise every header field's width.
 
 import pytest
 
-from repro.secure import reference
+from tests.oracles import secure_records as reference
 from repro.secure.kdf import ChannelContext, derive_channel_keys
 from repro.secure.records import (
     decrypt_record,

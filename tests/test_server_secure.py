@@ -16,6 +16,7 @@ import asyncio
 
 import pytest
 
+from repro.secure.records import DIRECTION_I2R
 from repro.server import (
     DeviceClient,
     Endpoint,
@@ -25,6 +26,7 @@ from repro.server import (
     run_behavior,
 )
 from repro.server.client import channel_from_frame
+from tests.oracles.secure_records import seal_record
 
 ROUNDS = 48
 
@@ -212,7 +214,13 @@ class TestTamperDetection:
             try:
                 channel = channel_from_frame(verdict["channel"])
                 assert channel.max_sequence == 4
-                wire = channel.seal(b"too far ahead", force_sequence=9)
+                wire = seal_record(
+                    channel.keys.send_keys(channel.role),
+                    channel.epoch,
+                    DIRECTION_I2R,
+                    9,
+                    b"too far ahead",
+                ).encode()
                 await client.send(
                     {
                         "type": "secure",
