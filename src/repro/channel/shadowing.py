@@ -76,23 +76,24 @@ class GudmundsonShadowing:
     def _extend(
         self, anchor: float, count: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """``count`` AR(1) steps from ``anchor``, batching the noise draws.
+        """``count`` AR(1) steps ``x[i] = rho * x[i-1] + draw[i]`` from ``anchor``.
 
         One ``rng.normal(size=count)`` call yields the same stream as
         ``count`` scalar draws (NumPy's ziggurat stream is chunking
-        invariant), and the recurrence arithmetic is unchanged, so the
-        grid values are bit-identical to the original node-at-a-time
-        loop -- just without 1 Generator dispatch per node.
+        invariant), and the recurrence runs over a Python list of the
+        draws in the same double arithmetic, so the grid values are
+        bit-identical to the original node-at-a-time loop
+        (``tests/oracles/shadowing.py``) -- without a NumPy scalar, a
+        ``float()`` call and an append per node.
         """
         if self.sigma_db == 0:
             return np.zeros(count)
         noise_std = self.sigma_db * np.sqrt(1.0 - self._rho**2)
-        noise = rng.normal(0.0, noise_std, size=count)
+        values = rng.normal(0.0, noise_std, size=count).tolist()
         rho = self._rho
-        values = []
-        for draw in noise:
-            anchor = rho * anchor + float(draw)
-            values.append(anchor)
+        for index, draw in enumerate(values):
+            anchor = rho * anchor + draw
+            values[index] = anchor
         return np.array(values)
 
     def _ensure_index(self, index: int) -> None:

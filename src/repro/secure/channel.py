@@ -231,8 +231,11 @@ class SecureChannel:
         """Seal one plaintext into wire bytes; advances the send counter.
 
         Raises :class:`NonceExhaustedError` once the counter bound is
-        reached -- the caller (the rekey layer) must roll the epoch.
+        reached -- the caller (the rekey layer) must roll the epoch.  A
+        payload ``bytes()`` cannot convert raises before any state
+        changes, as in :meth:`seal_records`.
         """
+        plaintext = bytes(plaintext)
         if self._send_sequence > self.max_sequence:
             raise NonceExhaustedError(
                 f"send counter exhausted at {self.max_sequence} "
@@ -245,7 +248,6 @@ class SecureChannel:
         direction = self._send_direction
         if self.ledger is not None:
             self.ledger.record_seal(send_keys.key_id, direction, sequence)
-        plaintext = bytes(plaintext)
         keystream = keystream_bytes(
             send_keys, epoch, direction, sequence, len(plaintext)
         )

@@ -139,9 +139,17 @@ def parse_record(data: bytes) -> SecureRecord:
     length field disagreeing with the actual byte count (truncated *or*
     trailing garbage), an out-of-range direction -- is all one failure
     class: the bytes are not a record.  Tampering *within* a structurally
-    valid record is the MAC's job, not the parser's.
+    valid record is the MAC's job, not the parser's.  Input that is not
+    bytes-like (no buffer protocol: ``str``, ``int``, ``None``) is damage
+    too.
     """
-    data = bytes(data)
+    if not isinstance(data, bytes):
+        try:
+            data = memoryview(data).tobytes()
+        except TypeError:
+            raise RecordDamage(
+                f"record is {type(data).__name__}, not bytes-like"
+            ) from None
     if len(data) < RECORD_OVERHEAD:
         raise RecordDamage(
             f"record too short: {len(data)} bytes < {RECORD_OVERHEAD} overhead"

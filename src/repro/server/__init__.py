@@ -29,10 +29,11 @@ from repro.server.framing import (
     FRAME_TRUNCATED,
     MAX_FRAME_BYTES,
     FrameError,
+    FrameReader,
     encode_frame,
     decode_body,
-    read_frame,
     write_frame,
+    write_frames,
 )
 from repro.server.journal import (
     JOURNAL_FILENAME,
@@ -60,6 +61,7 @@ __all__ = [
     "DrainReport",
     "Endpoint",
     "FrameError",
+    "FrameReader",
     "FRAME_CORRUPT",
     "FRAME_OVERSIZED",
     "FRAME_TRUNCATED",
@@ -79,9 +81,9 @@ __all__ = [
     "decode_body",
     "encode_frame",
     "fetch_status",
-    "read_frame",
     "recover_journal",
     "replay_journal",
     "run_behavior",
     "write_frame",
+    "write_frames",
 ]

@@ -34,7 +34,7 @@ from repro.secure import (
     SecureChannel,
     derive_channel_keys,
 )
-from repro.server.framing import encode_frame, read_frame, write_frame
+from repro.server.framing import FrameReader, encode_frame, write_frame
 
 #: The closed set of client behaviors the chaos harness draws from.
 BEHAVIORS = (
@@ -142,12 +142,13 @@ class DeviceClient:
     retry_seed: Optional[int] = None
     resume: Optional[str] = None
     resume_token: str = ""
-    _reader: Optional[asyncio.StreamReader] = field(default=None, repr=False)
+    _frames: Optional[FrameReader] = field(default=None, repr=False)
     _writer: Optional[asyncio.StreamWriter] = field(default=None, repr=False)
 
     async def connect(self) -> None:
         """Open the transport."""
-        self._reader, self._writer = await self.endpoint.connect()
+        reader, self._writer = await self.endpoint.connect()
+        self._frames = FrameReader(reader)
 
     async def close(self) -> None:
         """Close the transport (idempotent, swallows transport errors)."""
@@ -164,10 +165,15 @@ class DeviceClient:
         await write_frame(self._writer, payload)
 
     async def recv(self) -> Optional[dict]:
-        """Receive one frame (``None`` on clean server close)."""
-        return await asyncio.wait_for(
-            read_frame(self._reader), timeout=self.timeout_s
-        )
+        """Receive one frame (``None`` on clean server close).
+
+        A frame already in the buffer is returned without waiting;
+        ``timeout_s`` bounds only a real wait on the server.
+        """
+        frame = self._frames.buffered()
+        if frame is not None:
+            return frame
+        return await asyncio.wait_for(self._frames.read(), timeout=self.timeout_s)
 
     async def hello(self) -> Optional[dict]:
         """Run the admission handshake; returns the server's answer.

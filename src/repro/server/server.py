@@ -57,8 +57,9 @@ from repro.core.statemachine import ABORT_RECOVERED, SessionEvent
 from repro.server.framing import (
     MAX_FRAME_BYTES,
     FrameError,
-    read_frame,
+    FrameReader,
     write_frame,
+    write_frames,
 )
 from repro.secure import (
     ChannelContext,
@@ -105,8 +106,9 @@ class ServerConfig:
         max_sessions: Most live sessions the server admits at once.
         retry_after_s: The retry hint carried by shed/draining rejections.
         reap_interval_s: Period of the idle/deadline reaper sweep.
-        send_timeout_s: Budget for writing one frame to a peer (a wedged
-            receive buffer counts as a disconnect, not a stall).
+        send_timeout_s: Budget for writing one frame, or one data-phase
+            burst of replies, to a peer (a wedged receive buffer counts as
+            a disconnect, not a stall).
         drain_timeout_s: Default budget for a graceful drain.
         max_frame_bytes: Framing layer's per-frame payload ceiling.
         default_rounds: Probing rounds when a session does not ask for a
@@ -120,9 +122,9 @@ class ServerConfig:
         secure_replay_window: Sliding replay-window size of the server's
             data-phase channels.
         secure_batch_max: Most already-arrived ``secure`` frames one
-            data-phase drain pass coalesces into a single batched
-            open/echo round; the cap keeps one flooding peer from
-            starving the event loop between frame writes.
+            data-phase burst coalesces into a single batched open/echo
+            round and one write; the cap keeps one flooding peer from
+            starving the event loop between writes.
         journal_dir: Directory of the crash-durability write-ahead
             journal (:mod:`repro.server.journal`).  ``None`` (the
             default) serves purely in memory with the pre-journal
@@ -521,10 +523,11 @@ class KeyEstablishmentServer:
         transport; nothing a peer sends can raise out of this handler.
         """
         session: Optional[DeviceSession] = None
+        frames = FrameReader(reader, self.config.max_frame_bytes)
         try:
-            session = await self._admit(reader, writer)
+            session = await self._admit(frames, writer)
             if session is not None:
-                await self._serve_session(session, reader, writer)
+                await self._serve_session(session, frames, writer)
         except (OSError, asyncio.TimeoutError, ConnectionError):
             if session is not None and not session.terminal:
                 self.metrics.disconnects += 1
@@ -594,13 +597,12 @@ class KeyEstablishmentServer:
         self._resumable[session.resume_token] = entry
 
     async def _admit(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, frames: FrameReader, writer: asyncio.StreamWriter
     ) -> Optional[DeviceSession]:
         """Run the hello handshake; returns the admitted session or None."""
         try:
             hello = await asyncio.wait_for(
-                read_frame(reader, self.config.max_frame_bytes),
-                timeout=self.config.hello_timeout_s,
+                frames.read(), timeout=self.config.hello_timeout_s
             )
         except asyncio.TimeoutError:
             return None  # silent peer; nothing to reject
@@ -623,7 +625,7 @@ class KeyEstablishmentServer:
         if resume and self.journal is not None:
             # Resumption is answered even while draining: it only ever
             # re-delivers an existing verdict, never admits new work.
-            return await self._resume(resume, reader, writer)
+            return await self._resume(resume, frames, writer)
         if self._draining:
             self.metrics.rejected_draining += 1
             await self._reject(writer, "server-draining", "server is draining")
@@ -688,7 +690,7 @@ class KeyEstablishmentServer:
     async def _resume(
         self,
         token: str,
-        reader: asyncio.StreamReader,
+        frames: FrameReader,
         writer: asyncio.StreamWriter,
     ) -> Optional[DeviceSession]:
         """Answer a reconnecting client presenting a resumption token.
@@ -756,14 +758,14 @@ class KeyEstablishmentServer:
             )
             return None
         self.metrics.resumed_sessions += 1
-        await self._redeliver(token, recovered, reader, writer)
+        await self._redeliver(token, recovered, frames, writer)
         return None
 
     async def _redeliver(
         self,
         token: str,
         recovered: RecoveredSession,
-        reader: asyncio.StreamReader,
+        frames: FrameReader,
         writer: asyncio.StreamWriter,
     ) -> None:
         """Idempotently re-deliver a journaled terminal verdict.
@@ -823,15 +825,13 @@ class KeyEstablishmentServer:
         recovered.delivered = True
         self.journal_append({"t": "deliver", "token": token}, critical=True)
         if session.channel is not None:
-            read_task = asyncio.create_task(
-                read_frame(reader, self.config.max_frame_bytes)
-            )
-            await self._data_phase(session, reader, writer, read_task)
+            read_task = asyncio.create_task(frames.read())
+            await self._data_phase(session, frames, writer, read_task)
 
     async def _serve_session(
         self,
         session: DeviceSession,
-        reader: asyncio.StreamReader,
+        frames: FrameReader,
         writer: asyncio.StreamWriter,
     ) -> None:
         """Drive one admitted session until a terminal frame is sent.
@@ -841,9 +841,7 @@ class KeyEstablishmentServer:
         answered even while the peer is quiet, and a peer disconnect is
         noticed even while the session waits in the ingress queue.
         """
-        read_task = asyncio.create_task(
-            read_frame(reader, self.config.max_frame_bytes)
-        )
+        read_task = asyncio.create_task(frames.read())
         try:
             while True:
                 done, _ = await asyncio.wait(
@@ -853,7 +851,7 @@ class KeyEstablishmentServer:
                 if session.result in done:
                     await self._send_verdict(session, writer)
                     if session.channel is not None:
-                        await self._data_phase(session, reader, writer, read_task)
+                        await self._data_phase(session, frames, writer, read_task)
                     return
                 frame_or_error = read_task
                 try:
@@ -878,9 +876,7 @@ class KeyEstablishmentServer:
                             )
                     return
                 session.touch()
-                read_task = asyncio.create_task(
-                    read_frame(reader, self.config.max_frame_bytes)
-                )
+                read_task = asyncio.create_task(frames.read())
                 await self._handle_frame(session, writer, frame)
                 if frame.get("type") == "bye":
                     return
@@ -1123,7 +1119,7 @@ class KeyEstablishmentServer:
     async def _data_phase(
         self,
         session: DeviceSession,
-        reader: asyncio.StreamReader,
+        frames: FrameReader,
         writer: asyncio.StreamWriter,
         read_task: "asyncio.Task",
     ) -> None:
@@ -1137,88 +1133,61 @@ class KeyEstablishmentServer:
         nonce space is exhausted -- never a silent close, never a reused
         nonce, never released plaintext.
 
-        The phase drains in batches: after one ``secure`` frame arrives,
-        every consecutive ``secure`` frame *already* sitting in the
-        transport (up to ``secure_batch_max``) joins the same pass, and
-        the whole burst goes through :meth:`SecureChannel.open_records`
-        and :meth:`SecureChannel.seal_records` -- the channel's MAC keys
-        and keystream midstates are looked up once per burst instead of
-        once per record.  Replies keep per-record order, and the budget
-        and nonce-exhaustion semantics are exactly the one-record-at-a-
-        time ones: ``open_records`` stops at the budget-crossing record
-        and a mid-burst ``NonceExhaustedError`` carries the echoes
-        sealed before the bound.
+        ``read_task`` is the connection's pending read; the phase awaits
+        it before touching the frame buffer.  The phase then works in
+        bursts: after one ``secure`` frame, every consecutive ``secure``
+        frame already parsed from the buffer (up to ``secure_batch_max``)
+        joins the burst, with no task or wait per frame.  The burst goes
+        through :meth:`SecureChannel.open_records` and
+        :meth:`SecureChannel.seal_records` -- the channel's MAC keys and
+        keystream midstates are looked up once per burst -- and its
+        replies leave in one write whose drain ``send_timeout_s`` bounds.
+        Replies keep per-record order, and the budget and
+        nonce-exhaustion semantics are exactly the one-record-at-a-time
+        ones: ``open_records`` stops at the budget-crossing record, a
+        mid-burst ``NonceExhaustedError`` carries the echoes sealed
+        before the bound, and ``channel-closed`` follows the replies
+        before it.  A non-``secure`` frame that ends a burst is handled
+        after the burst's replies.
         """
         channel = session.channel
         config = self.config
         failures = 0
-        read = read_task
-        pending: Optional[dict] = None  # drained non-secure frame, held in order
         try:
-            while True:
-                if pending is not None:
-                    frame = pending
-                    pending = None
-                else:
-                    try:
-                        frame = await asyncio.wait_for(
-                            read, timeout=config.idle_timeout_s
-                        )
-                    except asyncio.TimeoutError:
-                        return
-                    except FrameError:
-                        self.metrics.malformed_frames += 1
-                        return
-                    if frame is None:  # peer closed after its verdict: legal
-                        return
-                    session.touch()
-                    read = asyncio.create_task(
-                        read_frame(reader, config.max_frame_bytes)
-                    )
-                kind = frame.get("type")
-                if kind == "bye":
-                    return
-                if kind == "ping":
-                    await asyncio.wait_for(
-                        write_frame(writer, {"type": "pong"}),
-                        timeout=config.send_timeout_s,
-                    )
-                    continue
-                if kind != "secure":
-                    self.metrics.malformed_frames += 1
-                    await self._send_channel_closed(
-                        session, writer, "protocol-error"
-                    )
-                    return
-                # Batched drain: pull every consecutive secure frame that
-                # has already arrived into this pass.  A completed read
-                # whose result is EOF or a framing error is left on
-                # ``read`` for the outer loop (awaiting a done task
-                # replays its result); a non-secure frame is held in
-                # ``pending`` so it is processed after this burst's
-                # replies, preserving order.
-                frames = [frame]
-                while len(frames) < config.secure_batch_max:
-                    done, _ = await asyncio.wait({read}, timeout=0)
-                    if not done:
-                        break
-                    try:
-                        nxt = read.result()
-                    except (FrameError, OSError, ConnectionError):
-                        break
+            frame = await asyncio.wait_for(read_task, timeout=config.idle_timeout_s)
+        except asyncio.TimeoutError:
+            return
+        except FrameError:
+            self.metrics.malformed_frames += 1
+            return
+        while frame is not None:  # None: the peer closed after its verdict
+            session.touch()
+            kind = frame.get("type")
+            held: Optional[dict] = None
+            if kind == "bye":
+                return
+            if kind == "ping":
+                await asyncio.wait_for(
+                    write_frame(writer, {"type": "pong"}),
+                    timeout=config.send_timeout_s,
+                )
+            elif kind != "secure":
+                self.metrics.malformed_frames += 1
+                await self._send_channel_closed(session, writer, "protocol-error")
+                return
+            else:
+                burst = [frame]
+                while len(burst) < config.secure_batch_max:
+                    nxt = frames.buffered()
                     if nxt is None:
                         break
-                    session.touch()
-                    read = asyncio.create_task(
-                        read_frame(reader, config.max_frame_bytes)
-                    )
-                    if nxt.get("type") == "secure":
-                        frames.append(nxt)
-                    else:
-                        pending = nxt
+                    if nxt.get("type") != "secure":
+                        held = nxt  # handled after this burst's replies
                         break
+                    session.touch()
+                    burst.append(nxt)
                 blobs = []
-                for secure_frame in frames:
+                for secure_frame in burst:
                     try:
                         blob = bytes.fromhex(str(secure_frame.get("record", "")))
                     except ValueError:
@@ -1238,47 +1207,53 @@ class KeyEstablishmentServer:
                 except NonceExhaustedError as exc:
                     echoes = exc.sealed
                 echo_iter = iter(echoes)
+                replies = []
+                closing = None
                 for outcome in outcomes:
                     if outcome.ok:
                         echo = next(echo_iter, None)
                         if echo is None:  # nonce space ran out at this record
-                            await self._send_channel_closed(
-                                session, writer, "nonce-exhausted"
-                            )
-                            return
+                            closing = "nonce-exhausted"
+                            break
                         self.metrics.secure_echoed += 1
-                        await asyncio.wait_for(
-                            write_frame(
-                                writer,
-                                {
-                                    "type": "secure",
-                                    "session_id": session.session_id,
-                                    "record": echo.hex(),
-                                },
-                            ),
-                            timeout=config.send_timeout_s,
+                        replies.append(
+                            {
+                                "type": "secure",
+                                "session_id": session.session_id,
+                                "record": echo.hex(),
+                            }
                         )
                     else:
                         failures += 1
                         self.metrics.record_open_failure(outcome.failure)
-                        await asyncio.wait_for(
-                            write_frame(
-                                writer,
-                                {
-                                    "type": "secure-error",
-                                    "session_id": session.session_id,
-                                    "failure": outcome.failure,
-                                },
-                            ),
-                            timeout=config.send_timeout_s,
+                        replies.append(
+                            {
+                                "type": "secure-error",
+                                "session_id": session.session_id,
+                                "failure": outcome.failure,
+                            }
                         )
                         if failures >= config.secure_decrypt_budget:
-                            await self._send_channel_closed(
-                                session, writer, "decrypt-budget-exceeded"
-                            )
-                            return
-        finally:
-            read.cancel()
+                            closing = "decrypt-budget-exceeded"
+                            break
+                if replies:
+                    await asyncio.wait_for(
+                        write_frames(writer, replies), timeout=config.send_timeout_s
+                    )
+                if closing is not None:
+                    await self._send_channel_closed(session, writer, closing)
+                    return
+            frame = held if held is not None else frames.buffered()
+            if frame is None:
+                try:
+                    frame = await asyncio.wait_for(
+                        frames.read(), timeout=config.idle_timeout_s
+                    )
+                except asyncio.TimeoutError:
+                    return
+                except FrameError:
+                    self.metrics.malformed_frames += 1
+                    return
 
     # -- supervision ---------------------------------------------------------
     def _abort_session(

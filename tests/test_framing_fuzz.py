@@ -7,21 +7,28 @@ a :class:`FrameError` carrying one of the three closed reason slugs.
 Nothing else may escape: no ``struct.error``, no ``json`` internals, no
 ``UnicodeDecodeError``.  The sweep is seeded, so a failure names the
 exact stream that produced it.
+
+:class:`TestAgainstTheFrozenReader` feeds generated streams both to
+:class:`FrameReader`, in random chunkings, and to the per-frame reader it
+replaced (``tests/oracles/framing.py``), and requires the same frames and
+the same error at the same point.
 """
 
 import asyncio
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.server.framing import (
     FRAME_CORRUPT,
     FRAME_OVERSIZED,
     FRAME_TRUNCATED,
     FrameError,
+    FrameReader,
     encode_frame,
-    read_frame,
 )
+from tests.oracles.framing import reference_read_frame
 
 FRAME_REASONS = (FRAME_OVERSIZED, FRAME_TRUNCATED, FRAME_CORRUPT)
 
@@ -41,10 +48,11 @@ def drain_stream(data: bytes):
         reader = asyncio.StreamReader()
         reader.feed_data(data)
         reader.feed_eof()
+        frames_in = FrameReader(reader, max_bytes=MAX_BYTES)
         frames = []
         try:
             while True:
-                frame = await read_frame(reader, max_bytes=MAX_BYTES)
+                frame = await frames_in.read()
                 if frame is None:
                     return frames, None
                 frames.append(frame)
@@ -166,3 +174,110 @@ class TestHostilePayloads:
         frames, error = drain_stream(wire)
         assert frames == payloads  # everything before the damage decoded
         assert error is not None and error.reason in FRAME_REASONS
+
+
+class ChunkedStream:
+    """A stream that hands out ``data`` in the given chunk sizes, then EOF."""
+
+    def __init__(self, data: bytes, chunks):
+        self.data = data
+        self.chunks = list(chunks) or [len(data) or 1]
+        self.position = 0
+        self.reads = 0
+
+    async def read(self, n: int) -> bytes:
+        size = min(n, self.chunks[self.reads % len(self.chunks)])
+        self.reads += 1
+        chunk = self.data[self.position : self.position + size]
+        self.position += len(chunk)
+        return chunk
+
+
+async def read_all_async(read_one):
+    """Frames from ``read_one()`` until EOF or error: ``(frames, error)``."""
+    frames = []
+    try:
+        while (frame := await read_one()) is not None:
+            frames.append(frame)
+    except FrameError as error:
+        return frames, (error.reason, str(error))
+    return frames, None
+
+
+def read_all(read_one):
+    return asyncio.run(read_all_async(read_one))
+
+
+def oracle_outcome(data: bytes):
+    """What the frozen reader makes of ``data`` as one closed stream."""
+
+    async def body():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_all_async(lambda: reference_read_frame(reader, MAX_BYTES))
+
+    return asyncio.run(body())
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40) | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+payloads = st.dictionaries(st.text(max_size=8), json_values, max_size=5)
+
+
+@st.composite
+def segments(draw):
+    """One piece of a stream: a frame, damage, or a hostile header."""
+    kind = draw(
+        st.sampled_from(
+            ["frame", "frame", "frame", "noise", "truncated", "corrupt", "length"]
+        )
+    )
+    if kind == "frame":
+        return encode_frame(draw(payloads))
+    if kind == "noise":
+        return draw(st.binary(min_size=1, max_size=64))
+    if kind == "truncated":
+        wire = encode_frame(draw(payloads))
+        return wire[: draw(st.integers(1, len(wire) - 1))]
+    if kind == "corrupt":
+        body = draw(
+            st.sampled_from([b"", b"[1,2]", b'"s"', b"null", b"\xff\xfe{}", b"{bad"])
+            | st.binary(max_size=32)
+        )
+        return len(body).to_bytes(4, "big") + body
+    length = draw(
+        st.sampled_from([MAX_BYTES, MAX_BYTES + 1, 2**31, 2**32 - 1])
+        | st.integers(0, 2**32 - 1)
+    )
+    return length.to_bytes(4, "big") + draw(st.binary(max_size=16))
+
+
+class TestAgainstTheFrozenReader:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        stream=st.lists(segments(), max_size=8).map(b"".join),
+        cut=st.none() | st.integers(0, 10**6),
+        chunks=st.lists(st.integers(1, 70_000), min_size=1, max_size=6),
+        prefer_buffered=st.lists(st.booleans(), min_size=1, max_size=5),
+    )
+    def test_same_frames_and_same_error(self, stream, cut, chunks, prefer_buffered):
+        if cut is not None:
+            stream = stream[: cut % (len(stream) + 1)]  # EOF anywhere
+        source = ChunkedStream(stream, chunks)
+        frames_in = FrameReader(source, max_bytes=MAX_BYTES)
+        calls = [0]
+
+        async def read_one():
+            calls[0] += 1
+            if prefer_buffered[calls[0] % len(prefer_buffered)]:
+                frame = frames_in.buffered()
+                if frame is not None:
+                    return frame
+            return await frames_in.read()
+
+        assert read_all(read_one) == oracle_outcome(stream)

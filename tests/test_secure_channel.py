@@ -17,6 +17,7 @@ from repro.secure.records import (
     FAILURE_EPOCH,
     FAILURE_EXHAUSTED,
     FAILURE_REPLAY,
+    FAILURE_TRUNCATED,
 )
 from tests.oracles.secure_records import seal_record
 
@@ -271,3 +272,42 @@ class TestSecureLinkFromResult:
         assert link.endpoint("responder") is link.responder
         with pytest.raises(ConfigurationError):
             link.endpoint("eve")
+
+
+class TestBadInput:
+    """A payload or record of the wrong type changes no channel state."""
+
+    @pytest.mark.parametrize("payload", ["text", None, 1.5])
+    def test_seal_and_seal_records_end_in_the_same_state(self, payload):
+        ends = []
+        for call in (
+            lambda channel: channel.seal(payload),
+            lambda channel: channel.seal_records([payload]),
+        ):
+            ledger = NonceLedger()
+            channel = SecureChannel(make_keys(), "initiator", ledger=ledger)
+            with pytest.raises(TypeError):
+                call(channel)
+            ends.append((channel.send_sequence, channel.sealed, ledger.total_seals))
+        assert ends == [(0, 0, 0), (0, 0, 0)]
+        # The nonce was not burned: the next record is sequence 0.
+        link = SecureLink(make_keys())
+        assert link.responder.open(link.initiator.seal(b"after")).record.sequence == 0
+
+    @pytest.mark.parametrize("data", ["x" * 100, None, 12, 3.0, ["not", "bytes"]])
+    def test_open_maps_non_bytes_to_record_truncated(self, data):
+        channel = SecureChannel(make_keys(), "responder")
+        outcome = channel.open(data)
+        assert not outcome.ok and outcome.plaintext is None
+        assert outcome.failure == FAILURE_TRUNCATED
+        assert channel.open_failures[FAILURE_TRUNCATED] == 1
+        (burst,) = channel.open_records([data])
+        assert burst.failure == FAILURE_TRUNCATED
+        assert channel.total_open_failures == 2
+
+    def test_bytes_like_records_still_open(self):
+        link = SecureLink(make_keys())
+        wire = link.initiator.seal(b"payload")
+        for view in (bytearray(wire), memoryview(wire)):
+            opened = SecureLink(make_keys()).responder.open(view)
+            assert opened.ok and opened.plaintext == b"payload"

@@ -23,7 +23,7 @@ from repro.server import (
     ServerConfig,
 )
 from repro.server.client import fetch_status
-from repro.server.framing import read_frame, write_frame
+from repro.server.framing import FrameReader, write_frame
 
 ROUNDS = 48
 
@@ -93,7 +93,8 @@ class TestDisconnectedOutcome:
         an undifferentiated error."""
 
         async def fake_server(reader, writer):
-            hello = await read_frame(reader)
+            frames = FrameReader(reader)
+            hello = await frames.read()
             welcome = {
                 "type": "welcome",
                 "session_id": hello["session_id"],
@@ -101,7 +102,7 @@ class TestDisconnectedOutcome:
             if hello["session_id"] == "dev-journaled":
                 welcome["resume_token"] = "feedfacefeedface"
             await write_frame(writer, welcome)
-            await read_frame(reader)  # the start frame
+            await frames.read()  # the start frame
             writer.close()  # vanish without a terminal frame
 
         async def body():
