@@ -70,7 +70,7 @@ def write_results():
         "benchmark": "secure-channel-records",
         "units": "seconds per normalized loop, best of reps",
         "before": "per-record hmac.new keystream + per-byte XOR (reference)",
-        "after": "midstate-copy keystream, word XOR, batched seal/open",
+        "after": "PBKDF2/midstate keystream, word XOR, batched seal/open",
         "numpy": np.__version__,
         "entries": dict(sorted(_ENTRIES.items())),
     }
@@ -150,14 +150,18 @@ def test_kdf_derivation_cost():
 
 @pytest.mark.parametrize(
     "payload_bytes, n_after, n_before, floor",
-    [(64, 4096, 1024, 2.0), (1024, 2048, 512, 3.0)],
+    [(64, 4096, 1024, 2.0), (1024, 2048, 512, 4.5)],
 )
 def test_seal_open_throughput(payload_bytes, n_after, n_before, floor):
     """Data-plane records per second, honest before/after in one run.
 
-    ``floor`` is a deliberately loose in-test sanity bound; the honest
-    measured speedup is committed to ``BENCH_secure.json`` where CI
-    gates it at the regression checker's tolerance.
+    ``floor`` is an in-test sanity bound; the honest measured speedup is
+    committed to ``BENCH_secure.json`` where CI gates it at the
+    regression checker's tolerance.  The 1 KiB floor is 0.75x the lowest
+    of five runs of the PBKDF2 keystream (6.0-7.8x on a 2-vCPU host);
+    the per-block midstate keystream read 3.8-5.1x there, mostly under
+    it, so a record path that falls back to per-block hashing fails here
+    in most runs.
     """
     keys = derive_channel_keys(MASTER, _context())
     plaintext = bytes(payload_bytes)

@@ -37,7 +37,6 @@ from repro.exceptions import (
     ConfigurationError,
     ProtocolError,
     AuthenticationError,
-    ReconciliationFailure,
     NotTrainedError,
     KeyEstablishmentError,
     InsufficientEntropyError,
@@ -51,7 +50,6 @@ __all__ = [
     "ConfigurationError",
     "ProtocolError",
     "AuthenticationError",
-    "ReconciliationFailure",
     "NotTrainedError",
     "KeyEstablishmentError",
     "InsufficientEntropyError",

@@ -22,10 +22,6 @@ class AuthenticationError(ProtocolError):
     """A MAC check failed: the message was tampered with or forged."""
 
 
-class ReconciliationFailure(ReproError):
-    """Reconciliation could not correct the mismatches between the keys."""
-
-
 class KeyEstablishmentError(ReproError):
     """A key-establishment run ended without both parties holding a key."""
 

@@ -36,9 +36,12 @@ _OPAD_TRANS = bytes(byte ^ 0x5C for byte in range(256))
 
 try:
     # The pure-builtin SHA-256 has lower per-call overhead than the
-    # OpenSSL binding, which matters for the record layer's many tiny
-    # keystream-block digests; OpenSSL's higher bulk throughput still
-    # wins for long messages (hashlib.sha256 stays the default factory).
+    # OpenSSL binding, which matters for the record layer's tiny
+    # keystream-block digests: block 0 of every record and every block
+    # of a record shorter than the PBKDF2 crossover (longer records take
+    # blocks 1, 2, ... from one OpenSSL PBKDF2 call).  OpenSSL's higher
+    # bulk throughput still wins for long messages (hashlib.sha256 stays
+    # the default factory).
     from _sha256 import sha256 as fast_sha256
 except ImportError:  # pragma: no cover - _sha256 ships with CPython
     fast_sha256 = hashlib.sha256

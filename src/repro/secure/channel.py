@@ -49,11 +49,7 @@ from repro.secure.records import (
     RECORD_VERSION,
     RecordDamage,
     SecureRecord,
-    STREAM_LABEL,
-    _BLOCK_BYTES,
-    _COUNTERS,
     _HEADER,
-    _grow_counters,
     keystream_bytes,
     parse_record,
     verify_record,
@@ -279,17 +275,9 @@ class SecureChannel:
             self.ledger.record_seal_run(
                 send_keys.key_id, direction, start, sealable
             )
-        # Hoisted once per burst: the key's midstates, MAC tagger, header
-        # packer and the constant label/epoch/direction keystream prefix.
-        # The inner loop is keystream_bytes() with its per-record setup
-        # amortized; the equivalence tests pin byte-identity of the two.
-        inner, outer = send_keys.keystream_states()
-        copy_inner = inner.copy
-        copy_outer = outer.copy
+        # Hoisted once per burst: the MAC tagger and the header packer.
         mac_tag = send_keys.mac().tag
         pack_header = _HEADER.pack
-        counters = _COUNTERS
-        head = STREAM_LABEL + epoch.to_bytes(4, "big") + bytes((direction,))
         wires: List[bytes] = []
         append_wire = wires.append
         for offset in range(sealable):
@@ -297,30 +285,12 @@ class SecureChannel:
             self._send_sequence = sequence + 1
             payload = payloads[offset]
             length = len(payload)
-            if length:
-                prefix = copy_inner()
-                prefix.update(head + sequence.to_bytes(8, "big"))
-                n_blocks = -(-length // _BLOCK_BYTES)
-                if n_blocks > len(counters):
-                    _grow_counters(n_blocks)
-                copy_prefix = prefix.copy
-                blocks = []
-                append_block = blocks.append
-                for counter in counters[:n_blocks]:
-                    block = copy_prefix()
-                    block.update(counter)
-                    closing = copy_outer()
-                    closing.update(block.digest())
-                    append_block(closing.digest())
-                stream = b"".join(blocks)
-                if len(stream) != length:
-                    stream = stream[:length]
-                ciphertext = xor_bytes(payload, stream)
-            else:
-                ciphertext = b""
+            keystream = keystream_bytes(
+                send_keys, epoch, direction, sequence, length
+            )
             body = (
                 pack_header(RECORD_VERSION, epoch, direction, sequence, length)
-                + ciphertext
+                + xor_bytes(payload, keystream)
             )
             append_wire(body + mac_tag(body))
         self.sealed += sealable

@@ -19,7 +19,6 @@ from repro.utils.validation import (
     require,
     require_positive,
     require_in_range,
-    require_probability,
     require_one_of,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "require",
     "require_positive",
     "require_in_range",
-    "require_probability",
     "require_one_of",
 ]

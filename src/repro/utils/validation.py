@@ -29,11 +29,6 @@ def require_in_range(value: float, low: float, high: float, name: str) -> None:
         raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value!r}")
 
 
-def require_probability(value: float, name: str) -> None:
-    """Require ``value`` to be a probability in [0, 1]."""
-    require_in_range(value, 0.0, 1.0, name)
-
-
 def require_one_of(value: Any, options: Iterable[Any], name: str) -> None:
     """Require ``value`` to be one of ``options``."""
     options = tuple(options)

@@ -17,12 +17,24 @@ pins hold it to that:
 The matrix covers payload sizes ``{0, 1, 31, 32, 33, 64, 1024}`` (empty,
 sub-block, both block boundaries, the benchmark sizes), both directions,
 and large epoch/sequence values that exercise every header field's width.
+
+The keystream has two paths -- the per-block midstate loop for short
+records and one PBKDF2 call for blocks 1, 2, ... of longer ones -- so
+:class:`TestKeystreamPaths` holds both, and the crossover between them,
+to the reference: every length up to ten blocks, arbitrary keys, nonces
+and payloads up to 32 KiB, a burst mixing both paths, and a count of the
+PBKDF2 calls themselves.
 """
 
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tests.oracles import secure_records as reference
-from repro.secure.kdf import ChannelContext, derive_channel_keys
+from repro.secure import SecureLink
+from repro.secure.channel import SecureChannel
+from repro.secure.kdf import ChannelContext, DirectionKeys, derive_channel_keys
 from repro.secure.records import (
     decrypt_record,
     keystream_bytes,
@@ -32,9 +44,18 @@ from repro.secure.records import (
     xor_bytes,
 )
 
-import hashlib
-
 MASTER = bytes(range(32))
+
+#: Fewest 32-byte blocks whose keystream comes from one PBKDF2 call.
+#: Pinned here, not imported, so the count pin fails when the crossover
+#: in :mod:`repro.secure.records` moves.
+CROSSOVER_BLOCKS = 7
+
+#: The longest keystream the per-block loop still produces (192 B).
+LONGEST_SHORT = (CROSSOVER_BLOCKS - 1) * 32
+
+#: The largest payload a 64 KiB hex frame carries.
+MAX_PAYLOAD = 32 * 1024
 
 #: The KAT matrix axes.
 KAT_SIZES = (0, 1, 31, 32, 33, 64, 1024)
@@ -117,7 +138,7 @@ KAT_WIRES_HEX = {
 
 
 def _plaintext(size: int) -> bytes:
-    return bytes(i % 251 for i in range(size))
+    return (bytes(range(251)) * (size // 251 + 1))[:size]
 
 
 @pytest.fixture(scope="module")
@@ -230,3 +251,104 @@ class TestReferenceEquivalence:
             assert len(out) == length
             assert xor_bytes(out, stream) == data
             assert out == bytes(d ^ s for d, s in zip(data, stream))
+
+
+class TestKeystreamPaths:
+    """The per-block loop, the PBKDF2 path and the crossover between them."""
+
+    @pytest.mark.parametrize(
+        "epoch, direction, sequence", ((7, 0, 42), (2**32 - 1, 1, 2**64 - 1))
+    )
+    def test_every_length_up_to_ten_blocks(
+        self, keys, epoch, direction, sequence
+    ):
+        dk = _direction_keys(keys, direction)
+        for length in range(10 * 32 + 1):
+            fast = keystream_bytes(dk, epoch, direction, sequence, length)
+            slow = reference._keystream_xor(
+                dk.enc_key, epoch, direction, sequence, bytes(length)
+            )
+            assert fast == slow, length
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        enc_key=st.integers(0, 100).flatmap(
+            lambda size: st.binary(min_size=size, max_size=size)
+        ),
+        epoch=st.just(2**32 - 1) | st.integers(0, 2**32 - 1),
+        direction=st.sampled_from((0, 1)),
+        sequence=st.just(2**64 - 1) | st.integers(0, 2**64 - 1),
+        length=st.integers(0, 10 * 32) | st.integers(0, MAX_PAYLOAD),
+    )
+    @example(
+        enc_key=bytes(range(100)),
+        epoch=2**32 - 1,
+        direction=1,
+        sequence=2**64 - 1,
+        length=MAX_PAYLOAD,
+    )
+    def test_any_key_nonce_and_length(
+        self, enc_key, epoch, direction, sequence, length
+    ):
+        dk = DirectionKeys(enc_key=enc_key, mac_key=b"\x5c" * 32, key_id="kat")
+        pt = _plaintext(length)
+        record = seal_record(dk, epoch, direction, sequence, pt)
+        slow = reference.seal_record(dk, epoch, direction, sequence, pt)
+        assert record == slow
+        assert decrypt_record(dk, record) == pt
+
+    def test_mixed_burst_matches_seal_and_reference(self, keys):
+        sizes = (
+            64,
+            LONGEST_SHORT,
+            LONGEST_SHORT + 1,
+            CROSSOVER_BLOCKS * 32,
+            1024,
+            64,
+            1024,
+            LONGEST_SHORT,
+        )
+        payloads = [_plaintext(size) for size in sizes]
+        link = SecureLink(keys)
+        wires = link.initiator.seal_records(payloads)
+        one_at_a_time = SecureChannel(keys, "initiator")
+        assert wires == [one_at_a_time.seal(payload) for payload in payloads]
+        dk = keys.send_keys("initiator")
+        assert wires == [
+            reference.seal_record(dk, 0, 0, sequence, payload).encode()
+            for sequence, payload in enumerate(payloads)
+        ]
+        outcomes = link.responder.open_records(wires)
+        assert [outcome.plaintext for outcome in outcomes] == payloads
+
+    def test_one_pbkdf2_call_per_keystream_from_the_crossover(
+        self, keys, monkeypatch
+    ):
+        calls = []
+        real = hashlib.pbkdf2_hmac
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "pbkdf2_hmac", counting)
+        dk = _direction_keys(keys, 0)
+        for length in range(LONGEST_SHORT + 3 * 32 + 1):
+            calls.clear()
+            keystream_bytes(dk, 0, 0, length, length)
+            assert len(calls) == (length > LONGEST_SHORT), length
+
+        # Every channel path draws its keystream the same way.
+        payloads = [
+            _plaintext(size) for size in (64, LONGEST_SHORT, 1024, 1024)
+        ]
+        link = SecureLink(keys)
+        calls.clear()
+        wires = link.initiator.seal_records(payloads)
+        assert len(calls) == 2
+        calls.clear()
+        assert all(outcome.ok for outcome in link.responder.open_records(wires))
+        assert len(calls) == 2
+        calls.clear()
+        link.initiator.seal(payloads[-1])
+        assert len(calls) == 1
