@@ -36,7 +36,6 @@ from repro.exceptions import (
     ReproError,
     ConfigurationError,
     ProtocolError,
-    AuthenticationError,
     NotTrainedError,
     KeyEstablishmentError,
     InsufficientEntropyError,
@@ -49,7 +48,6 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "ProtocolError",
-    "AuthenticationError",
     "NotTrainedError",
     "KeyEstablishmentError",
     "InsufficientEntropyError",

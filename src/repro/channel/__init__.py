@@ -22,7 +22,6 @@ from repro.channel.doppler import (
 from repro.channel.pathloss import (
     PathLossModel,
     LogDistancePathLoss,
-    TwoRayGroundPathLoss,
     FreeSpacePathLoss,
 )
 from repro.channel.shadowing import GudmundsonShadowing
@@ -35,7 +34,6 @@ from repro.channel.mobility import (
     RelativeMotion,
 )
 from repro.channel.reciprocity import ReciprocalChannel
-from repro.channel.interference import InterferenceSource, combine_power_dbm
 from repro.channel.validation import ValidationReport, validate_all
 from repro.channel.scenario import (
     ScenarioName,
@@ -53,7 +51,6 @@ __all__ = [
     "jakes_autocorrelation",
     "PathLossModel",
     "LogDistancePathLoss",
-    "TwoRayGroundPathLoss",
     "FreeSpacePathLoss",
     "GudmundsonShadowing",
     "SpatialJakesFading",
@@ -64,8 +61,6 @@ __all__ = [
     "StopAndGoTrajectory",
     "RelativeMotion",
     "ReciprocalChannel",
-    "InterferenceSource",
-    "combine_power_dbm",
     "ValidationReport",
     "validate_all",
     "ScenarioName",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require_positive
 
 _SPEED_OF_LIGHT = 299_792_458.0
 
@@ -81,47 +81,3 @@ class LogDistancePathLoss(PathLossModel):
         return self.reference_loss_db + 10.0 * self.exponent * np.log10(
             d / self.reference_distance_m
         )
-
-
-@dataclass(frozen=True)
-class TwoRayGroundPathLoss(PathLossModel):
-    """Two-ray ground-reflection model for flat rural LOS links.
-
-    Below the crossover distance ``d_c = 4 pi h_t h_r / lambda`` the model
-    falls back to free space; beyond it the loss is
-    ``40 log10(d) - 20 log10(h_t h_r)``.
-    """
-
-    tx_height_m: float = 1.5
-    rx_height_m: float = 1.5
-    carrier_frequency_hz: float = 434e6
-
-    def __post_init__(self) -> None:
-        require_positive(self.tx_height_m, "tx_height_m")
-        require_positive(self.rx_height_m, "rx_height_m")
-        require_positive(self.carrier_frequency_hz, "carrier_frequency_hz")
-
-    @property
-    def crossover_distance_m(self) -> float:
-        """Distance beyond which the fourth-power law applies."""
-        wavelength = _SPEED_OF_LIGHT / self.carrier_frequency_hz
-        return 4.0 * math.pi * self.tx_height_m * self.rx_height_m / wavelength
-
-    def loss_db(self, distance_m):
-        d = _clamped(distance_m)
-        free_space = FreeSpacePathLoss(self.carrier_frequency_hz).loss_db(d)
-        two_ray = 40.0 * np.log10(d) - 20.0 * np.log10(
-            self.tx_height_m * self.rx_height_m
-        )
-        crossover = self.crossover_distance_m
-        # Shift the two-ray branch so the model is continuous at crossover.
-        fs_at_cross = FreeSpacePathLoss(self.carrier_frequency_hz).loss_db(crossover)
-        tr_at_cross = 40.0 * math.log10(crossover) - 20.0 * math.log10(
-            self.tx_height_m * self.rx_height_m
-        )
-        continuous_two_ray = two_ray + (fs_at_cross - tr_at_cross)
-        result = np.where(d < crossover, free_space, continuous_two_ray)
-        require(np.all(np.isfinite(result)), "path loss overflowed")
-        if np.isscalar(distance_m):
-            return float(result)
-        return result

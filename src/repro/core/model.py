@@ -27,7 +27,6 @@ that power the out-of-distribution :class:`~repro.core.guard.InferenceGuard`.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -60,6 +59,13 @@ CHECKPOINT_ARTIFACT_KIND = "training-checkpoint"
 
 #: File name of the rolling training checkpoint inside ``checkpoint_dir``.
 CHECKPOINT_FILENAME = "training-state.npz"
+
+#: The divergence watchdog rolls back an epoch whose loss exceeds this
+#: multiple of the best epoch loss so far.
+DIVERGENCE_FACTOR = 1e3
+
+#: After a rollback the watchdog multiplies the learning rate by this.
+LR_BACKOFF = 0.5
 
 
 @dataclass
@@ -388,12 +394,8 @@ class PredictionQuantizationModel:
         early_stopping: Optional[EarlyStopping] = None,
         verbose: bool = False,
         checkpoint_dir: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 1,
         resume: bool = False,
-        clip_grad_norm: Optional[float] = None,
         max_divergence_retries: int = 2,
-        divergence_factor: float = 1e3,
-        lr_backoff: float = 0.5,
     ) -> TrainingReport:
         """Train on Alice->Bob window pairs with the joint loss (Eq. 3).
 
@@ -401,29 +403,23 @@ class PredictionQuantizationModel:
 
         - With ``checkpoint_dir`` set, the full training state (weights,
           Adam moments, RNG, early-stopping counters, history) is written
-          every ``checkpoint_every`` epochs as an atomic, checksummed
-          artifact; ``resume=True`` continues from it and reproduces the
+          after every epoch as an atomic, checksummed artifact;
+          ``resume=True`` continues from it and reproduces the
           uninterrupted run bit-for-bit (a missing checkpoint starts fresh).
         - A divergence watchdog detects NaN/Inf batch losses and epoch
-          losses exceeding ``divergence_factor`` times the best epoch so
-          far; it rolls back to the last good state, multiplies the
-          learning rate by ``lr_backoff``, and retries, raising
+          losses exceeding :data:`DIVERGENCE_FACTOR` times the best epoch
+          so far; it rolls back to the last good state, multiplies the
+          learning rate by :data:`LR_BACKOFF`, and retries, raising
           :class:`~repro.exceptions.TrainingDivergedError` after
           ``max_divergence_retries`` rollbacks.
-        - ``clip_grad_norm`` optionally rescales each batch's global
-          gradient norm to at most that value before the optimizer step.
         """
         require(train.seq_len == self.seq_len, "dataset seq_len mismatch")
         require_positive(epochs, "epochs")
-        require_positive(checkpoint_every, "checkpoint_every")
         require(
             not resume or checkpoint_dir is not None,
             "resume=True requires checkpoint_dir",
         )
-        if clip_grad_norm is not None:
-            require_positive(clip_grad_norm, "clip_grad_norm")
         require(max_divergence_retries >= 0, "max_divergence_retries must be >= 0")
-        require(0.0 < lr_backoff < 1.0, "lr_backoff must be in (0, 1)")
         optimizer = Adam(learning_rate=learning_rate)
         history = History()
         z_train = self.bob_bits(train.bob_raw).astype(float)
@@ -485,20 +481,8 @@ class PredictionQuantizationModel:
                     break
                 grad_y, grad_z = self.loss.gradients(y_true, y_hat, z_true, z_hat)
                 self._backward(grad_y, grad_z)
-                pairs = self._parameter_list()
-                if clip_grad_norm is not None:
-                    norm = math.sqrt(
-                        sum(float(np.sum(grad * grad)) for _, grad in pairs)
-                    )
-                    if not np.isfinite(norm):
-                        diverged = True
-                        break
-                    if norm > clip_grad_norm:
-                        scale = clip_grad_norm / norm
-                        for _, grad in pairs:
-                            grad *= scale
                 losses.append(batch_loss)
-                optimizer.apply(pairs)
+                optimizer.apply(self._parameter_list())
 
             if not diverged and losses:
                 epoch_loss = float(np.mean(losses))
@@ -509,7 +493,7 @@ class PredictionQuantizationModel:
                 ]
                 if not np.isfinite(epoch_loss):
                     diverged = True
-                elif past and epoch_loss > divergence_factor * max(min(past), 1e-12):
+                elif past and epoch_loss > DIVERGENCE_FACTOR * max(min(past), 1e-12):
                     diverged = True
 
             if diverged:
@@ -519,7 +503,7 @@ class PredictionQuantizationModel:
                         f"training diverged at epoch {epoch} and the retry "
                         f"budget ({max_divergence_retries}) is exhausted"
                     )
-                reduced_lr = optimizer.learning_rate * lr_backoff
+                reduced_lr = optimizer.learning_rate * LR_BACKOFF
                 best_weights = self._restore_snapshot(
                     snapshot, optimizer, early_stopping, history
                 )
@@ -550,9 +534,7 @@ class PredictionQuantizationModel:
             snapshot = self._capture_snapshot(
                 optimizer, early_stopping, history, epoch, best_weights, rollbacks
             )
-            if checkpoint_path is not None and (
-                (epoch + 1) % checkpoint_every == 0 or stop or epoch == epochs - 1
-            ):
+            if checkpoint_path is not None:
                 self._write_checkpoint(checkpoint_path, snapshot)
             if stop:
                 break

@@ -140,7 +140,6 @@ class VehicleKeyPipeline:
     def build_protocol(
         self,
         episode: str,
-        interference: Sequence = (),
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         adversary: Optional[ActiveAdversary] = None,
@@ -160,7 +159,6 @@ class VehicleKeyPipeline:
             phy=self.config.phy,
             alice_device=self.config.alice_device,
             bob_device=self.config.bob_device,
-            interference=interference,
             fault_model=fault_model,
             retry_policy=retry_policy,
             adversary=adversary,
@@ -172,7 +170,6 @@ class VehicleKeyPipeline:
         episode: str,
         n_rounds: int = None,
         eavesdropper_builders: Sequence = (),
-        interference: Sequence = (),
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         adversary: Optional[ActiveAdversary] = None,
@@ -185,7 +182,6 @@ class VehicleKeyPipeline:
             n_rounds: Rounds to probe (default: config.rounds_per_episode).
             eavesdropper_builders: Callables
                 ``(scenario, seeds, channel, alice, bob) -> EavesdropperSetup``.
-            interference: Interference sources audible during this episode.
             fault_plan: Optional link-fault injection for this episode;
                 the probing layer then runs its ARQ retry loop.
             retry_policy: ARQ budget/backoff used with a fault plan.
@@ -195,7 +191,6 @@ class VehicleKeyPipeline:
         """
         protocol, episode_seeds, (alice, bob), channel = self.build_protocol(
             episode,
-            interference=interference,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
             adversary=adversary,

@@ -18,10 +18,6 @@ class ProtocolError(ReproError):
     """A key-agreement protocol message was malformed or out of order."""
 
 
-class AuthenticationError(ProtocolError):
-    """A MAC check failed: the message was tampered with or forged."""
-
-
 class KeyEstablishmentError(ReproError):
     """A key-establishment run ended without both parties holding a key."""
 

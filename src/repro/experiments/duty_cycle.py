@@ -12,22 +12,30 @@ from __future__ import annotations
 
 from repro.channel.scenario import ScenarioName
 from repro.core.baselines import HanSystem, LoRaKeySystem, VehicleKeySystem
+from repro.exceptions import ConfigurationError
 from repro.experiments.common import ExperimentResult, get_scale, get_trained_pipeline
 from repro.lora.regional import ALL_PLANS, RegionalPlan, paced_duration_s
 from repro.metrics.generation import key_generation_rate
 
 
 def _paced_kgr(run_result, phy, plan: RegionalPlan) -> float:
-    """KGR with both probing and reconciliation traffic legally paced."""
+    """KGR with both probing and reconciliation traffic legally paced.
+
+    A plan whose dwell limit forbids a probe or a reconciliation message
+    of this PHY's airtime yields no key at all: 0.0.
+    """
     round_airtime = phy.airtime_s
     n_probe_packets = 2 * int(round(run_result.probing_time_s / (2 * round_airtime)))
-    probing = paced_duration_s(max(2, n_probe_packets), round_airtime, plan)
     message_airtime = phy.message_airtime_s(
         run_result.public_bytes, run_result.reconciliation_messages
     )
-    reconciliation = paced_duration_s(
-        run_result.reconciliation_messages, message_airtime, plan
-    )
+    try:
+        probing = paced_duration_s(max(2, n_probe_packets), round_airtime, plan)
+        reconciliation = paced_duration_s(
+            run_result.reconciliation_messages, message_airtime, plan
+        )
+    except ConfigurationError:
+        return 0.0
     return key_generation_rate(run_result.agreed_bits, probing, reconciliation)
 
 
@@ -46,7 +54,9 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         columns=["plan", "system", "kgr_bps"],
         notes=(
             "interactive reconciliation collapses under duty-cycle pacing; "
-            "single-syndrome schemes only pay the probing slowdown"
+            "single-syndrome schemes only pay the probing slowdown; "
+            "a plan whose dwell limit forbids a probe or reconciliation "
+            "packet reads 0 (US915 allows 0.4 s; an SF12 probe takes 1.71 s)"
         ),
     )
     runs = {system.name: system.run(traces) for system in systems}

@@ -14,7 +14,7 @@ import numpy as np
 from repro.channel.scenario import ScenarioName
 from repro.experiments.common import ExperimentResult, get_scale, get_trained_pipeline
 from repro.privacy.amplification import amplify
-from repro.security.nist import run_nist_suite
+from repro.security.nist import SIGNIFICANCE_LEVEL, run_nist_suite
 
 
 def generate_key_stream(
@@ -53,5 +53,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         notes=f"stream length {stream.size} bits; pass threshold p >= 0.01",
     )
     for name, p_value in run_nist_suite(stream).items():
-        result.add_row(test=name, p_value=p_value, passed=bool(p_value >= 0.01))
+        result.add_row(
+            test=name, p_value=p_value, passed=bool(p_value >= SIGNIFICANCE_LEVEL)
+        )
     return result

@@ -24,7 +24,7 @@ from repro.lora.radio import (
     device_by_name,
 )
 from repro.lora.link_budget import LinkBudget, sensitivity_dbm, noise_floor_dbm
-from repro.lora.rssi import RegisterRssiSampler, packet_rssi
+from repro.lora.rssi import RegisterRssiSampler
 
 __all__ = [
     "CodingRate",
@@ -41,5 +41,4 @@ __all__ = [
     "sensitivity_dbm",
     "noise_floor_dbm",
     "RegisterRssiSampler",
-    "packet_rssi",
 ]

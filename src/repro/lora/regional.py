@@ -11,9 +11,8 @@ communication-overhead critique.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.utils.validation import require, require_positive
 
@@ -24,20 +23,16 @@ class RegionalPlan:
 
     Attributes:
         name: Human-readable plan name.
-        duty_cycle: Allowed fraction of airtime per averaging window
-            (1.0 = unrestricted).
+        duty_cycle: Allowed fraction of airtime (1.0 = unrestricted).
         dwell_limit_s: Maximum single-transmission airtime, or ``None``.
-        averaging_window_s: Window over which the duty cycle is assessed.
     """
 
     name: str
     duty_cycle: float
     dwell_limit_s: Optional[float] = None
-    averaging_window_s: float = 3600.0
 
     def __post_init__(self) -> None:
         require(0.0 < self.duty_cycle <= 1.0, "duty_cycle must be in (0, 1]")
-        require_positive(self.averaging_window_s, "averaging_window_s")
         if self.dwell_limit_s is not None:
             require_positive(self.dwell_limit_s, "dwell_limit_s")
 
@@ -71,56 +66,22 @@ UNRESTRICTED = RegionalPlan(name="unrestricted", duty_cycle=1.0)
 ALL_PLANS: Tuple[RegionalPlan, ...] = (UNRESTRICTED, EU433, EU868, US915)
 
 
-class DutyCycleBudget:
-    """Tracks a device's airtime budget over a sliding window.
-
-    Feed it every transmission; it answers when the next one may start.
-    """
-
-    def __init__(self, plan: RegionalPlan):
-        self.plan = plan
-        self._history: Deque[Tuple[float, float]] = deque()  # (start, airtime)
-
-    def _trim(self, now_s: float) -> None:
-        horizon = now_s - self.plan.averaging_window_s
-        while self._history and self._history[0][0] < horizon:
-            self._history.popleft()
-
-    def airtime_used_s(self, now_s: float) -> float:
-        """Airtime consumed within the current averaging window."""
-        self._trim(now_s)
-        return sum(airtime for _, airtime in self._history)
-
-    def earliest_start(self, desired_start_s: float, airtime_s: float) -> float:
-        """When a transmission of the given airtime may legally begin."""
-        require(
-            self.plan.allows_airtime(airtime_s),
-            f"airtime {airtime_s:.3f}s exceeds the plan's dwell limit",
-        )
-        if self.plan.duty_cycle >= 1.0:
-            return desired_start_s
-        if not self._history:
-            return desired_start_s
-        last_start, last_airtime = self._history[-1]
-        pacing = last_start + last_airtime + self.plan.min_gap_after(last_airtime)
-        return max(desired_start_s, pacing)
-
-    def record(self, start_s: float, airtime_s: float) -> None:
-        """Register a transmission that actually happened."""
-        require(airtime_s >= 0, "airtime_s must be >= 0")
-        self._history.append((start_s, airtime_s))
-
-
 def paced_duration_s(
     n_messages: int, airtime_per_message_s: float, plan: RegionalPlan
 ) -> float:
     """Wall-clock time for a message sequence under a regional plan.
 
     Each message is followed by the plan's mandatory silence except the
-    last; this is the lower bound a polite device achieves.
+    last; this is the lower bound a polite device achieves.  Raises
+    :class:`~repro.exceptions.ConfigurationError` when the plan's dwell
+    limit forbids a single message of that airtime.
     """
     require(n_messages >= 0, "n_messages must be >= 0")
     if n_messages == 0:
         return 0.0
+    require(
+        plan.allows_airtime(airtime_per_message_s),
+        f"airtime {airtime_per_message_s:.3f}s exceeds {plan.name}'s dwell limit",
+    )
     gap = plan.min_gap_after(airtime_per_message_s)
     return n_messages * airtime_per_message_s + (n_messages - 1) * gap

@@ -47,19 +47,6 @@ def quantize_packet_rssi(value_dbm, resolution_db: float = 1.0):
     return quantized
 
 
-def packet_rssi(register_samples: np.ndarray, resolution_db: float = 1.0) -> float:
-    """Averaged packet RSSI from register samples, re-quantized like the chip.
-
-    The SX127x reports packet RSSI as an integer dBm value; we reproduce
-    that by rounding the mean of the per-symbol samples to the register
-    resolution with :func:`quantize_packet_rssi`.
-    """
-    samples = np.asarray(register_samples, dtype=float)
-    if samples.size == 0:
-        raise ConfigurationError("cannot average an empty register-RSSI vector")
-    return quantize_packet_rssi(float(np.mean(samples)), resolution_db)
-
-
 @dataclass(frozen=True)
 class RegisterRssiSampler:
     """Samples the RSSI register once per symbol during packet reception.

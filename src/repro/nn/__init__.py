@@ -5,14 +5,13 @@ forward/backward passes (no autograd); the :class:`~repro.nn.model.Model`
 container wires them into a trainable network with mini-batch SGD/Adam,
 losses, callbacks and weight serialization.  The framework is exactly as
 big as Vehicle-Key needs: dense layers, (Bi)LSTM with full backpropagation
-through time, dropout, the paper's joint MSE+BCE loss, and nothing else.
+through time, the paper's joint MSE+BCE loss, and nothing else.
 """
 
 from repro.nn.activations import Activation, Identity, ReLU, Sigmoid, Tanh, get_activation
 from repro.nn.initializers import GlorotUniform, Orthogonal, Zeros
 from repro.nn.layers.base import Layer
-from repro.nn.layers.dense import Dense, Flatten
-from repro.nn.layers.dropout import Dropout
+from repro.nn.layers.dense import Dense
 from repro.nn.layers.lstm import LSTM
 from repro.nn.layers.gru import GRU
 from repro.nn.layers.bilstm import BiLSTM
@@ -39,8 +38,6 @@ __all__ = [
     "Zeros",
     "Layer",
     "Dense",
-    "Flatten",
-    "Dropout",
     "LSTM",
     "GRU",
     "BiLSTM",

@@ -1,4 +1,4 @@
-"""Fully connected layer and Flatten reshaping layer."""
+"""Fully connected layer."""
 
 from __future__ import annotations
 
@@ -63,19 +63,3 @@ class Dense(Layer):
             "bias": flat_grad.sum(axis=0),
         }
         return grad_pre @ self.parameters["kernel"].T
-
-
-class Flatten(Layer):
-    """Collapse all non-batch axes into one feature axis."""
-
-    def __init__(self, name=None):
-        super().__init__(name=name)
-        self._input_shape: Tuple[int, ...] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self.ensure_built(x.shape)
-        self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._input_shape)

@@ -39,7 +39,7 @@ class Model:
 
     # -- inference ---------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run the stack; with ``training=True``, dropout etc. are active."""
+        """Run the stack; ``training=True`` caches what :meth:`backward` needs."""
         out = x
         for layer in self.layers:
             out = layer.forward(out, training=training)

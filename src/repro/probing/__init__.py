@@ -10,7 +10,6 @@ RSSI (arRSSI).
 from repro.probing.trace import ProbeTrace, EveTrace
 from repro.probing.protocol import ProbingProtocol, EavesdropperSetup
 from repro.probing.features import (
-    packet_rssi_series,
     adjacent_register_rssi,
     arrssi_sequences,
     eve_arrssi_sequences,
@@ -29,7 +28,6 @@ __all__ = [
     "EveTrace",
     "ProbingProtocol",
     "EavesdropperSetup",
-    "packet_rssi_series",
     "adjacent_register_rssi",
     "arrssi_sequences",
     "eve_arrssi_sequences",

@@ -1,4 +1,4 @@
-"""Channel-feature extraction: pRSSI, rRSSI and arRSSI.
+"""Channel-feature extraction: arRSSI from the register-RSSI traces.
 
 The paper's preliminary study (Sec. II-C) found that the conventional
 *packet RSSI* (average over the whole reception) is badly asymmetric
@@ -50,14 +50,6 @@ class FeatureConfig:
     def window_length(self, samples_per_packet: int) -> int:
         """Samples in the adjacent window for a given packet length."""
         return max(1, int(round(self.window_fraction * samples_per_packet)))
-
-
-def packet_rssi_series(register_matrix: np.ndarray, resolution_db: float = 1.0) -> np.ndarray:
-    """Per-round packet RSSI: the chip's whole-packet average, quantized."""
-    matrix = np.asarray(register_matrix, dtype=float)
-    require(matrix.ndim == 2, "register matrix must be [round, symbol]")
-    means = matrix.mean(axis=1)
-    return np.round(means / resolution_db) * resolution_db
 
 
 def _block_means(window: np.ndarray, n_blocks: int) -> np.ndarray:

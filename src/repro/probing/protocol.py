@@ -45,12 +45,11 @@ and ``test_probing_cross_session.py`` pin this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.channel.fading import SpatialJakesFading, batched_spatial_gain_db
-from repro.channel.interference import combine_power_dbm
 from repro.channel.reciprocity import ReciprocalChannel
 from repro.faults.adversary import ActiveAdversary
 from repro.faults.link import LinkFaultModel
@@ -94,9 +93,6 @@ class ProbingProtocol:
         inter_round_gap_s: Extra pacing between rounds, e.g. for regional
             duty-cycle compliance.  Zero by default: the paper probes
             back-to-back.
-        interference: Optional interference sources; each receiver picks
-            them up through its own position, so the corruption is
-            asymmetric between the endpoints (paper Sec. II-A, effect 4).
         fault_model: Optional seeded link-fault injector.  When present,
             :meth:`run` switches to ARQ semantics: every probe carries a
             sequence number, the response doubles as its acknowledgment,
@@ -123,7 +119,6 @@ class ProbingProtocol:
         bob_device: TransceiverModel,
         link_budget: Optional[LinkBudget] = None,
         inter_round_gap_s: float = 0.0,
-        interference: Sequence = (),
         fault_model: Optional[LinkFaultModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
         adversary: Optional[ActiveAdversary] = None,
@@ -135,7 +130,6 @@ class ProbingProtocol:
         self.bob_device = bob_device
         self.link_budget = link_budget if link_budget is not None else LinkBudget()
         self.inter_round_gap_s = float(inter_round_gap_s)
-        self.interference = list(interference)
         self.fault_model = fault_model
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.adversary = adversary
@@ -492,26 +486,15 @@ def _group_path_gain(
 
 
 def _group_received_power(
-    protocols: Sequence[ProbingProtocol],
-    gains: np.ndarray,
-    times: np.ndarray,
-    trajectory_of: Callable[[ProbingProtocol], object],
+    protocols: Sequence[ProbingProtocol], gains: np.ndarray
 ) -> np.ndarray:
-    """``[n_sessions, len(times)]`` true received powers at one endpoint.
-
-    Row ``i`` is the link budget over session ``i``'s path gains at
-    ``times``, plus any interference the receiver picks up at its own
-    positions (``trajectory_of(protocols[i])``).
-    """
-    rows = []
-    for protocol, row in zip(protocols, gains):
-        total = protocol.link_budget.received_power_dbm(row)
-        if protocol.interference:
-            positions = trajectory_of(protocol).position_m(times)
-            for source in protocol.interference:
-                total = combine_power_dbm(total, source.power_dbm(times, positions))
-        rows.append(total)
-    return np.stack(rows)
+    """True received powers: row ``i`` is session ``i``'s link budget over its gains."""
+    return np.stack(
+        [
+            protocol.link_budget.received_power_dbm(row)
+            for protocol, row in zip(protocols, gains)
+        ]
+    )
 
 
 def _final_rows(
@@ -584,11 +567,8 @@ def _measure_rounds(
     """
     first = protocols[0]
     n_samples = first.phy.total_symbols
-    parties = (
-        ("bob", first.bob_device, lambda p: p.channel.motion.trajectory_b),
-        ("alice", first.alice_device, lambda p: p.channel.motion.trajectory_a),
-    )
-    samplers = [RegisterRssiSampler(first.phy, device) for _, device, _ in parties]
+    parties = (("bob", first.bob_device), ("alice", first.alice_device))
+    samplers = [RegisterRssiSampler(first.phy, device) for _, device in parties]
     read_times = [
         sampler.reception_times(party_starts)
         for sampler, party_starts in zip(samplers, starts)
@@ -601,7 +581,7 @@ def _measure_rounds(
         np.concatenate([times.ravel() for times in read_times] + [decision_times]),
     )
     receptions, packet_z = [], []
-    for i, (name, _, trajectory_of) in enumerate(parties):
+    for i, (name, _) in enumerate(parties):
         z = np.stack(
             [
                 _final_rows(s.generator(f"{name}-rssi-noise"), final, n_samples + 1)
@@ -609,10 +589,7 @@ def _measure_rounds(
             ]
         )
         power = _group_received_power(
-            protocols,
-            gains[:, i * n_reads : (i + 1) * n_reads],
-            read_times[i].ravel(),
-            trajectory_of,
+            protocols, gains[:, i * n_reads : (i + 1) * n_reads]
         )
         reads = z[..., :n_samples]
         receptions.append((samplers[i], power.reshape(reads.shape), reads))

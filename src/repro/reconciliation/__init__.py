@@ -1,6 +1,6 @@
 """Information reconciliation: correcting the residual key mismatches.
 
-Four interchangeable reconcilers behind one interface
+Three interchangeable reconcilers behind one interface
 (:class:`~repro.reconciliation.base.Reconciler`):
 
 - :class:`CascadeReconciliation` -- Brassard-Salvail interactive parity
@@ -10,15 +10,13 @@ Four interchangeable reconcilers behind one interface
 - :class:`AutoencoderReconciliation` -- the paper's contribution: Bloom
   transform, learned MLP encoders, subtraction, learned decoder; one
   message, constant-time decoding.
-- :class:`NullReconciliation` -- pass-through, for "no reconciliation"
-  ablations.
 
 Every outcome records the number of protocol messages and payload bytes
 exchanged, which the key-generation-rate benchmarks convert into LoRa
 airtime overhead.
 """
 
-from repro.reconciliation.base import Reconciler, ReconciliationOutcome, NullReconciliation
+from repro.reconciliation.base import Reconciler, ReconciliationOutcome
 from repro.reconciliation.bloom import PositionPreservingBloomFilter
 from repro.reconciliation.cascade import CascadeReconciliation
 from repro.reconciliation.compressed_sensing import (
@@ -32,7 +30,6 @@ from repro.reconciliation.mac import compute_mac, verify_mac
 __all__ = [
     "Reconciler",
     "ReconciliationOutcome",
-    "NullReconciliation",
     "PositionPreservingBloomFilter",
     "CascadeReconciliation",
     "CompressedSensingReconciliation",

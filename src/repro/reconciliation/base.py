@@ -60,15 +60,3 @@ class Reconciler(abc.ABC):
         caller (the experiment harness), but implementations must only move
         information between the parties through counted messages.
         """
-
-
-class NullReconciliation(Reconciler):
-    """No-op reconciler for ablations (keys pass through unchanged)."""
-
-    def reconcile(self, alice_key, bob_key) -> ReconciliationOutcome:
-        return ReconciliationOutcome(
-            alice_key=np.asarray(alice_key, dtype=np.uint8).copy(),
-            bob_key=np.asarray(bob_key, dtype=np.uint8).copy(),
-            messages=0,
-            bytes_exchanged=0,
-        )

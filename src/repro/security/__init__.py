@@ -1,5 +1,5 @@
 """Security analysis: NIST randomness tests and attack harnesses."""
 
-from repro.security.nist import NistTestSuite, run_nist_suite
+from repro.security.nist import run_nist_suite
 
-__all__ = ["NistTestSuite", "run_nist_suite"]
+__all__ = ["run_nist_suite"]

@@ -1,11 +1,11 @@
 """NIST SP 800-22 statistical tests (the eight reported in Table II).
 
 Each module implements one test as a function from a 0/1 bit array to a
-p-value; :class:`NistTestSuite` runs them all with the paper's pass
-criterion (p >= 0.01).
+p-value; :func:`run_nist_suite` runs all eight, and the paper's pass
+criterion is ``p >= SIGNIFICANCE_LEVEL`` (0.01).
 """
 
-from repro.security.nist.suite import NistTestSuite, run_nist_suite
+from repro.security.nist.suite import SIGNIFICANCE_LEVEL, run_nist_suite
 from repro.security.nist.frequency import frequency_test
 from repro.security.nist.block_frequency import block_frequency_test
 from repro.security.nist.longest_run import longest_run_test
@@ -14,18 +14,9 @@ from repro.security.nist.cumulative_sums import cumulative_sums_test
 from repro.security.nist.approximate_entropy import approximate_entropy_test
 from repro.security.nist.non_overlapping import non_overlapping_template_test
 from repro.security.nist.linear_complexity import linear_complexity_test, berlekamp_massey
-from repro.security.nist.runs import runs_test
-from repro.security.nist.serial import serial_test
-from repro.security.nist.overlapping_template import overlapping_template_test
-from repro.security.nist.universal import universal_test
-from repro.security.nist.matrix_rank import matrix_rank_test, gf2_rank
-from repro.security.nist.random_excursions import (
-    random_excursions_test,
-    random_excursions_variant_test,
-)
 
 __all__ = [
-    "NistTestSuite",
+    "SIGNIFICANCE_LEVEL",
     "run_nist_suite",
     "frequency_test",
     "block_frequency_test",
@@ -36,12 +27,4 @@ __all__ = [
     "non_overlapping_template_test",
     "linear_complexity_test",
     "berlekamp_massey",
-    "runs_test",
-    "serial_test",
-    "overlapping_template_test",
-    "universal_test",
-    "matrix_rank_test",
-    "gf2_rank",
-    "random_excursions_test",
-    "random_excursions_variant_test",
 ]

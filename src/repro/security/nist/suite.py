@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -19,119 +18,24 @@ from repro.security.nist.non_overlapping import non_overlapping_template_test
 #: The paper rejects randomness below this p-value.
 SIGNIFICANCE_LEVEL = 0.01
 
-#: Table II's row order.
-TEST_NAMES = (
-    "Frequency",
-    "DFT Test",
-    "Longest Run",
-    "Linear Complexity",
-    "Block Frequency",
-    "Cumulative Sums",
-    "Approximate Entropy",
-    "Non Overlapping Template",
-)
 
+def run_nist_suite(sequence) -> Dict[str, float]:
+    """The eight Table II tests as ``{test name: p-value}``, in the table's row order.
 
-@dataclass(frozen=True)
-class NistResult:
-    """One test's outcome."""
-
-    name: str
-    p_value: float
-
-    @property
-    def passed(self) -> bool:
-        """Randomness hypothesis not rejected at the 1% level."""
-        return self.p_value >= SIGNIFICANCE_LEVEL
-
-
-class NistTestSuite:
-    """Runs the eight Table II tests on a key-material bit stream.
-
-    Args:
-        linear_complexity_block: Block size M for the linear-complexity
-            test, or ``None`` (default) to size it automatically.  The
-            chi-square approximation behind that test needs >= ~150 blocks
-            (its smallest category has probability 1%), so the automatic
-            choice is ``min(500, max(64, n // 150))``.
+    The chi-square approximation behind the linear-complexity test needs
+    >= ~150 blocks (its smallest category has probability 1%), so its
+    block size is ``min(500, max(64, n // 150))`` for an ``n``-bit stream.
     """
-
-    def __init__(self, linear_complexity_block: int = None):
-        self.linear_complexity_block = (
-            int(linear_complexity_block) if linear_complexity_block is not None else None
-        )
-
-    def _lc_block(self, n_bits: int) -> int:
-        if self.linear_complexity_block is not None:
-            return self.linear_complexity_block
-        return min(500, max(64, n_bits // 150))
-
-    def run(self, sequence) -> Dict[str, NistResult]:
-        """All eight Table II tests; results keyed by the table's row name."""
-        bits = np.asarray(sequence, dtype=np.int8)
-        values = {
-            "Frequency": frequency_test(bits),
-            "DFT Test": dft_test(bits),
-            "Longest Run": longest_run_test(bits),
-            "Linear Complexity": linear_complexity_test(
-                bits, block_size=self._lc_block(bits.size)
-            ),
-            "Block Frequency": block_frequency_test(bits),
-            "Cumulative Sums": cumulative_sums_test(bits),
-            "Approximate Entropy": approximate_entropy_test(bits),
-            "Non Overlapping Template": non_overlapping_template_test(bits),
-        }
-        return {name: NistResult(name, values[name]) for name in TEST_NAMES}
-
-    def run_extended(self, sequence) -> Dict[str, NistResult]:
-        """The Table II tests plus the rest of the SP 800-22 battery.
-
-        Adds runs, serial (both p-values), overlapping template, Maurer's
-        universal, binary matrix rank and the two random-excursions tests
-        (reported as their minimum per-state p-value).  Tests whose length
-        prerequisites the sequence cannot meet are skipped.
-        """
-        from repro.exceptions import ConfigurationError
-        from repro.security.nist.matrix_rank import matrix_rank_test
-        from repro.security.nist.overlapping_template import overlapping_template_test
-        from repro.security.nist.random_excursions import (
-            random_excursions_test,
-            random_excursions_variant_test,
-        )
-        from repro.security.nist.runs import runs_test
-        from repro.security.nist.serial import serial_test
-        from repro.security.nist.universal import universal_test
-
-        bits = np.asarray(sequence, dtype=np.int8)
-        results = dict(self.run(bits))
-
-        def attempt(name, producer):
-            try:
-                results[name] = NistResult(name, float(producer()))
-            except ConfigurationError:
-                pass
-
-        attempt("Runs", lambda: runs_test(bits))
-        attempt("Serial", lambda: min(serial_test(bits)))
-        attempt("Overlapping Template", lambda: overlapping_template_test(bits))
-        attempt("Universal", lambda: universal_test(bits))
-        attempt("Binary Matrix Rank", lambda: matrix_rank_test(bits))
-        attempt(
-            "Random Excursions",
-            lambda: min(random_excursions_test(bits).values()),
-        )
-        attempt(
-            "Random Excursions Variant",
-            lambda: min(random_excursions_variant_test(bits).values()),
-        )
-        return results
-
-    def all_pass(self, sequence) -> bool:
-        """Whether every test's p-value clears the 1% threshold."""
-        return all(result.passed for result in self.run(sequence).values())
-
-
-def run_nist_suite(sequence, linear_complexity_block: int = None) -> Dict[str, float]:
-    """Convenience wrapper returning ``{test name: p-value}``."""
-    suite = NistTestSuite(linear_complexity_block=linear_complexity_block)
-    return {name: result.p_value for name, result in suite.run(sequence).items()}
+    bits = np.asarray(sequence, dtype=np.int8)
+    return {
+        "Frequency": frequency_test(bits),
+        "DFT Test": dft_test(bits),
+        "Longest Run": longest_run_test(bits),
+        "Linear Complexity": linear_complexity_test(
+            bits, block_size=min(500, max(64, bits.size // 150))
+        ),
+        "Block Frequency": block_frequency_test(bits),
+        "Cumulative Sums": cumulative_sums_test(bits),
+        "Approximate Entropy": approximate_entropy_test(bits),
+        "Non Overlapping Template": non_overlapping_template_test(bits),
+    }

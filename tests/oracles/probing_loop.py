@@ -21,7 +21,6 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.channel.interference import combine_power_dbm
 from repro.lora.rssi import quantize_packet_rssi
 from repro.probing.trace import EveTrace, ProbeTrace
 from repro.utils.rng import SeedSequenceFactory
@@ -56,10 +55,6 @@ def _receiver_power(protocol, trajectory):
         total = protocol.link_budget.received_power_dbm(
             protocol.channel.path_gain_db(times)
         )
-        if protocol.interference:
-            positions = trajectory.position_m(times)
-            for source in protocol.interference:
-                total = combine_power_dbm(total, source.power_dbm(times, positions))
         return total
 
     return power

@@ -11,11 +11,7 @@ from repro.channel.doppler import (
     jakes_autocorrelation,
 )
 from repro.channel.fading import SpatialJakesFading, TemporalJakesFading
-from repro.channel.pathloss import (
-    FreeSpacePathLoss,
-    LogDistancePathLoss,
-    TwoRayGroundPathLoss,
-)
+from repro.channel.pathloss import FreeSpacePathLoss, LogDistancePathLoss
 from repro.channel.shadowing import GudmundsonShadowing
 from repro.exceptions import ConfigurationError
 
@@ -65,18 +61,6 @@ class TestPathLoss:
         log_model = LogDistancePathLoss(exponent=2.0, reference_distance_m=1.0)
         fs_model = FreeSpacePathLoss()
         assert log_model.loss_db(1.0) == pytest.approx(fs_model.loss_db(1.0))
-
-    def test_two_ray_continuous_at_crossover(self):
-        model = TwoRayGroundPathLoss(tx_height_m=1.5, rx_height_m=1.5)
-        d = model.crossover_distance_m
-        below = model.loss_db(d * 0.999)
-        above = model.loss_db(d * 1.001)
-        assert abs(below - above) < 0.5
-
-    def test_two_ray_40db_per_decade_beyond_crossover(self):
-        model = TwoRayGroundPathLoss()
-        d = model.crossover_distance_m * 10
-        assert model.loss_db(10 * d) - model.loss_db(d) == pytest.approx(40.0, abs=0.1)
 
     def test_gain_is_negative_loss(self):
         model = LogDistancePathLoss()

@@ -1,7 +1,8 @@
 """Documentation coverage: every public item carries a docstring.
 
 The README promises doc comments on every public item; this test makes
-that promise executable.
+that promise executable.  It also checks that every name a module
+exports in ``__all__`` resolves.
 """
 
 import importlib
@@ -51,3 +52,16 @@ def test_public_classes_and_functions_documented():
                             f"{module_name}.{name}.{method_name}"
                         )
     assert not undocumented, "\n".join(undocumented)
+
+
+def test_every_export_resolves():
+    """Each ``__all__`` name resolves, lazy PEP 562 exports included."""
+    unresolved = []
+    for module_name in ["repro", *ALL_MODULES]:
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            try:
+                getattr(module, name)
+            except AttributeError:
+                unresolved.append(f"{module_name}.{name}")
+    assert not unresolved, "\n".join(unresolved)

@@ -14,7 +14,7 @@ from repro.lora.radio import (
     TransceiverModel,
     device_by_name,
 )
-from repro.lora.rssi import RegisterRssiSampler, packet_rssi, quantize_packet_rssi
+from repro.lora.rssi import RegisterRssiSampler
 
 
 class TestDevices:
@@ -64,23 +64,6 @@ class TestLinkBudget:
     def test_invalid_sf_rejected(self):
         with pytest.raises(ConfigurationError):
             sensitivity_dbm(13, 125_000.0)
-
-
-class TestPacketRssi:
-    def test_average_is_quantized(self):
-        assert packet_rssi(np.array([-80.2, -80.3, -80.4])) == pytest.approx(-80.0)
-        assert packet_rssi(np.array([-80.7, -80.8, -80.9])) == pytest.approx(-81.0)
-
-    def test_ties_round_half_up_like_quantize_packet_rssi(self):
-        # The documented pRSSI rule, not Python's round-half-even.
-        assert packet_rssi(np.array([-87.5])) == quantize_packet_rssi(-87.5) == -87.0
-        assert packet_rssi(np.array([-88.0, -87.0])) == -87.0
-        assert packet_rssi(np.array([2.5])) == quantize_packet_rssi(2.5) == 3.0
-        assert packet_rssi(np.array([1.0, 2.0]), resolution_db=3.0) == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            packet_rssi(np.array([]))
 
 
 class TestRegisterRssiSampler:

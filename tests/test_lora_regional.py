@@ -1,18 +1,21 @@
-"""Tests for the regional duty-cycle model."""
+"""Tests for the regional duty-cycle model and the duty-cycle experiment's pacing."""
 
 import pytest
 
+from repro.core.baselines.common import SystemRunResult
 from repro.exceptions import ConfigurationError
+from repro.experiments.duty_cycle import _paced_kgr
+from repro.lora.airtime import LoRaPHYConfig
 from repro.lora.regional import (
     ALL_PLANS,
     EU433,
     EU868,
     US915,
     UNRESTRICTED,
-    DutyCycleBudget,
     RegionalPlan,
     paced_duration_s,
 )
+from repro.metrics.agreement import AgreementSummary
 
 
 class TestPlans:
@@ -38,41 +41,6 @@ class TestPlans:
             RegionalPlan(name="bad", duty_cycle=0.0)
 
 
-class TestBudget:
-    def test_first_transmission_unconstrained(self):
-        budget = DutyCycleBudget(EU433)
-        assert budget.earliest_start(10.0, 1.0) == 10.0
-
-    def test_pacing_after_transmission(self):
-        budget = DutyCycleBudget(EU433)
-        budget.record(0.0, 1.0)
-        # Next transmission must wait until 0 + 1 + 9 = 10.
-        assert budget.earliest_start(2.0, 1.0) == pytest.approx(10.0)
-
-    def test_late_request_not_delayed(self):
-        budget = DutyCycleBudget(EU433)
-        budget.record(0.0, 1.0)
-        assert budget.earliest_start(100.0, 1.0) == 100.0
-
-    def test_airtime_accounting_window(self):
-        budget = DutyCycleBudget(EU433)
-        budget.record(0.0, 1.0)
-        budget.record(3500.0, 2.0)
-        assert budget.airtime_used_s(3600.0) == pytest.approx(3.0)
-        # The first transmission ages out of the 1-hour window.
-        assert budget.airtime_used_s(7000.0) == pytest.approx(2.0)
-
-    def test_dwell_violation_rejected(self):
-        budget = DutyCycleBudget(US915)
-        with pytest.raises(ConfigurationError):
-            budget.earliest_start(0.0, 1.0)
-
-    def test_unrestricted_never_delays(self):
-        budget = DutyCycleBudget(UNRESTRICTED)
-        budget.record(0.0, 5.0)
-        assert budget.earliest_start(0.0, 5.0) == 0.0
-
-
 class TestPacedDuration:
     def test_single_message_pays_no_gap(self):
         assert paced_duration_s(1, 1.0, EU433) == pytest.approx(1.0)
@@ -89,3 +57,43 @@ class TestPacedDuration:
 
     def test_tighter_duty_cycle_is_slower(self):
         assert paced_duration_s(5, 1.0, EU868) > paced_duration_s(5, 1.0, EU433)
+
+    def test_dwell_limit_forbids_a_long_message(self):
+        with pytest.raises(ConfigurationError):
+            paced_duration_s(1, 1.0, US915)
+
+    def test_dwell_limit_allows_no_messages(self):
+        assert paced_duration_s(0, 1.0, US915) == 0.0
+
+    def test_messages_within_the_dwell_limit(self):
+        assert paced_duration_s(3, 0.3, US915) == pytest.approx(0.9)
+
+
+def run_result(public_bytes=40, messages=3):
+    """A 10-block run, built as ``test_lora_airtime.py`` builds one."""
+    summary = AgreementSummary(mean=1.0, std=0.0, n_pairs=1)
+    return SystemRunResult(
+        system="s", raw_agreement=summary, reconciled_agreement=summary,
+        matched_blocks=10, n_blocks=10, block_bits=64, probing_time_s=60.0,
+        reconciliation_messages=messages, public_bytes=public_bytes,
+    )
+
+
+class TestPacedKgr:
+    def test_paper_phy_probe_exceeds_us915_dwell(self):
+        # SF12 / 125 kHz / CR 4/8: a probe takes 1.712 s of airtime.
+        phy = LoRaPHYConfig()
+        assert _paced_kgr(run_result(), phy, UNRESTRICTED) > 0.0
+        assert _paced_kgr(run_result(), phy, US915) == 0.0
+
+    def test_reconciliation_message_exceeds_us915_dwell(self):
+        # SF7 / 125 kHz: the probe fits in 0.4 s, one 255-byte message does not.
+        phy = LoRaPHYConfig(spreading_factor=7)
+        assert phy.airtime_s < US915.dwell_limit_s
+        assert _paced_kgr(run_result(255, 1), phy, US915) == 0.0
+
+    def test_fast_phy_fits_us915_dwell(self):
+        phy = LoRaPHYConfig(spreading_factor=7, bandwidth_hz=500_000.0)
+        unrestricted = _paced_kgr(run_result(), phy, UNRESTRICTED)
+        assert unrestricted > 0.0
+        assert _paced_kgr(run_result(), phy, US915) == unrestricted

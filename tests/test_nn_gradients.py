@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers.bilstm import BiLSTM
-from repro.nn.layers.dense import Dense, Flatten
-from repro.nn.layers.dropout import Dropout
+from repro.nn.layers.dense import Dense
 from repro.nn.layers.lstm import LSTM
 
 RNG = np.random.default_rng(1234)
@@ -119,35 +118,6 @@ class TestBiLSTMGradients:
 
 
 class TestShapes:
-    def test_flatten_round_trip(self):
-        layer = Flatten()
-        x = RNG.standard_normal((3, 4, 5))
-        out = layer.forward(x)
-        assert out.shape == (3, 20)
-        back = layer.backward(out)
-        assert back.shape == x.shape
-
-    def test_dropout_inference_is_identity(self):
-        layer = Dropout(0.5, seed=0)
-        x = RNG.standard_normal((4, 6))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_dropout_training_zeroes_and_scales(self):
-        layer = Dropout(0.5, seed=0)
-        x = np.ones((2, 1000))
-        out = layer.forward(x, training=True)
-        dropped = np.mean(out == 0)
-        assert 0.4 < dropped < 0.6
-        kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)
-
-    def test_dropout_backward_uses_same_mask(self):
-        layer = Dropout(0.5, seed=1)
-        x = np.ones((2, 100))
-        out = layer.forward(x, training=True)
-        grad = layer.backward(np.ones_like(out))
-        np.testing.assert_array_equal(grad == 0, out == 0)
-
     def test_bilstm_output_width_is_twice_units(self):
         layer = BiLSTM(5, seed=0)
         out = layer.forward(RNG.standard_normal((2, 4, 3)))

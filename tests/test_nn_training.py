@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.nn.activations import get_activation
 from repro.nn.callbacks import EarlyStopping, History
-from repro.nn.layers.dense import Dense, Flatten
+from repro.nn.layers.dense import Dense
 from repro.nn.layers.lstm import LSTM
 from repro.nn.losses import (
     BinaryCrossEntropy,

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.channel.fading import SpatialJakesFading
-from repro.channel.interference import InterferenceSource
 from repro.channel.reciprocity import ReciprocalChannel
 from repro.channel.scenario import ScenarioName
 from repro.exceptions import ConfigurationError
@@ -113,31 +112,6 @@ class TestGroupBitIdentity:
 
     def test_custom_gap(self):
         assert_group_matches_singles([5, 6], inter_round_gap_s=0.75)
-
-    def test_per_session_interference(self):
-        # One session hears a jammer, its neighbours do not; the stacked
-        # evaluation must keep the interference strictly per-row.
-        def make_setups():
-            quiet_a, seeds_a, _ = build_setup(31, scenario=ScenarioName.V2I_URBAN)
-            noisy, seeds_b, _ = build_setup(
-                32,
-                scenario=ScenarioName.V2I_URBAN,
-                interference=[
-                    InterferenceSource(
-                        (40.0, 5.0), eirp_dbm=0.0, mean_on_s=0.5, mean_off_s=1.0, seed=9
-                    )
-                ],
-            )
-            quiet_b, seeds_c, _ = build_setup(33, scenario=ScenarioName.V2I_URBAN)
-            return [quiet_a, noisy, quiet_b], [seeds_a, seeds_b, seeds_c]
-
-        protocols, factories = make_setups()
-        group_traces = run_fastpath_group(protocols, 8, factories)
-        singles, single_factories = make_setups()
-        for protocol, factory, group_trace in zip(singles, single_factories, group_traces):
-            assert_traces_bit_identical(
-                reference_run_loop(protocol, 8, factory), group_trace
-            )
 
     def test_per_session_eavesdroppers(self):
         # Two attackers on the first session, none on the second, one on

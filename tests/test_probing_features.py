@@ -13,7 +13,6 @@ from repro.probing.features import (
     adjacent_register_rssi,
     arrssi_sequences,
     eve_arrssi_sequences,
-    packet_rssi_series,
 )
 from repro.probing.eve import build_imitating_eve
 from repro.probing.protocol import ProbingProtocol
@@ -55,21 +54,6 @@ class TestFeatureConfig:
     def test_invalid_values_per_packet_rejected(self):
         with pytest.raises(ConfigurationError):
             FeatureConfig(values_per_packet=0)
-
-
-class TestPacketRssi:
-    def test_series_has_one_value_per_round(self):
-        matrix = np.arange(12.0).reshape(3, 4) - 100.0
-        series = packet_rssi_series(matrix)
-        assert series.shape == (3,)
-
-    def test_series_is_quantized(self):
-        matrix = np.full((2, 4), -90.3)
-        np.testing.assert_array_equal(packet_rssi_series(matrix), [-90.0, -90.0])
-
-    def test_rejects_1d_input(self):
-        with pytest.raises(ConfigurationError):
-            packet_rssi_series(np.zeros(5))
 
 
 class TestAdjacentRegisterRssi:
@@ -114,10 +98,9 @@ class TestPaperClaims:
 
     def test_arrssi_correlates_better_than_prssi(self):
         # Paper Fig. 3: rRSSI-derived features beat pRSSI in every scenario.
+        # pRSSI is the trace's own, the chip's noisy whole-packet report.
         trace = run_session(seed=1, n_rounds=60)
-        prssi_alice = packet_rssi_series(trace.alice_rssi)
-        prssi_bob = packet_rssi_series(trace.bob_rssi)
-        prssi_corr = np.corrcoef(prssi_alice, prssi_bob)[0, 1]
+        prssi_corr = np.corrcoef(trace.alice_prssi, trace.bob_prssi)[0, 1]
         bob_ar, alice_ar = arrssi_sequences(
             trace, FeatureConfig(window_fraction=0.10, values_per_packet=1)
         )

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.channel.interference import InterferenceSource
 from repro.channel.reciprocity import ReciprocalChannel
 from repro.channel.scenario import ScenarioName
 from repro.faults import chaos
@@ -125,30 +124,16 @@ class TestChaosPlans:
 
 
 class TestSpecialCases:
-    def test_interference(self):
-        def make_interference():
-            # A fresh source per run: its telegraph process has lazy state.
-            return [
-                InterferenceSource(
-                    (40.0, 5.0), eirp_dbm=0.0, mean_on_s=0.5, mean_off_s=1.0, seed=9
-                )
-            ]
-
+    def test_late_start_under_loss_jamming_and_injection(self):
+        """A nonzero start time, with an eavesdropper overhearing the ARQ."""
         plans = (
             FaultPlan.lossy(0.3, mean_burst=2.0, snr_dependent=False),
             AdversaryPlan(jamming_rate=0.2, probe_injection_rate=0.1),
             RetryPolicy(max_retries=3),
         )
-        protocol, seeds, eavesdroppers = build_attacked(
-            13, *plans, scenario=ScenarioName.V2I_URBAN, n_eves=1,
-            interference=make_interference(),
+        expected, actual = run_both(
+            13, plans, start_time_s=4.25, scenario=ScenarioName.V2I_URBAN, n_eves=1
         )
-        expected = reference_run_loop(protocol, ROUNDS, seeds, eavesdroppers, 4.25)
-        protocol, seeds, eavesdroppers = build_attacked(
-            13, *plans, scenario=ScenarioName.V2I_URBAN, n_eves=1,
-            interference=make_interference(),
-        )
-        actual = protocol.run_loop(ROUNDS, seeds, eavesdroppers, 4.25)
         assert actual.retries.sum() > 0
         assert_traces_equal(expected, actual)
 

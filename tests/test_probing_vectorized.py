@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import repro.probing.protocol as protocol_module
-from repro.channel.interference import InterferenceSource
 from repro.channel.mobility import RelativeMotion
 from repro.channel.scenario import ScenarioName, scenario_config
 from repro.faults.adversary import AdversaryPlan, build_adversary
@@ -39,7 +38,6 @@ def build_setup(
     scenario=ScenarioName.V2I_RURAL,
     phy=FAST_PHY,
     n_eves=0,
-    interference=(),
     devices=(DRAGINO_LORA_SHIELD, DRAGINO_LORA_SHIELD),
     **kwargs,
 ):
@@ -71,7 +69,6 @@ def build_setup(
         phy=phy,
         alice_device=devices[0],
         bob_device=devices[1],
-        interference=list(interference),
         **kwargs,
     )
     return protocol, seeds, eavesdroppers
@@ -117,30 +114,6 @@ class TestBitIdentity:
             7, scenario=ScenarioName.V2V_URBAN, n_eves=2
         )
         assert fast_trace.eve  # the scenario really exercised the eve path
-        assert_traces_bit_identical(loop_trace, fast_trace)
-
-    def test_with_interference(self):
-        jammer = InterferenceSource(
-            (40.0, 5.0), eirp_dbm=0.0, mean_on_s=0.5, mean_off_s=1.0, seed=9
-        )
-
-        def make_interference():
-            # A fresh source per run: its telegraph process has lazy state.
-            return [
-                InterferenceSource(
-                    (40.0, 5.0), eirp_dbm=0.0, mean_on_s=0.5, mean_off_s=1.0, seed=9
-                )
-            ]
-
-        loop_protocol, loop_seeds, _ = build_setup(
-            13, scenario=ScenarioName.V2I_URBAN, interference=make_interference()
-        )
-        loop_trace = reference_run_loop(loop_protocol, 8, loop_seeds)
-        fast_protocol, fast_seeds, _ = build_setup(
-            13, scenario=ScenarioName.V2I_URBAN, interference=make_interference()
-        )
-        fast_trace = fast_protocol.run(8, fast_seeds)
-        assert jammer is not None
         assert_traces_bit_identical(loop_trace, fast_trace)
 
     def test_unsmoothed_register(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.reconciliation.base import NullReconciliation, ReconciliationOutcome
+from repro.reconciliation.base import ReconciliationOutcome
 from repro.reconciliation.bloom import PositionPreservingBloomFilter
 from repro.reconciliation.cascade import CascadeReconciliation
 from repro.reconciliation.compressed_sensing import (
@@ -203,15 +203,7 @@ class TestCompressedSensing:
             )
 
 
-class TestNullReconciliation:
-    def test_pass_through(self):
-        bob = random_bits(32, 0)
-        alice = flip_bits(bob, [1])
-        outcome = NullReconciliation().reconcile(alice, bob)
-        assert outcome.messages == 0
-        assert not outcome.success
-        assert outcome.agreement == pytest.approx(31 / 32)
-
+class TestReconciliationOutcome:
     def test_outcome_validation(self):
         with pytest.raises(ConfigurationError):
             ReconciliationOutcome(
