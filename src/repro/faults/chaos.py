@@ -1415,9 +1415,9 @@ async def _restart_client(
                         f"(this client already held epoch {last_epoch})",
                     )
                 last_epoch = max(last_epoch, epoch)
-        elif token:
-            outcome = await client.resume_session(token)
         else:
+            # A client holding a token resumes under its drawn behavior,
+            # so the honest-client check still covers it.
             outcome = await client.establish(behavior=behavior)
         token = outcome.resume_token or token
         if outcome.kind in ("result", "abort"):

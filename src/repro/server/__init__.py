@@ -41,7 +41,6 @@ from repro.server.journal import (
     RecoveredSession,
     RecoveryState,
     SessionJournal,
-    build_recovery_state,
     recover_journal,
     replay_journal,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "ServerConfig",
     "ServerMetrics",
     "SessionJournal",
-    "build_recovery_state",
     "channel_from_frame",
     "decode_body",
     "encode_frame",

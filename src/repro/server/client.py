@@ -26,7 +26,7 @@ import asyncio
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Awaitable, Callable, Optional, Tuple
 
 from repro.secure import (
     ChannelContext,
@@ -206,150 +206,117 @@ class DeviceClient:
         off for the server's ``retry_after_s`` hint (scaled per attempt,
         jittered by the seeded stream, capped at ``backoff_cap_s``) and
         reconnects.  The retries actually spent are reported on the
-        outcome.
+        outcome.  A client holding a resumption token in :attr:`resume`
+        presents it and awaits its verdict without sending ``start``.
         """
-        jitter = random.Random(self.retry_seed)
-        attempt = 0
-        while True:
-            try:
-                await self.connect()
-                answer = await self.hello()
-                if answer is None:
-                    return ClientOutcome(
-                        self.session_id, behavior, "closed", retries=attempt
-                    )
-                if answer.get("type") == "rejected":
-                    if attempt >= self.max_admission_retries:
-                        return ClientOutcome(
-                            self.session_id,
-                            behavior,
-                            "rejected",
-                            answer,
-                            retries=attempt,
-                        )
-                    hint = float(answer.get("retry_after_s") or 0.1)
-                    delay = min(
-                        hint * (2.0**attempt) * (1.0 + 0.25 * jitter.random()),
-                        self.backoff_cap_s,
-                    )
-                    attempt += 1
-                    await self.close()
-                    await asyncio.sleep(delay)
-                    continue
-                await self.send({"type": "start"})
-                verdict = await self.recv()
-                if verdict is None:
-                    # Against a journaling server a mid-session close is
-                    # not an undifferentiated failure: the caller gets a
-                    # structured ``disconnected`` outcome carrying the
-                    # resumption token and can reconnect with it.
-                    kind = "disconnected" if self.resume_token else "closed"
-                    return ClientOutcome(
-                        self.session_id,
-                        behavior,
-                        kind,
-                        retries=attempt,
-                        resume_token=self.resume_token,
-                    )
-                kind = "result" if verdict.get("type") == "result" else "abort"
-                return ClientOutcome(
-                    self.session_id,
-                    behavior,
-                    kind,
-                    verdict,
-                    retries=attempt,
-                    resume_token=self.resume_token,
-                )
-            except (OSError, asyncio.TimeoutError, ConnectionError) as error:
-                outcome = _transport_outcome(self, behavior, error)
-                outcome.retries = attempt
-                return outcome
-            finally:
-                await self.close()
+        return await self._handshake(behavior, self.max_admission_retries)
 
     async def resume_session(self, token: str) -> ClientOutcome:
         """Reconnect presenting a resumption token; await the verdict.
 
-        Implements the client half of the resumption protocol: connect,
-        hello with ``resume``, and read the terminal frame the server
-        either re-delivers from its journal or delivers live once the
-        pending tick settles.  A ``duplicate-session`` rejection (the
-        server has not yet noticed the old transport died) is backed off
-        with the same capped seeded jitter as admission retries and
-        retried while ``max_admission_retries`` allows; any other
-        rejection (notably ``unknown-resumption-token``) is final -- the
-        caller establishes a fresh session instead.
+        The client half of the resumption protocol: :meth:`establish`
+        with :attr:`resume` set, labelled ``resume``.  The server either
+        re-delivers the journaled verdict or delivers the live one once
+        the pending tick settles.  A ``duplicate-session`` rejection
+        (the server has not yet noticed the old transport died) is
+        retried like any admission rejection; ``unknown-resumption-token``
+        is final -- the caller establishes a fresh session instead.
         """
-        self.resume = token
-        self.resume_token = token
+        self.resume = self.resume_token = token
+        return await self.establish("resume")
+
+    async def _handshake(
+        self,
+        behavior: str,
+        max_retries: int,
+        data_phase: Optional[Callable[[dict], Awaitable[ClientOutcome]]] = None,
+    ) -> ClientOutcome:
+        """The one admission-to-verdict routine.
+
+        1. Connect and send hello.
+        2. On a rejection, back off and retry while ``max_retries``
+           allows -- except ``unknown-resumption-token``, which is
+           always final.
+        3. Send ``start`` unless presenting a resumption token.
+        4. Read the verdict; a successful result carrying a channel goes
+           on to ``data_phase`` over the still-open connection.
+
+        Never raises a transport error, and always closes the transport.
+        """
         jitter = random.Random(self.retry_seed)
         attempt = 0
-        behavior = "resume"
-        while True:
-            try:
+        try:
+            while True:
                 await self.connect()
                 answer = await self.hello()
-                if answer is None:
-                    return ClientOutcome(
-                        self.session_id,
-                        behavior,
-                        "disconnected",
-                        retries=attempt,
-                        resume_token=token,
-                    )
-                if answer.get("type") == "rejected":
-                    if (
-                        answer.get("reason") == "duplicate-session"
-                        and attempt < self.max_admission_retries
-                    ):
-                        hint = float(answer.get("retry_after_s") or 0.1)
-                        delay = min(
-                            hint
-                            * (2.0**attempt)
-                            * (1.0 + 0.25 * jitter.random()),
-                            self.backoff_cap_s,
-                        )
-                        attempt += 1
-                        await self.close()
-                        await asyncio.sleep(delay)
-                        continue
-                    return ClientOutcome(
-                        self.session_id,
-                        behavior,
-                        "rejected",
-                        answer,
-                        retries=attempt,
-                        resume_token=token,
-                    )
-                verdict = await self.recv()
-                if verdict is None:
-                    return ClientOutcome(
-                        self.session_id,
-                        behavior,
-                        "disconnected",
-                        retries=attempt,
-                        resume_token=token,
-                    )
-                kind = "result" if verdict.get("type") == "result" else "abort"
-                return ClientOutcome(
-                    self.session_id,
-                    behavior,
-                    kind,
-                    verdict,
-                    retries=attempt,
-                    resume_token=token,
+                if answer is None or answer.get("type") != "rejected":
+                    break
+                if (
+                    attempt >= max_retries
+                    or answer.get("reason") == "unknown-resumption-token"
+                ):
+                    return self._outcome(behavior, "rejected", answer, attempt)
+                hint = float(answer.get("retry_after_s") or 0.1)
+                delay = min(
+                    hint * (2.0**attempt) * (1.0 + 0.25 * jitter.random()),
+                    self.backoff_cap_s,
                 )
-            except (OSError, asyncio.TimeoutError, ConnectionError) as error:
-                return ClientOutcome(
-                    self.session_id,
-                    behavior,
-                    "disconnected",
-                    detail=str(error),
-                    retries=attempt,
-                    resume_token=token,
-                )
-            finally:
+                attempt += 1
                 await self.close()
+                await asyncio.sleep(delay)
+            verdict = None
+            if answer is not None:
+                if not self.resume:
+                    await self.send({"type": "start"})
+                verdict = await self.recv()
+            if verdict is None:
+                return self._gone(behavior, retries=attempt)
+            if verdict.get("type") != "result":
+                return self._outcome(behavior, "abort", verdict, attempt)
+            if (
+                data_phase is not None
+                and verdict.get("success")
+                and verdict.get("channel") is not None
+            ):
+                return await data_phase(verdict)
+            return self._outcome(behavior, "result", verdict, attempt)
+        except (OSError, asyncio.TimeoutError, ConnectionError) as error:
+            return self._gone(behavior, retries=attempt, error=error)
+        finally:
+            await self.close()
+
+    def _outcome(
+        self,
+        behavior: str,
+        kind: str,
+        frame: Optional[dict] = None,
+        retries: int = 0,
+        detail: str = "",
+    ) -> ClientOutcome:
+        """An outcome carrying this client's resumption token."""
+        return ClientOutcome(
+            self.session_id, behavior, kind, frame, detail, retries, self.resume_token
+        )
+
+    def _gone(
+        self,
+        behavior: str,
+        frame: Optional[dict] = None,
+        retries: int = 0,
+        error: Optional[Exception] = None,
+    ) -> ClientOutcome:
+        """The connection ended before the exchange did.
+
+        ``disconnected`` when the client holds a resumption token, so the
+        caller can reconnect and resume; otherwise ``closed``, or
+        ``error`` for a client-side transport error.
+        """
+        if self.resume_token:
+            kind = "disconnected"
+        else:
+            kind = "closed" if error is None else "error"
+        detail = "" if error is None else str(error)
+        return self._outcome(behavior, kind, frame, retries, detail)
 
 
 def channel_from_frame(
@@ -390,28 +357,6 @@ def channel_from_frame(
 def _retry_seed(session_id: str) -> int:
     """A per-session deterministic seed for the backoff-jitter stream."""
     return int.from_bytes(hashlib.sha256(session_id.encode()).digest()[:4], "big")
-
-
-def _closed_kind(client: DeviceClient) -> str:
-    """``disconnected`` when a resumption token is held, else ``closed``."""
-    return "disconnected" if client.resume_token else "closed"
-
-
-def _transport_outcome(
-    client: DeviceClient, behavior: str, error: Exception
-) -> ClientOutcome:
-    """The outcome of a client-side transport error.
-
-    ``disconnected`` (carrying the resumption token) when the client
-    holds one, else ``error``.
-    """
-    return ClientOutcome(
-        client.session_id,
-        behavior,
-        "disconnected" if client.resume_token else "error",
-        detail=str(error),
-        resume_token=client.resume_token,
-    )
 
 
 async def fetch_status(
@@ -455,51 +400,18 @@ async def _run_secure_behavior(
     ``secure-echo`` round-trips three records and verifies each echo
     decrypts to the sent plaintext; ``secure-tamper`` additionally sends
     a bit-flipped record and demands a ``secure-error`` answer that
-    releases no plaintext.  A client holding a resumption token in
-    :attr:`DeviceClient.resume` re-attaches to its session instead of
-    sending ``start``, and ``ledger`` (see :func:`channel_from_frame`)
-    witnesses every nonce the client's channel seals and accepts.  A
-    payload-invariant breach is reported as kind ``"error"`` with a
-    ``payload-invariant:<name>`` detail so the chaos harness can
-    attribute it.  Never raises.
+    releases no plaintext.  The handshake is the client's one
+    admission-to-verdict routine, with no admission retry; a client
+    holding a resumption token in :attr:`DeviceClient.resume`
+    re-attaches to its session instead of sending ``start``, and
+    ``ledger`` (see :func:`channel_from_frame`) witnesses every nonce
+    the client's channel seals and accepts.  A payload-invariant breach
+    is reported as kind ``"error"`` with a ``payload-invariant:<name>``
+    detail so the chaos harness can attribute it.  Never raises.
     """
-    client.data = True
-    try:
-        await client.connect()
-        answer = await client.hello()
-        if answer is None:
-            return ClientOutcome(
-                session_id, behavior, _closed_kind(client),
-                resume_token=client.resume_token,
-            )
-        if answer.get("type") == "rejected":
-            return ClientOutcome(
-                session_id, behavior, "rejected", answer,
-                resume_token=client.resume_token,
-            )
-        if not client.resume:
-            await client.send({"type": "start"})
-        verdict = await client.recv()
-        if verdict is None:
-            return ClientOutcome(
-                session_id,
-                behavior,
-                _closed_kind(client),
-                resume_token=client.resume_token,
-            )
-        if verdict.get("type") != "result":
-            return ClientOutcome(
-                session_id, behavior, "abort", verdict,
-                resume_token=client.resume_token,
-            )
-        channel_frame = verdict.get("channel")
-        if not verdict.get("success") or channel_frame is None:
-            # Establishment failed; there is no channel to exercise.
-            return ClientOutcome(
-                session_id, behavior, "result", verdict,
-                resume_token=client.resume_token,
-            )
-        channel = channel_from_frame(channel_frame, ledger=ledger)
+
+    async def echo(verdict: dict) -> ClientOutcome:
+        channel = channel_from_frame(verdict["channel"], ledger=ledger)
         payloads = [f"{session_id}-echo-{index}".encode() for index in range(3)]
         # Pipelined: the burst is sealed as one batch and all records go
         # out back-to-back, so the server can drain them in one batched
@@ -509,31 +421,16 @@ async def _run_secure_behavior(
         for plaintext in payloads:
             reply = await client.recv()
             if reply is None:
-                return ClientOutcome(
-                    session_id,
-                    behavior,
-                    _closed_kind(client),
-                    verdict,
-                    resume_token=client.resume_token,
-                )
-            if reply.get("type") != "secure":
-                return ClientOutcome(
-                    session_id,
+                return client._gone(behavior, verdict)
+            opened = None
+            if reply.get("type") == "secure":
+                opened = channel.open(bytes.fromhex(str(reply.get("record", ""))))
+            if opened is None or not opened.ok or opened.plaintext != plaintext:
+                return client._outcome(
                     behavior,
                     "error",
                     reply,
                     detail="payload-invariant:rekey-preserves-continuity",
-                    resume_token=client.resume_token,
-                )
-            opened = channel.open(bytes.fromhex(str(reply.get("record", ""))))
-            if not opened.ok or opened.plaintext != plaintext:
-                return ClientOutcome(
-                    session_id,
-                    behavior,
-                    "error",
-                    reply,
-                    detail="payload-invariant:rekey-preserves-continuity",
-                    resume_token=client.resume_token,
                 )
         if behavior == "secure-tamper":
             record = bytearray(channel.seal(session_id.encode()))
@@ -541,22 +438,12 @@ async def _run_secure_behavior(
             await client.send({"type": "secure", "record": bytes(record).hex()})
             reply = await client.recv()
             if reply is None:
-                return ClientOutcome(
-                    session_id,
-                    behavior,
-                    _closed_kind(client),
-                    verdict,
-                    resume_token=client.resume_token,
-                )
-            if reply.get("type") != "secure-error" or "record" in reply:
-                return ClientOutcome(
-                    session_id,
-                    behavior,
-                    "error",
-                    reply,
-                    detail="payload-invariant:no-plaintext-on-auth-failure",
-                )
-            if reply.get("failure") != "auth-failed":
+                return client._gone(behavior, verdict)
+            if (
+                reply.get("type") != "secure-error"
+                or "record" in reply
+                or reply.get("failure") != "auth-failed"
+            ):
                 return ClientOutcome(
                     session_id,
                     behavior,
@@ -565,14 +452,22 @@ async def _run_secure_behavior(
                     detail="payload-invariant:no-plaintext-on-auth-failure",
                 )
         await client.send({"type": "bye"})
-        return ClientOutcome(
-            session_id, behavior, "result", verdict,
-            resume_token=client.resume_token,
-        )
-    except (OSError, asyncio.TimeoutError, ConnectionError) as error:
-        return _transport_outcome(client, behavior, error)
-    finally:
-        await client.close()
+        return client._outcome(behavior, "result", verdict)
+
+    client.data = True
+    return await client._handshake(behavior, max_retries=0, data_phase=echo)
+
+
+_CORRUPT_BODY = b"\x00\xffnot-json\xfe"
+
+#: The raw bytes each frame-abuse behavior writes after its hello.
+_FRAME_ABUSE = {
+    # A frame header promising bytes that trickle, then stop.
+    "slow-loris": encode_frame({"type": "start"})[:-3],
+    "corrupt-frame": len(_CORRUPT_BODY).to_bytes(4, "big") + _CORRUPT_BODY,
+    "oversized-frame": (2**31).to_bytes(4, "big"),
+    "unknown-frame": encode_frame({"type": "flood", "junk": "x" * 128}),
+}
 
 
 async def run_behavior(
@@ -592,6 +487,8 @@ async def run_behavior(
     outcome (kind ``"error"``) -- the invariants are checked on the
     *server's* metrics, not the attacker's experience.
     """
+    if behavior not in BEHAVIORS:
+        raise ValueError(f"unknown behavior {behavior!r}")
     client = DeviceClient(
         endpoint, session_id, episode=episode, rounds=rounds, timeout_s=timeout_s
     )
@@ -605,82 +502,36 @@ async def run_behavior(
         return await _run_secure_behavior(client, behavior, session_id)
     try:
         await client.connect()
+        if behavior == "silent":
+            # Connect and never even say hello; the hello timeout closes us.
+            return ClientOutcome(session_id, behavior, "closed", await client.recv())
+        answer = await client.hello()
+        if behavior == "disconnect-after-hello":
+            return ClientOutcome(session_id, behavior, "closed")
+        if answer is not None and answer.get("type") == "rejected":
+            return ClientOutcome(session_id, behavior, "rejected", answer)
+        if behavior == "disconnect-after-start":
+            await client.send({"type": "start"})
+            return ClientOutcome(session_id, behavior, "closed")
         if behavior == "ping-then-normal":
-            answer = await client.hello()
-            if answer is None or answer.get("type") == "rejected":
-                return ClientOutcome(
-                    session_id,
-                    behavior,
-                    "rejected" if answer else "closed",
-                    answer,
-                )
+            if answer is None:
+                return ClientOutcome(session_id, behavior, "closed")
             await client.send({"type": "ping"})
             pong = await client.recv()
             if pong is None or pong.get("type") != "pong":
                 return ClientOutcome(session_id, behavior, "closed", pong)
             await client.send({"type": "start"})
             verdict = await client.recv()
-            if verdict is None:
-                return ClientOutcome(session_id, behavior, "closed")
-            kind = "result" if verdict.get("type") == "result" else "abort"
-            return ClientOutcome(session_id, behavior, kind, verdict)
-        if behavior == "disconnect-after-hello":
-            await client.hello()
+            kind = "result" if verdict and verdict.get("type") == "result" else "abort"
+        else:
+            client._writer.write(_FRAME_ABUSE[behavior])
+            await client._writer.drain()
+            verdict = await client.recv()  # the server's abort, or a close
+            kind = "abort"
+        if verdict is None:
             return ClientOutcome(session_id, behavior, "closed")
-        if behavior == "disconnect-after-start":
-            answer = await client.hello()
-            if answer is not None and answer.get("type") == "rejected":
-                return ClientOutcome(session_id, behavior, "rejected", answer)
-            await client.send({"type": "start"})
-            return ClientOutcome(session_id, behavior, "closed")
-        if behavior == "slow-loris":
-            # A frame header promising bytes that trickle, then stop.
-            answer = await client.hello()
-            if answer is not None and answer.get("type") == "rejected":
-                return ClientOutcome(session_id, behavior, "rejected", answer)
-            partial = encode_frame({"type": "start"})[:-3]
-            client._writer.write(partial)
-            await client._writer.drain()
-            verdict = await client.recv()  # the reaper's abort, or a close
-            if verdict is None:
-                return ClientOutcome(session_id, behavior, "closed")
-            return ClientOutcome(session_id, behavior, "abort", verdict)
-        if behavior == "corrupt-frame":
-            answer = await client.hello()
-            if answer is not None and answer.get("type") == "rejected":
-                return ClientOutcome(session_id, behavior, "rejected", answer)
-            body = b"\x00\xffnot-json\xfe"
-            client._writer.write(len(body).to_bytes(4, "big") + body)
-            await client._writer.drain()
-            verdict = await client.recv()
-            if verdict is None:
-                return ClientOutcome(session_id, behavior, "closed")
-            return ClientOutcome(session_id, behavior, "abort", verdict)
-        if behavior == "oversized-frame":
-            answer = await client.hello()
-            if answer is not None and answer.get("type") == "rejected":
-                return ClientOutcome(session_id, behavior, "rejected", answer)
-            client._writer.write((2**31).to_bytes(4, "big"))
-            await client._writer.drain()
-            verdict = await client.recv()
-            if verdict is None:
-                return ClientOutcome(session_id, behavior, "closed")
-            return ClientOutcome(session_id, behavior, "abort", verdict)
-        if behavior == "unknown-frame":
-            answer = await client.hello()
-            if answer is not None and answer.get("type") == "rejected":
-                return ClientOutcome(session_id, behavior, "rejected", answer)
-            await client.send({"type": "flood", "junk": "x" * 128})
-            verdict = await client.recv()
-            if verdict is None:
-                return ClientOutcome(session_id, behavior, "closed")
-            return ClientOutcome(session_id, behavior, "abort", verdict)
-        if behavior == "silent":
-            # Connect and never even say hello; the hello timeout closes us.
-            verdict = await client.recv()
-            return ClientOutcome(session_id, behavior, "closed", verdict)
-        raise ValueError(f"unknown behavior {behavior!r}")
+        return ClientOutcome(session_id, behavior, kind, verdict)
     except (OSError, asyncio.TimeoutError, ConnectionError) as error:
-        return _transport_outcome(client, behavior, error)
+        return client._gone(behavior, error=error)
     finally:
         await client.close()

@@ -305,7 +305,7 @@ class SessionJournal:
 
 @dataclass
 class RecoveredSession:
-    """One resumable terminal verdict reconstructed from the journal.
+    """One resumable terminal verdict, as the journal records it.
 
     Attributes:
         session_id: The session id the token was minted for.
@@ -316,8 +316,6 @@ class RecoveredSession:
         detail: Abort detail for ``"abort"`` verdicts.
         channel: The latest journaled channel context for the token
             (master/nonce/fingerprint/epoch), when a data phase ran.
-        delivered: Whether a ``deliver`` record was journaled for the
-            token (redelivery is idempotent either way).
     """
 
     session_id: str
@@ -326,61 +324,50 @@ class RecoveredSession:
     reason: str = ""
     detail: str = ""
     channel: Optional[dict] = None
-    delivered: bool = False
 
 
 @dataclass
 class RecoveryState:
-    """Everything a restarted server restores from one journal replay.
+    """The resumable state the journal's records fold into.
+
+    A restarted server folds its replay through :meth:`apply`, and a
+    journaling server folds every record it appends the same way, so a
+    resumption token reads one state whether or not a crash came
+    between.
 
     Attributes:
         resumable: Terminal verdicts by resumption token.
-        orphans: Tokens admitted but never terminal -- the sessions a
-            crash interrupted mid-flight; recovery aborts each with
-            ``recovered-after-crash``.
-        orphan_sessions: ``token -> session_id`` for the orphans.
+        admitted: ``token -> session_id`` for every admitted session.
         nonce_floors: Highest journaled seal sequence per
             ``(key_id, direction)``; restored into the server's ledger
             so a re-issued sequence is witnessed as a reuse.
-        replayed_records: Records the replay yielded.
-        recoveries: Recovery markers already present in the journal
-            (i.e. how many crashes this journal has survived before).
     """
 
     resumable: Dict[str, RecoveredSession] = field(default_factory=dict)
-    orphans: List[str] = field(default_factory=list)
-    orphan_sessions: Dict[str, str] = field(default_factory=dict)
+    admitted: Dict[str, str] = field(default_factory=dict)
     nonce_floors: Dict[tuple, int] = field(default_factory=dict)
-    replayed_records: int = 0
-    recoveries: int = 0
 
-
-def build_recovery_state(replay: JournalReplay) -> RecoveryState:
-    """Fold one replay's records into the server's recovery state."""
-    state = RecoveryState(replayed_records=len(replay.records))
-    admitted: Dict[str, str] = {}
-    for record in replay.records:
+    def apply(self, record: dict) -> None:
+        """Fold one journal record into the state."""
         kind = record.get("t")
         token = str(record.get("token", ""))
         if kind == "admit":
-            admitted[token] = str(record.get("sid", ""))
+            self.admitted[token] = str(record.get("sid", ""))
         elif kind == "outcome":
-            recovered = state.resumable.get(token)
-            entry = RecoveredSession(
-                session_id=admitted.get(token, str(record.get("sid", ""))),
+            recovered = self.resumable.get(token)
+            self.resumable[token] = RecoveredSession(
+                session_id=self.admitted.get(token, str(record.get("sid", ""))),
                 kind=str(record.get("kind", "abort")),
                 frame=record.get("frame"),
                 reason=str(record.get("reason", "")),
                 detail=str(record.get("detail", "")),
                 channel=recovered.channel if recovered else None,
-                delivered=recovered.delivered if recovered else False,
             )
-            state.resumable[token] = entry
         elif kind == "channel":
-            recovered = state.resumable.get(token)
+            recovered = self.resumable.get(token)
             if recovered is None:
-                recovered = state.resumable[token] = RecoveredSession(
-                    session_id=admitted.get(token, ""), kind="result"
+                recovered = self.resumable[token] = RecoveredSession(
+                    session_id=self.admitted.get(token, ""), kind="result"
                 )
             recovered.channel = {
                 "master": str(record.get("master", "")),
@@ -390,22 +377,14 @@ def build_recovery_state(replay: JournalReplay) -> RecoveryState:
                 "max_records": int(record.get("max_records", 2**20)),
                 "replay_window": int(record.get("replay_window", 64)),
             }
-        elif kind == "deliver":
-            recovered = state.resumable.get(token)
-            if recovered is not None:
-                recovered.delivered = True
         elif kind == "nonce":
             key = (str(record.get("key", "")), int(record.get("dir", 0)))
             high = int(record.get("high", 0))
-            if high > state.nonce_floors.get(key, -1):
-                state.nonce_floors[key] = high
-        elif kind == "recovery":
-            state.recoveries += 1
-    for token, session_id in admitted.items():
-        entry = state.resumable.get(token)
-        if entry is None:
-            state.orphans.append(token)
-            state.orphan_sessions[token] = session_id
-        elif not entry.session_id:
-            entry.session_id = session_id
-    return state
+            if high > self.nonce_floors.get(key, -1):
+                self.nonce_floors[key] = high
+
+    def orphans(self) -> List[str]:
+        """Tokens admitted but never terminal -- the sessions a crash
+        interrupted mid-flight; recovery aborts each with
+        ``recovered-after-crash``."""
+        return [token for token in self.admitted if token not in self.resumable]

@@ -54,13 +54,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.batch import BatchedSessionRunner
 from repro.core.pipeline import KeyEstablishmentOutcome
 from repro.core.statemachine import ABORT_RECOVERED, SessionEvent
-from repro.server.framing import (
-    MAX_FRAME_BYTES,
-    FrameError,
-    FrameReader,
-    write_frame,
-    write_frames,
-)
+from repro.server.framing import FrameError, FrameReader, write_frames
 from repro.secure import (
     ChannelContext,
     NonceExhaustedError,
@@ -69,16 +63,20 @@ from repro.secure import (
     derive_channel_keys,
     master_secret_from_result,
 )
+from repro.secure.channel import DEFAULT_REPLAY_WINDOW
 from repro.server.crashpoints import CRASHPOINTS
-from repro.server.journal import (
-    RecoveredSession,
-    SessionJournal,
-    build_recovery_state,
-)
+from repro.server.journal import RecoveredSession, RecoveryState, SessionJournal
 from repro.server.metrics import ServerMetrics
 from repro.server.registry import ModelRegistry
 from repro.server.session import DeviceSession
 from repro.utils.validation import require_positive
+
+#: Budget for writing one frame, or one data-phase burst of replies, to a
+#: peer (a wedged receive buffer counts as a disconnect, not a stall).
+SEND_TIMEOUT_S = 5.0
+
+#: Default budget for a graceful drain.
+DRAIN_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -106,21 +104,12 @@ class ServerConfig:
         max_sessions: Most live sessions the server admits at once.
         retry_after_s: The retry hint carried by shed/draining rejections.
         reap_interval_s: Period of the idle/deadline reaper sweep.
-        send_timeout_s: Budget for writing one frame, or one data-phase
-            burst of replies, to a peer (a wedged receive buffer counts as
-            a disconnect, not a stall).
-        drain_timeout_s: Default budget for a graceful drain.
-        max_frame_bytes: Framing layer's per-frame payload ceiling.
-        default_rounds: Probing rounds when a session does not ask for a
-            specific count (``None``: the pipeline's ``session_rounds``).
         secure_decrypt_budget: Failed record opens one data-phase channel
             tolerates before the server answers ``channel-closed``
             (``decrypt-budget-exceeded``) and ends the session.
         secure_max_records: Send-nonce space per data-phase channel;
             exhausting it closes the channel with a structured
             ``nonce-exhausted`` reason rather than ever reusing a nonce.
-        secure_replay_window: Sliding replay-window size of the server's
-            data-phase channels.
         secure_batch_max: Most already-arrived ``secure`` frames one
             data-phase burst coalesces into a single batched open/echo
             round and one write; the cap keeps one flooding peer from
@@ -150,13 +139,8 @@ class ServerConfig:
     max_sessions: int = 1024
     retry_after_s: float = 1.0
     reap_interval_s: float = 0.5
-    send_timeout_s: float = 5.0
-    drain_timeout_s: float = 30.0
-    max_frame_bytes: int = MAX_FRAME_BYTES
-    default_rounds: Optional[int] = None
     secure_decrypt_budget: int = 8
     secure_max_records: int = 2**20
-    secure_replay_window: int = 64
     secure_batch_max: int = 64
     journal_dir: Optional[str] = None
     journal_fsync: str = "batch"
@@ -229,7 +213,7 @@ class KeyEstablishmentServer:
             self.nonce_ledger = NonceLedger()
         self.sessions: Dict[str, DeviceSession] = {}
         self.journal: Optional[SessionJournal] = None
-        self._resumable: Dict[str, RecoveredSession] = {}
+        self._recovery = RecoveryState()
         self._live_tokens: Dict[str, DeviceSession] = {}
         self._pending: Optional[asyncio.Queue] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -241,10 +225,12 @@ class KeyEstablishmentServer:
 
     # -- lifecycle -----------------------------------------------------------
     def journal_append(self, record: dict, critical: bool = False) -> None:
-        """Append one record to the journal, if one is configured."""
+        """Append one record to the journal, if one is configured, and
+        fold it into the resumable state recovery would rebuild."""
         if self.journal is None:
             return
         self.journal.append(record, critical=critical)
+        self._recovery.apply(record)
         self.metrics.journal_records = self.journal.records_written
 
     def _recover_from_journal(self) -> None:
@@ -268,39 +254,32 @@ class KeyEstablishmentServer:
             batch_records=self.config.journal_batch_records,
         )
         replay = self.journal.recover()
-        state = build_recovery_state(replay)
-        self._resumable = state.resumable
-        for key, high in state.nonce_floors.items():
+        for record in replay.records:
+            self._recovery.apply(record)
+        for key, high in self._recovery.nonce_floors.items():
             self.nonce_ledger.restore_floor(key[0], key[1], high)
-        for token in state.orphans:
-            session_id = state.orphan_sessions.get(token, "")
-            detail = "server crashed while this session was live"
+        orphans = self._recovery.orphans()
+        for token in orphans:
             self.journal_append(
                 {
                     "t": "outcome",
                     "token": token,
-                    "sid": session_id,
+                    "sid": self._recovery.admitted[token],
                     "kind": "abort",
                     "reason": ABORT_RECOVERED,
-                    "detail": detail,
+                    "detail": "server crashed while this session was live",
                 },
                 critical=True,
             )
-            self._resumable[token] = RecoveredSession(
-                session_id=session_id,
-                kind="abort",
-                reason=ABORT_RECOVERED,
-                detail=detail,
-            )
             self.metrics.record_abort(ABORT_RECOVERED)
-        self.metrics.recovered_orphans = len(state.orphans)
+        self.metrics.recovered_orphans = len(orphans)
         if replay.records:
             self.metrics.recoveries = 1
             self.journal_append(
                 {
                     "t": "recovery",
-                    "replayed": state.replayed_records,
-                    "orphans": len(state.orphans),
+                    "replayed": len(replay.records),
+                    "orphans": len(orphans),
                     "torn": replay.torn,
                 },
                 critical=True,
@@ -378,7 +357,7 @@ class KeyEstablishmentServer:
         number of sessions still registered when the budget ran out and
         must be zero on a healthy drain.
         """
-        timeout = self.config.drain_timeout_s if timeout is None else timeout
+        timeout = DRAIN_TIMEOUT_S if timeout is None else timeout
         self._draining = True
         report = DrainReport()
         # Unstarted sessions cannot make progress once draining: abort
@@ -499,20 +478,34 @@ class KeyEstablishmentServer:
     ) -> None:
         """Send a structured rejection (with retry-after) and close."""
         try:
-            await asyncio.wait_for(
-                write_frame(
-                    writer,
-                    {
-                        "type": "rejected",
-                        "reason": reason,
-                        "detail": detail,
-                        "retry_after_s": self.config.retry_after_s,
-                    },
-                ),
-                timeout=self.config.send_timeout_s,
+            await self._send(
+                writer,
+                {
+                    "type": "rejected",
+                    "reason": reason,
+                    "detail": detail,
+                    "retry_after_s": self.config.retry_after_s,
+                },
             )
         except (OSError, asyncio.TimeoutError):
             pass
+
+    @staticmethod
+    async def _send(writer: asyncio.StreamWriter, *frames: dict) -> None:
+        """Write frames in one write; ``SEND_TIMEOUT_S`` bounds the drain."""
+        await asyncio.wait_for(write_frames(writer, frames), timeout=SEND_TIMEOUT_S)
+
+    def _welcome(self, session_id: str, token: str = "", resumed: bool = False) -> dict:
+        """The welcome frame.  A resumed welcome carries ``resumed`` and
+        its token before the budgets; an admission's token goes last."""
+        frame: Dict[str, object] = {"type": "welcome", "session_id": session_id}
+        if resumed:
+            frame.update(resumed=True, resume_token=token)
+        frame["idle_timeout_s"] = self.config.idle_timeout_s
+        frame["deadline_s"] = self.config.session_deadline_s
+        if token and not resumed:
+            frame["resume_token"] = token
+        return frame
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -523,23 +516,14 @@ class KeyEstablishmentServer:
         transport; nothing a peer sends can raise out of this handler.
         """
         session: Optional[DeviceSession] = None
-        frames = FrameReader(reader, self.config.max_frame_bytes)
+        frames = FrameReader(reader)
         try:
             session = await self._admit(frames, writer)
             if session is not None:
                 await self._serve_session(session, frames, writer)
         except (OSError, asyncio.TimeoutError, ConnectionError):
-            if session is not None and not session.terminal:
-                self.metrics.disconnects += 1
-                if self.journal is not None and session.resume_token:
-                    # Journaled server: keep the session for a resumption
-                    # window instead of aborting -- the client reconnects
-                    # with its token and is re-attached.
-                    session.detached = True
-                else:
-                    self._abort_session(
-                        session, SessionEvent.PEER_DISCONNECTED, "transport error"
-                    )
+            if session is not None:
+                self._peer_gone(session, "transport error")
         finally:
             if session is not None and not session.detached:
                 self._unregister(session)
@@ -549,52 +533,31 @@ class KeyEstablishmentServer:
             except (OSError, ConnectionError):
                 pass
 
-    def _unregister(self, session: DeviceSession) -> None:
-        """Drop a session from the live tables; keep its verdict resumable.
+    def _peer_gone(self, session: DeviceSession, detail: str) -> None:
+        """The peer's transport dropped before the session's verdict.
 
-        On a journaled server a terminal session's verdict (and channel
-        context) moves into the in-memory resumable map, mirroring what
-        a post-crash recovery would rebuild from the journal -- so a
-        client that disconnected mid-data-phase can resume against the
-        same process, not only against a restarted one.
+        A token holder (journaling server) is detached and kept for a
+        resumption window -- the client reconnects with its token and is
+        re-attached; anyone else is aborted.
+        """
+        if session.terminal:
+            return
+        self.metrics.disconnects += 1
+        if session.resume_token:
+            session.detached = True
+        else:
+            self._abort_session(session, SessionEvent.PEER_DISCONNECTED, detail)
+
+    def _unregister(self, session: DeviceSession) -> None:
+        """Drop a session from the live tables.
+
+        Its journaled verdict and channel context stay resumable: the
+        journal fold already holds them, so a client that disconnected
+        can resume against the same process as after a restart.
         """
         self.sessions.pop(session.session_id, None)
-        if not session.resume_token:
-            return
-        self._live_tokens.pop(session.resume_token, None)
-        if self.journal is None or not session.outcome_journaled:
-            return
-        channel = None
-        if session.channel_frame is not None:
-            frame = session.channel_frame
-            channel = {
-                "master": frame["device_key"],
-                "nonce": frame["nonce"],
-                "fingerprint": frame["fingerprint"],
-                "epoch": frame["epoch"],
-                "max_records": frame["max_records"],
-                "replay_window": frame["replay_window"],
-            }
-        abort = session.machine.abort_record
-        if session.verdict_frame is not None:
-            entry = RecoveredSession(
-                session_id=session.session_id,
-                kind="result",
-                frame=session.verdict_frame,
-                channel=channel,
-                delivered=session.delivered,
-            )
-        elif abort is not None:
-            entry = RecoveredSession(
-                session_id=session.session_id,
-                kind="abort",
-                reason=abort.reason,
-                detail=abort.detail,
-                delivered=session.delivered,
-            )
-        else:
-            return
-        self._resumable[session.resume_token] = entry
+        if session.resume_token:
+            self._live_tokens.pop(session.resume_token, None)
 
     async def _admit(
         self, frames: FrameReader, writer: asyncio.StreamWriter
@@ -657,16 +620,9 @@ class KeyEstablishmentServer:
         session.deadline_s = session.created_s + self.config.session_deadline_s
         self.sessions[session_id] = session
         self.metrics.accepted += 1
-        welcome = {
-            "type": "welcome",
-            "session_id": session_id,
-            "idle_timeout_s": self.config.idle_timeout_s,
-            "deadline_s": self.config.session_deadline_s,
-        }
         if self.journal is not None:
             session.resume_token = secrets.token_hex(16)
             self._live_tokens[session.resume_token] = session
-            welcome["resume_token"] = session.resume_token
             self.journal_append(
                 {
                     "t": "admit",
@@ -678,13 +634,7 @@ class KeyEstablishmentServer:
                 }
             )
             CRASHPOINTS.hit("admit")
-        await asyncio.wait_for(
-            write_frame(
-                writer,
-                welcome,
-            ),
-            timeout=self.config.send_timeout_s,
-        )
+        await self._send(writer, self._welcome(session_id, session.resume_token))
         return session
 
     async def _resume(
@@ -732,22 +682,11 @@ class KeyEstablishmentServer:
                     self._abort_session(
                         live, SessionEvent.OVERLOADED, "ingress queue full"
                     )
-            await asyncio.wait_for(
-                write_frame(
-                    writer,
-                    {
-                        "type": "welcome",
-                        "session_id": live.session_id,
-                        "resumed": True,
-                        "resume_token": token,
-                        "idle_timeout_s": self.config.idle_timeout_s,
-                        "deadline_s": self.config.session_deadline_s,
-                    },
-                ),
-                timeout=self.config.send_timeout_s,
+            await self._send(
+                writer, self._welcome(live.session_id, token, resumed=True)
             )
             return live
-        recovered = self._resumable.get(token)
+        recovered = self._recovery.resumable.get(token)
         if recovered is None or (
             recovered.kind == "result" and recovered.frame is None
         ):
@@ -774,22 +713,11 @@ class KeyEstablishmentServer:
         ``key_digest``) -- only the ``channel`` description is fresh,
         re-derived at the last journaled epoch + 1 and journaled again,
         so repeated crashes keep bumping the epoch and no pre-crash
-        ``(epoch, direction, sequence)`` tuple ever verifies again.
+        ``(epoch, direction, sequence)`` tuple ever verifies again.  The
+        channel record folds the bumped epoch into ``recovered``.
         """
-        send_timeout = self.config.send_timeout_s
-        await asyncio.wait_for(
-            write_frame(
-                writer,
-                {
-                    "type": "welcome",
-                    "session_id": recovered.session_id,
-                    "resumed": True,
-                    "resume_token": token,
-                    "idle_timeout_s": self.config.idle_timeout_s,
-                    "deadline_s": self.config.session_deadline_s,
-                },
-            ),
-            timeout=send_timeout,
+        await self._send(
+            writer, self._welcome(recovered.session_id, token, resumed=True)
         )
         if recovered.kind == "abort":
             frame = {
@@ -799,8 +727,7 @@ class KeyEstablishmentServer:
                 "detail": recovered.detail,
                 "resumed": True,
             }
-            await asyncio.wait_for(write_frame(writer, frame), timeout=send_timeout)
-            recovered.delivered = True
+            await self._send(writer, frame)
             self.journal_append({"t": "deliver", "token": token}, critical=True)
             return
         frame = dict(recovered.frame)
@@ -812,17 +739,8 @@ class KeyEstablishmentServer:
             resume_token=token,
         )
         if recovered.channel is not None and frame.get("success"):
-            epoch = int(recovered.channel["epoch"]) + 1
-            frame["channel"] = self._build_channel(
-                session,
-                master=bytes.fromhex(recovered.channel["master"]),
-                nonce=bytes.fromhex(recovered.channel["nonce"]),
-                fingerprint=str(recovered.channel["fingerprint"]),
-                epoch=epoch,
-            )
-            recovered.channel["epoch"] = epoch
-        await asyncio.wait_for(write_frame(writer, frame), timeout=send_timeout)
-        recovered.delivered = True
+            frame["channel"] = self._reopen_channel(session, recovered.channel)
+        await self._send(writer, frame)
         self.journal_append({"t": "deliver", "token": token}, critical=True)
         if session.channel is not None:
             read_task = asyncio.create_task(frames.read())
@@ -864,16 +782,7 @@ class KeyEstablishmentServer:
                     await self._send_verdict(session, writer)
                     return
                 if frame is None:  # peer closed the stream
-                    if not session.terminal:
-                        self.metrics.disconnects += 1
-                        if self.journal is not None and session.resume_token:
-                            session.detached = True
-                        else:
-                            self._abort_session(
-                                session,
-                                SessionEvent.PEER_DISCONNECTED,
-                                "peer closed mid-session",
-                            )
+                    self._peer_gone(session, "peer closed mid-session")
                     return
                 session.touch()
                 read_task = asyncio.create_task(frames.read())
@@ -900,26 +809,17 @@ class KeyEstablishmentServer:
                     session, SessionEvent.OVERLOADED, "ingress queue full"
                 )
         elif kind == "ping":
-            await asyncio.wait_for(
-                write_frame(writer, {"type": "pong"}),
-                timeout=self.config.send_timeout_s,
-            )
+            await self._send(writer, {"type": "pong"})
         elif kind == "health":
-            await asyncio.wait_for(
-                write_frame(writer, {"type": "health", **self.health()}),
-                timeout=self.config.send_timeout_s,
-            )
+            await self._send(writer, {"type": "health", **self.health()})
         elif kind == "status":
-            await asyncio.wait_for(
-                write_frame(
-                    writer,
-                    {
-                        "type": "status",
-                        "session_id": session.session_id,
-                        "metrics": self.metrics.snapshot(),
-                    },
-                ),
-                timeout=self.config.send_timeout_s,
+            await self._send(
+                writer,
+                {
+                    "type": "status",
+                    "session_id": session.session_id,
+                    "metrics": self.metrics.snapshot(),
+                },
             )
         elif kind == "bye":
             return
@@ -951,18 +851,12 @@ class KeyEstablishmentServer:
             else:
                 frame = self._result_frame(session, verdict)
             if verdict.success and session.wants_data:
-                if session.channel_frame is not None:
+                journaled = self._recovery.resumable.get(session.resume_token)
+                if journaled is not None and journaled.channel is not None:
                     # Re-attach after the channel was already opened:
-                    # never re-derive the same epoch -- bump it so no
-                    # pre-disconnect record can verify and no nonce is
-                    # ever sealed twice under the same keys.
-                    prior = session.channel_frame
-                    frame["channel"] = self._build_channel(
-                        session,
-                        master=bytes.fromhex(prior["device_key"]),
-                        nonce=bytes.fromhex(prior["nonce"]),
-                        fingerprint=str(prior["fingerprint"]),
-                        epoch=int(prior["epoch"]) + 1,
+                    # never re-derive the same epoch.
+                    frame["channel"] = self._reopen_channel(
+                        session, journaled.channel
                     )
                 else:
                     frame["channel"] = self._open_channel(session, verdict)
@@ -977,10 +871,7 @@ class KeyEstablishmentServer:
                 frame["retry_after_s"] = self.config.retry_after_s
         CRASHPOINTS.hit("deliver")
         try:
-            await asyncio.wait_for(
-                write_frame(writer, frame), timeout=self.config.send_timeout_s
-            )
-            session.delivered = True
+            await self._send(writer, frame)
             if session.resume_token:
                 self.journal_append(
                     {"t": "deliver", "token": session.resume_token}, critical=True
@@ -1038,6 +929,21 @@ class KeyEstablishmentServer:
             epoch=0,
         )
 
+    def _reopen_channel(self, session: DeviceSession, journaled: dict) -> dict:
+        """Re-derive a journaled channel context at its epoch + 1.
+
+        Never the journaled epoch itself: no earlier record can verify
+        on the reopened channel, and no nonce is ever sealed twice under
+        the same keys.
+        """
+        return self._build_channel(
+            session,
+            master=bytes.fromhex(journaled["master"]),
+            nonce=bytes.fromhex(journaled["nonce"]),
+            fingerprint=str(journaled["fingerprint"]),
+            epoch=int(journaled["epoch"]) + 1,
+        )
+
     def _build_channel(
         self,
         session: DeviceSession,
@@ -1064,7 +970,6 @@ class KeyEstablishmentServer:
             derive_channel_keys(master, context),
             role="responder",
             max_sequence=self.config.secure_max_records,
-            replay_window=self.config.secure_replay_window,
             ledger=self.nonce_ledger,
         )
         self.metrics.channels_opened += 1
@@ -1076,9 +981,8 @@ class KeyEstablishmentServer:
             "fingerprint": fingerprint,
             "epoch": epoch,
             "max_records": self.config.secure_max_records,
-            "replay_window": self.config.secure_replay_window,
+            "replay_window": DEFAULT_REPLAY_WINDOW,
         }
-        session.channel_frame = frame
         if session.resume_token:
             self.journal_append(
                 {
@@ -1090,7 +994,7 @@ class KeyEstablishmentServer:
                     "fingerprint": fingerprint,
                     "epoch": epoch,
                     "max_records": self.config.secure_max_records,
-                    "replay_window": self.config.secure_replay_window,
+                    "replay_window": DEFAULT_REPLAY_WINDOW,
                 },
                 critical=True,
             )
@@ -1102,16 +1006,13 @@ class KeyEstablishmentServer:
         """Answer a structured ``channel-closed`` frame (counted)."""
         self.metrics.record_channel_close(reason)
         try:
-            await asyncio.wait_for(
-                write_frame(
-                    writer,
-                    {
-                        "type": "channel-closed",
-                        "session_id": session.session_id,
-                        "reason": reason,
-                    },
-                ),
-                timeout=self.config.send_timeout_s,
+            await self._send(
+                writer,
+                {
+                    "type": "channel-closed",
+                    "session_id": session.session_id,
+                    "reason": reason,
+                },
             )
         except (OSError, asyncio.TimeoutError, ConnectionError):
             self.metrics.disconnects += 1
@@ -1141,7 +1042,7 @@ class KeyEstablishmentServer:
         through :meth:`SecureChannel.open_records` and
         :meth:`SecureChannel.seal_records` -- the channel's MAC keys and
         keystream midstates are looked up once per burst -- and its
-        replies leave in one write whose drain ``send_timeout_s`` bounds.
+        replies leave in one write whose drain ``SEND_TIMEOUT_S`` bounds.
         Replies keep per-record order, and the budget and
         nonce-exhaustion semantics are exactly the one-record-at-a-time
         ones: ``open_records`` stops at the budget-crossing record, a
@@ -1167,10 +1068,7 @@ class KeyEstablishmentServer:
             if kind == "bye":
                 return
             if kind == "ping":
-                await asyncio.wait_for(
-                    write_frame(writer, {"type": "pong"}),
-                    timeout=config.send_timeout_s,
-                )
+                await self._send(writer, {"type": "pong"})
             elif kind != "secure":
                 self.metrics.malformed_frames += 1
                 await self._send_channel_closed(session, writer, "protocol-error")
@@ -1237,9 +1135,7 @@ class KeyEstablishmentServer:
                             closing = "decrypt-budget-exceeded"
                             break
                 if replies:
-                    await asyncio.wait_for(
-                        write_frames(writer, replies), timeout=config.send_timeout_s
-                    )
+                    await self._send(writer, *replies)
                 if closing is not None:
                     await self._send_channel_closed(session, writer, closing)
                     return
@@ -1267,11 +1163,7 @@ class KeyEstablishmentServer:
 
     def _journal_outcome(self, session: DeviceSession) -> None:
         """Witness a session's terminal verdict in the journal, once."""
-        if (
-            self.journal is None
-            or not session.resume_token
-            or session.outcome_journaled
-        ):
+        if not session.resume_token or session.outcome_journaled:
             return
         if session.verdict_frame is not None:
             record = {
@@ -1302,9 +1194,9 @@ class KeyEstablishmentServer:
         Detached sessions (journaled server, peer gone, resumption
         window open) have no connection handler left to unregister
         them, so the reaper also retires any detached session that has
-        gone terminal: its verdict moves to the resumable map and the
-        session table entry is reclaimed -- no leak, and a late resume
-        still finds the journaled outcome.
+        gone terminal: its outcome is journaled and the session table
+        entry is reclaimed -- no leak, and a late resume still finds the
+        journaled outcome.
         """
         while True:
             await asyncio.sleep(self.config.reap_interval_s)
@@ -1378,11 +1270,10 @@ class KeyEstablishmentServer:
         for session in live:
             by_rounds.setdefault(session.rounds, []).append(session)
         for rounds, sessions in by_rounds.items():
-            effective = rounds if rounds is not None else self.config.default_rounds
             labels = [s.episode for s in sessions]
             try:
                 runner = BatchedSessionRunner(
-                    pipeline, n_rounds=effective, shards=self.config.shards
+                    pipeline, n_rounds=rounds, shards=self.config.shards
                 )
                 report = await loop.run_in_executor(
                     None, runner.run_episodes, labels
@@ -1401,7 +1292,7 @@ class KeyEstablishmentServer:
                         outcome = await loop.run_in_executor(
                             None,
                             lambda s=session: pipeline.establish_key(
-                                episode=s.episode, n_rounds=effective
+                                episode=s.episode, n_rounds=rounds
                             ),
                         )
                         verdicts.append(outcome)
@@ -1415,7 +1306,7 @@ class KeyEstablishmentServer:
         if isinstance(verdict, KeyEstablishmentOutcome):
             session.complete(verdict)
             if session.outcome is verdict:
-                if self.journal is not None and session.resume_token:
+                if session.resume_token:
                     session.verdict_frame = self._result_frame(session, verdict)
                     self._journal_outcome(session)
                 self.metrics.completed += 1

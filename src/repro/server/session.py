@@ -54,14 +54,8 @@ class DeviceSession:
         detached: The transport dropped but the session is being kept
             for a resumption window instead of being aborted (journaled
             servers only).
-        delivered: The terminal verdict frame was written to a peer (and
-            journaled); a resumed client is re-sent the identical frame.
         verdict_frame: The terminal frame as sent, cached for idempotent
             redelivery on re-attach (the channel object is *not* in it).
-        channel_frame: The wire description of the last data-phase
-            channel opened for this session; a resumed client gets a
-            fresh channel derived at this epoch + 1, so pre-crash
-            records can never verify on the resumed channel.
         outcome_journaled: The terminal outcome record reached the
             journal (guards against double-journaling on re-attach).
     """
@@ -80,9 +74,7 @@ class DeviceSession:
     channel: Optional[SecureChannel] = None
     resume_token: str = ""
     detached: bool = False
-    delivered: bool = False
     verdict_frame: Optional[dict] = None
-    channel_frame: Optional[dict] = None
     outcome_journaled: bool = False
 
     def __post_init__(self) -> None:

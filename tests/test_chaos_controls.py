@@ -13,6 +13,7 @@ The server and restart controls need no trained pipeline; CI runs the
 restart ones next to the journal tests.
 """
 
+import asyncio
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from repro.cli import _print_verdict
 from repro.core.pipeline import KeyEstablishmentOutcome
 from repro.core.statemachine import ABORT_MAC, SessionAbort
 from repro.exceptions import ConfigurationError
+from repro.faults import chaos
 from repro.faults.adversary import AdversaryPlan
 from repro.faults.chaos import (
     INVARIANTS,
@@ -31,6 +33,7 @@ from repro.faults.chaos import (
     _check_drain,
     _check_invariants,
     _classify_clients,
+    _restart_client,
     _run_payload_phase,
     _verify_restart_journal,
     run_chaos,
@@ -41,6 +44,7 @@ from repro.lora.regional import EU868
 from repro.secure import ManagedSecureLink, NonceLedger
 from repro.secure.channel import OpenOutcome, ReplayWindow
 from repro.server.client import ClientOutcome
+from repro.server.framing import FrameReader, write_frame
 
 SECURITY_MD = Path(__file__).resolve().parent.parent / "docs" / "SECURITY.md"
 
@@ -430,6 +434,53 @@ class TestRestartControls:
         record = {"t": "violation", "invariant": "silent-key-mismatch",
                   "detail": "witnessed"}
         _fires_only(_verified(_journal(record)), "silent-key-mismatch")
+
+    def test_resumed_honest_client_keeps_its_behavior(self, monkeypatch):
+        # Seed 0, client 2 draws "normal".  The peer mints a token, then
+        # drops every connection without a verdict, so the client's
+        # second attempt resumes -- and must still be checked as the
+        # honest client it is.
+        monkeypatch.setattr(chaos, "_RESUME_ATTEMPTS", 2)
+
+        class Cluster:
+            bound = 0
+
+            async def port(self):
+                return self.bound
+
+        async def drop_before_verdict(reader, writer):
+            frames = FrameReader(reader)
+            hello = await frames.read()
+            if not hello.get("resume"):
+                await write_frame(
+                    writer,
+                    {"type": "welcome", "session_id": hello["session_id"],
+                     "resume_token": TOKEN},
+                )
+                await frames.read()  # the start frame
+            writer.close()
+            await writer.wait_closed()
+
+        async def body():
+            listener = await asyncio.start_server(
+                drop_before_verdict, "127.0.0.1", 0
+            )
+            cluster = Cluster()
+            cluster.bound = listener.sockets[0].getsockname()[1]
+            try:
+                return await _restart_client(
+                    cluster, 2, 0, 48, NonceLedger(), ChaosReport(sweep="restart")
+                )
+            finally:
+                listener.close()
+                await listener.wait_closed()
+
+        outcome = asyncio.run(body())
+        assert (outcome.behavior, outcome.kind) == ("normal", "disconnected")
+        assert outcome.resume_token == TOKEN
+        report = ChaosReport(sweep="restart")
+        _classify_clients(report, [outcome])
+        _fires_only(report, "shed-not-hang")
 
     @pytest.mark.parametrize(
         "name",

@@ -22,7 +22,7 @@ import pytest
 
 from repro.server import DeviceClient, Endpoint, KeyEstablishmentServer, ServerConfig
 from repro.server.client import channel_from_frame
-from repro.server.framing import FrameReader, encode_frame
+from repro.server.framing import MAX_FRAME_BYTES, FrameReader, encode_frame
 from repro.server.session import DeviceSession
 
 SESSION_ID = "dev-pin"
@@ -209,7 +209,7 @@ def run_script(name: str, chunk: int = 0):
             reader.feed_eof()
 
         feeder = asyncio.create_task(feed())
-        frames_in = FrameReader(reader, server.config.max_frame_bytes)
+        frames_in = FrameReader(reader, MAX_FRAME_BYTES)
         await server._data_phase(
             session, frames_in, writer, asyncio.create_task(frames_in.read())
         )
@@ -313,7 +313,7 @@ class TestTaskCount:
                 return asyncio.Task(coro, loop=loop, **kwargs)
 
             async def handle(reader, writer):
-                frames_in = FrameReader(reader, server.config.max_frame_bytes)
+                frames_in = FrameReader(reader, MAX_FRAME_BYTES)
                 read_task = asyncio.create_task(frames_in.read())
                 try:
                     await server._data_phase(session, frames_in, writer, read_task)

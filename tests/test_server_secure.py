@@ -326,13 +326,15 @@ class TestBatchedDrain:
 
 class TestRestartEpochFloor:
     def test_resumed_channel_rejects_every_pre_crash_record(
-        self, tiny_pipeline, tmp_path
+        self, tiny_pipeline, tmp_path, restart=True
     ):
         """Crash mid-encrypted-echo, restart, resume: the re-derived
         channel lives at the journaled epoch + 1, so every record sealed
         before the crash fails authentication -- no pre-crash
         ``(epoch, direction, sequence)`` tuple ever verifies again --
-        while fresh records under the bumped epoch round-trip."""
+        while fresh records under the bumped epoch round-trip.  With
+        ``restart=False`` the client resumes against the same server
+        after it retired the session."""
         journal_dir = tmp_path / "wal"
         config = fast_config(
             journal_dir=str(journal_dir), journal_fsync="always"
@@ -359,13 +361,14 @@ class TestRestartEpochFloor:
                 assert reply["type"] == "secure"
             await client.close()
             await asyncio.sleep(0.3)  # the reaper retires the detachee
-            await server.stop()
-
-            restarted = KeyEstablishmentServer(
-                ModelRegistry(tiny_pipeline), config
-            )
-            await restarted.start()
-            endpoint = Endpoint(port=restarted.bound_port)
+            restarted = server
+            if restart:
+                await server.stop()
+                restarted = KeyEstablishmentServer(
+                    ModelRegistry(tiny_pipeline), config
+                )
+                await restarted.start()
+                endpoint = Endpoint(port=restarted.bound_port)
             resumer = DeviceClient(
                 endpoint, client.session_id, timeout_s=30.0, resume=token
             )
@@ -411,11 +414,20 @@ class TestRestartEpochFloor:
             return restarted
 
         restarted = asyncio.run(body())
-        assert restarted.metrics.recoveries == 1
+        assert restarted.metrics.recoveries == (1 if restart else 0)
         assert restarted.metrics.resumed_sessions == 1
         assert restarted.metrics.secure_open_failures["epoch-mismatch"] == 3
         # Tampered/pre-crash replays never close a healthy channel.
         assert restarted.metrics.channels_closed == {}
+
+    def test_same_process_resume_rejects_every_earlier_record(
+        self, tiny_pipeline, tmp_path
+    ):
+        """The same epoch floor, with no crash: the resumed verdict and
+        channel context come from the live server's own journal."""
+        self.test_resumed_channel_rejects_every_pre_crash_record(
+            tiny_pipeline, tmp_path, restart=False
+        )
 
 
 class TestShedThenAdmit:
