@@ -209,12 +209,17 @@ class VehicleKeyPipeline:
     ) -> List[ProbeTrace]:
         """Probe several independent episodes in one stacked evaluation.
 
-        The cross-session form of :meth:`collect_trace`: one protocol is
-        built per episode label and the whole group runs through
+        The cross-session form of :meth:`collect_trace` for key
+        establishment: one protocol is built per episode label and the
+        whole group runs through
         :func:`~repro.probing.protocol.run_fastpath_group`, which shares
         the round timeline and the trig-heavy fading batch across
-        sessions.  Trace ``i`` is bit-identical to
-        ``collect_trace(episodes[i], n_rounds=n_rounds)``.
+        sessions.  The traces are *windowed*: trace ``i`` equals
+        ``collect_trace(episodes[i], n_rounds=n_rounds)`` bit for bit,
+        except that Alice's matrix keeps only the first
+        ``feature_config.window_length(phy.total_symbols)`` columns, the
+        reads her arRSSI window uses, and her packet RSSI is NaN.  The
+        arRSSI sequences, and so every key, are the same.
         """
         labels = list(episodes)
         require(bool(labels), "collect_traces needs at least one episode")
@@ -225,7 +230,8 @@ class VehicleKeyPipeline:
             protocol, episode_seeds, _, _ = self.build_protocol(label)
             protocols.append(protocol)
             factories.append(episode_seeds)
-        return run_fastpath_group(protocols, rounds, factories)
+        window = self.config.feature_config.window_length(self.config.phy.total_symbols)
+        return run_fastpath_group(protocols, rounds, factories, alice_reads=window)
 
     def collect_dataset(
         self, n_episodes: int = 12, episode_prefix: str = "train"

@@ -73,8 +73,10 @@ def adjacent_register_rssi(
     Args:
         first_packet_rssi: ``[round, symbol]`` register RSSI of the packet
             received *first* in each round (Bob's measurement of the probe).
-        second_packet_rssi: Same shape, for the packet received *second*
-            (Alice's measurement of the response).
+        second_packet_rssi: Same rounds, for the packet received *second*
+            (Alice's measurement of the response).  It may hold only the
+            leading reads the window uses (a windowed trace), but never
+            more reads than the first packet.
         config: Window and block parameters.
 
     Returns:
@@ -85,9 +87,19 @@ def adjacent_register_rssi(
     """
     first = np.asarray(first_packet_rssi, dtype=float)
     second = np.asarray(second_packet_rssi, dtype=float)
-    require(first.shape == second.shape, "the two register matrices must match in shape")
-    require(first.ndim == 2, "register matrices must be [round, symbol]")
+    require(
+        first.ndim == second.ndim == 2, "register matrices must be [round, symbol]"
+    )
+    require(
+        first.shape[0] == second.shape[0],
+        "the two register matrices must cover the same rounds",
+    )
     width = config.window_length(first.shape[1])
+    require(
+        width <= second.shape[1] <= first.shape[1],
+        "the second register matrix must hold the window and no more reads "
+        "than the first",
+    )
     # End of the first packet, nearest-boundary sample first.
     first_window = first[:, -width:][:, ::-1]
     # Beginning of the second packet, already boundary-onward.

@@ -44,7 +44,7 @@ and ``test_probing_cross_session.py`` pin this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -548,6 +548,7 @@ def _measure_rounds(
     starts: Sequence[np.ndarray],
     final: np.ndarray,
     decision_times: np.ndarray = (),
+    alice_reads: Optional[int] = None,
 ):
     """The register pipeline of both probing engines.
 
@@ -560,8 +561,14 @@ def _measure_rounds(
     call serves both parties' reads and ``decision_times``; one
     ``readings_for_power`` call serves each party and each eavesdropper.
 
+    ``alice_reads`` keeps only Alice's first reads of each reception
+    (``None``: all ``n_samples``).  The register filter is causal and
+    the rest of the pipeline elementwise, so those reads are exactly the
+    full reception's first columns; her noise rows are still drawn
+    whole, so every stream advances as on a full measurement.
+
     Returns Bob's and Alice's ``(readings, packet_z)``
-    (``[n_sessions, n_rounds, n_samples]`` reads and the standard
+    (``[n_sessions, n_rounds, reads]`` readings and the standard
     packet-RSSI noise for :func:`_packet_rssi`), one eavesdropper dict per
     session, and the ``[n_sessions, len(decision_times)]`` gains.
     """
@@ -573,7 +580,8 @@ def _measure_rounds(
         sampler.reception_times(party_starts)
         for sampler, party_starts in zip(samplers, starts)
     ]
-    n_reads = read_times[0].size
+    read_times[1] = read_times[1][:, :alice_reads]
+    edges = np.cumsum([0] + [times.size for times in read_times])
     # Lazy channel state is order-invariant, so one evaluation serves
     # every instant the group needs.
     gains = _group_path_gain(
@@ -588,10 +596,8 @@ def _measure_rounds(
                 for s in seeds
             ]
         )
-        power = _group_received_power(
-            protocols, gains[:, i * n_reads : (i + 1) * n_reads]
-        )
-        reads = z[..., :n_samples]
+        power = _group_received_power(protocols, gains[:, edges[i] : edges[i + 1]])
+        reads = z[..., : read_times[i].shape[1]]
         receptions.append((samplers[i], power.reshape(reads.shape), reads))
         packet_z.append(z[..., n_samples])
     listeners = []
@@ -614,7 +620,21 @@ def _measure_rounds(
         (readings[0], packet_z[0]),
         (readings[1], packet_z[1]),
         eve_traces,
-        gains[:, 2 * n_reads :],
+        gains[:, edges[-1] :],
+    )
+
+
+def _windowed(trace: ProbeTrace, alice_reads: Optional[int]) -> ProbeTrace:
+    """``trace`` with Alice's matrix cut to its first ``alice_reads`` columns.
+
+    The trace :func:`run_fastpath_group` measures with the same window;
+    :class:`ProbeTrace` fills the packet RSSI of a narrowed matrix with
+    NaN.
+    """
+    if alice_reads is None or alice_reads == trace.samples_per_packet:
+        return trace
+    return replace(
+        trace, alice_rssi=trace.alice_rssi[:, :alice_reads], alice_prssi=None
     )
 
 
@@ -632,6 +652,7 @@ def run_fastpath_group(
     seeds: Sequence[SeedSequenceFactory],
     start_time_s: float = 0.0,
     eavesdroppers: Optional[Sequence[Sequence[EavesdropperSetup]]] = None,
+    alice_reads: Optional[int] = None,
 ) -> List[ProbeTrace]:
     """Run one fault-free probing session per protocol, stacked.
 
@@ -654,11 +675,19 @@ def run_fastpath_group(
         start_time_s: Protocol start time on the channels' clock.
         eavesdroppers: Optional per-session eavesdropper lists (``None``:
             nobody listens).
+        alice_reads: Measure only Alice's first ``alice_reads`` register
+            reads of each response (``None``: all of them).  The traces
+            are then *windowed*: Alice's matrix is the full trace's first
+            ``alice_reads`` columns exactly, her packet RSSI is NaN (the
+            packet average needs every read), and every other field is
+            unchanged.  Eavesdroppers overhear on Alice's full read grid,
+            so they cannot be combined with a window.
 
     A group whose protocols cannot share a timeline (mixed PHYs, devices,
     link budgets or pacing, or any fault model or adversary) falls back
     to per-session :meth:`ProbingProtocol.run`, which preserves
-    correctness for any input and returns the traces in input order.
+    correctness for any input and returns the traces in input order,
+    windowed the same way.
     """
     protocols = list(protocols)
     seeds = list(seeds)
@@ -675,9 +704,22 @@ def run_fastpath_group(
         "run_fastpath_group needs one eavesdropper list per protocol",
     )
     require_positive(n_rounds, "n_rounds")
+    if alice_reads is not None:
+        require(
+            all(1 <= alice_reads <= p.phy.total_symbols for p in protocols),
+            "alice_reads must lie in 1..phy.total_symbols",
+        )
+        require(
+            not any(eavesdroppers),
+            "eavesdroppers overhear Alice's full read grid; "
+            "they cannot be combined with alice_reads",
+        )
     if not _group_compatible(protocols):
         return [
-            protocol.run(n_rounds, session_seeds, session_eves, start_time_s)
+            _windowed(
+                protocol.run(n_rounds, session_seeds, session_eves, start_time_s),
+                alice_reads,
+            )
             for protocol, session_seeds, session_eves in zip(
                 protocols, seeds, eavesdroppers
             )
@@ -693,10 +735,16 @@ def run_fastpath_group(
             starts,
             np.arange(n_rounds),
             np.concatenate(starts) + first.phy.airtime_s / 2.0,
+            alice_reads,
         )
     )
     bob_prssi = _packet_rssi(bob_rssi, bob_z, first.bob_device)
-    alice_prssi = _packet_rssi(alice_rssi, alice_z, first.alice_device)
+    # A windowed matrix has no packet average; ProbeTrace fills in NaN.
+    alice_prssi = (
+        _packet_rssi(alice_rssi, alice_z, first.alice_device)
+        if alice_rssi.shape == bob_rssi.shape
+        else [None] * len(protocols)
+    )
     valid = first.link_budget.is_decodable(
         decision_gains[:, :n_rounds], first.phy
     ) & first.link_budget.is_decodable(decision_gains[:, n_rounds:], first.phy)

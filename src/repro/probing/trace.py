@@ -3,7 +3,8 @@
 A probing session produces, per round, one register-RSSI vector at each
 legitimate endpoint (Bob measures Alice's probe, Alice measures Bob's
 response) and optionally one pair per eavesdropper.  Matrices are indexed
-``[round, symbol]``.
+``[round, symbol]``.  A *windowed* trace keeps only Alice's first reads
+of each response, the ones the arRSSI feature uses.
 """
 
 from __future__ import annotations
@@ -41,9 +42,14 @@ class EveTrace:
 class ProbeTrace:
     """All measurements from one probing session.
 
+    A *windowed* trace measures only Alice's first reads of each response
+    (``alice_rssi`` narrower than ``bob_rssi``); her packet RSSI is then
+    NaN, because the packet average needs every read.
+
     Attributes:
         phy: The LoRa configuration probes were sent with.
-        alice_rssi: Alice's register RSSI of Bob's responses, ``[round, symbol]``.
+        alice_rssi: Alice's register RSSI of Bob's responses, ``[round, symbol]``;
+            all of Bob's rounds, with 1 to ``bob_rssi.shape[1]`` reads each.
         bob_rssi: Bob's register RSSI of Alice's probes, ``[round, symbol]``.
         round_start_s: Transmission start time of each round's probe.
         valid: Per-round flag; ``False`` where either direction was below
@@ -83,8 +89,16 @@ class ProbeTrace:
 
     def __post_init__(self) -> None:
         n_rounds = self.alice_rssi.shape[0]
-        if self.bob_rssi.shape != self.alice_rssi.shape:
-            raise ConfigurationError("alice_rssi and bob_rssi shapes must match")
+        if (
+            self.alice_rssi.ndim != 2
+            or self.bob_rssi.ndim != 2
+            or self.bob_rssi.shape[0] != n_rounds
+            or not 1 <= self.alice_rssi.shape[1] <= self.bob_rssi.shape[1]
+        ):
+            raise ConfigurationError(
+                "alice_rssi must cover bob_rssi's rounds with 1 to "
+                "bob_rssi.shape[1] reads each"
+            )
         if self.round_start_s.shape != (n_rounds,):
             raise ConfigurationError("round_start_s must have one entry per round")
         if self.valid.shape != (n_rounds,):
@@ -92,7 +106,12 @@ class ProbeTrace:
         if self.alice_prssi is None:
             # Fallback: derive packet RSSI from the register samples (no
             # separate packet-register error), by the chip's rounding rule.
-            self.alice_prssi = quantize_packet_rssi(self.alice_rssi.mean(axis=1))
+            # A windowed matrix has no packet average.
+            self.alice_prssi = (
+                quantize_packet_rssi(self.alice_rssi.mean(axis=1))
+                if self.alice_rssi.shape == self.bob_rssi.shape
+                else np.full(n_rounds, np.nan)
+            )
         if self.bob_prssi is None:
             self.bob_prssi = quantize_packet_rssi(self.bob_rssi.mean(axis=1))
         if self.alice_prssi.shape != (n_rounds,) or self.bob_prssi.shape != (n_rounds,):
@@ -132,8 +151,8 @@ class ProbeTrace:
 
     @property
     def samples_per_packet(self) -> int:
-        """Register-RSSI samples recorded per packet."""
-        return int(self.alice_rssi.shape[1])
+        """Register-RSSI samples per packet (Bob's reads; Alice's may be windowed)."""
+        return int(self.bob_rssi.shape[1])
 
     @property
     def total_retries(self) -> int:

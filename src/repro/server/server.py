@@ -78,6 +78,11 @@ SEND_TIMEOUT_S = 5.0
 #: Default budget for a graceful drain.
 DRAIN_TIMEOUT_S = 30.0
 
+#: Most probing rounds a hello may ask for: 8x the default
+#: ``PipelineConfig.session_rounds`` (512), the largest round count any
+#: caller in the package asks for.
+MAX_HELLO_ROUNDS = 4096
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -580,14 +585,19 @@ class KeyEstablishmentServer:
             self.metrics.malformed_frames += 1
             return None
         rounds = hello.get("rounds")
-        # Only a JSON integer >= 1 is a round count (``bool`` is not).
-        if rounds is not None and (type(rounds) is not int or rounds < 1):
+        # Only a JSON integer in 1..MAX_HELLO_ROUNDS is a round count
+        # (``bool`` is not).
+        if rounds is not None and (
+            type(rounds) is not int or not 1 <= rounds <= MAX_HELLO_ROUNDS
+        ):
             self.metrics.malformed_frames += 1
             return None
         resume = str(hello.get("resume") or "")
-        if resume and self.journal is not None:
+        if resume:
             # Resumption is answered even while draining: it only ever
-            # re-delivers an existing verdict, never admits new work.
+            # re-delivers an existing verdict, never admits new work.  A
+            # server without a journal mints no tokens, so it answers
+            # every one as unknown.
             return await self._resume(resume, frames, writer)
         if self._draining:
             self.metrics.rejected_draining += 1

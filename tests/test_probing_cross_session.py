@@ -10,13 +10,20 @@ path's own query pattern) and compare the grouped trace against the
 frozen per-attempt loop (``tests/oracles/probing_loop.py``, the oracle)
 with exact equality.
 
-The same contract is pinned one layer up for
-:meth:`KeyAgreementPipeline.collect_traces` versus
-:meth:`~KeyAgreementPipeline.collect_trace`.
+A *windowed* group (``alice_reads``) measures only Alice's first reads
+of each response.  The register filter is causal and the rest of the
+pipeline elementwise, so those reads must equal the full trace's first
+columns exactly, and every arRSSI value with them.  The pipeline's
+served form, :meth:`VehicleKeyPipeline.collect_traces`, is pinned
+against :meth:`~VehicleKeyPipeline.collect_trace` under that contract.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel.fading import SpatialJakesFading
 from repro.channel.reciprocity import ReciprocalChannel
@@ -26,11 +33,15 @@ from repro.faults.link import LinkFaultModel
 from repro.faults.plan import FaultPlan
 from repro.lora.airtime import LoRaPHYConfig
 from repro.lora.link_budget import LinkBudget
+from repro.lora.radio import DRAGINO_LORA_SHIELD, MULTITECH_XDOT
 from repro.probing import protocol as protocol_module
+from repro.probing.features import FeatureConfig, arrssi_sequences
 from repro.probing.protocol import run_fastpath_group
+from repro.probing.trace import ProbeTrace
 
 from tests.oracles.probing_loop import reference_run_loop
 from tests.test_probing_vectorized import (
+    FAST_PHY,
     assert_traces_bit_identical,
     build_setup,
 )
@@ -79,6 +90,39 @@ def assert_each_matches_loop(make_rows, n_rounds=8):
             reference_run_loop(protocol, n_rounds, factory, eves), group_trace
         )
     return group_traces
+
+
+def assert_windowed_matches(full_trace, windowed_trace, alice_reads):
+    """``windowed_trace`` is ``full_trace`` with Alice's matrix cut to
+    its first ``alice_reads`` columns; every other field is exact."""
+    assert windowed_trace.alice_rssi.shape == (full_trace.n_rounds, alice_reads)
+    np.testing.assert_array_equal(
+        full_trace.alice_rssi[:, :alice_reads], windowed_trace.alice_rssi
+    )
+    if alice_reads < full_trace.samples_per_packet:
+        assert np.isnan(windowed_trace.alice_prssi).all()
+    else:
+        np.testing.assert_array_equal(
+            full_trace.alice_prssi, windowed_trace.alice_prssi
+        )
+    for name in (
+        "bob_rssi",
+        "bob_prssi",
+        "round_start_s",
+        "valid",
+        "retries",
+        "dropped",
+        "injected",
+        "replays_rejected",
+        "backoff_time_s",
+    ):
+        np.testing.assert_array_equal(
+            getattr(full_trace, name), getattr(windowed_trace, name)
+        )
+    assert windowed_trace.retry_limit == full_trace.retry_limit
+    assert windowed_trace.phy == full_trace.phy
+    assert windowed_trace.samples_per_packet == full_trace.samples_per_packet
+    assert set(windowed_trace.eve) == set(full_trace.eve)
 
 
 def make_fading_free(protocol):
@@ -297,13 +341,160 @@ class TestValidation:
             run_fastpath_group([protocol], 4, [factory], eavesdroppers=[(), ()])
 
 
+class TestWindowedAliceReads:
+    """``alice_reads`` measures only the reads the key uses, exactly."""
+
+    @given(
+        window_fraction=st.floats(min_value=0.01, max_value=1.0),
+        values_per_packet=st.integers(min_value=1, max_value=6),
+        alphas=st.tuples(
+            st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+            st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+        ),
+        asymmetric=st.booleans(),
+        spreading_factor=st.sampled_from([7, 12]),
+        seeds_list=st.lists(
+            st.integers(min_value=0, max_value=10_000),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        n_rounds=st.integers(min_value=1, max_value=64),
+        tx_power_dbm=st.sampled_from([14.0, -35.0]),
+        fallback=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_windowed_group_keeps_every_arrssi_value(
+        self,
+        window_fraction,
+        values_per_packet,
+        alphas,
+        asymmetric,
+        spreading_factor,
+        seeds_list,
+        n_rounds,
+        tx_power_dbm,
+        fallback,
+    ):
+        phy = LoRaPHYConfig(spreading_factor=spreading_factor)
+        features = FeatureConfig(
+            window_fraction=window_fraction, values_per_packet=values_per_packet
+        )
+        alice_reads = features.window_length(phy.total_symbols)
+        devices = (
+            replace(DRAGINO_LORA_SHIELD, rssi_smoothing_alpha=alphas[0]),
+            replace(
+                MULTITECH_XDOT if asymmetric else DRAGINO_LORA_SHIELD,
+                rssi_smoothing_alpha=alphas[1],
+            ),
+        )
+
+        def run(window):
+            protocols, factories = build_group(
+                seeds_list,
+                phy=phy,
+                devices=devices,
+                link_budget=LinkBudget(tx_power_dbm=tx_power_dbm),
+            )
+            if fallback:
+                # A faulted last session makes the group incompatible:
+                # every session then runs on its own and is cut after.
+                protocols[-1].fault_model = LinkFaultModel(
+                    FaultPlan.lossy(0.3, mean_burst=2.0, snr_dependent=False),
+                    factories[-1],
+                )
+            return run_fastpath_group(
+                protocols, n_rounds, factories, alice_reads=window
+            )
+
+        for full, windowed in zip(run(None), run(alice_reads)):
+            assert_windowed_matches(full, windowed, alice_reads)
+            for expected, actual in zip(
+                arrssi_sequences(full, features),
+                arrssi_sequences(windowed, features),
+            ):
+                np.testing.assert_array_equal(expected, actual)
+
+    def test_one_evaluation_covers_only_the_window(self, monkeypatch):
+        trig_calls = TestOneChannelEvaluation.count_calls(
+            monkeypatch, protocol_module, "batched_spatial_gain_db"
+        )
+        n_rounds, alice_reads = 10, 4
+        protocols, factories = build_group([71, 72, 73])
+        n_samples = protocols[0].phy.total_symbols
+        run_fastpath_group(protocols, n_rounds, factories, alice_reads=alice_reads)
+        # Bob's reads, Alice's window and the two decodability instants
+        # per round; a full group evaluates 2 * n_samples + 2 per round.
+        assert [call[1].shape for call in trig_calls] == [
+            (3, n_rounds * (n_samples + alice_reads + 2))
+        ]
+
+    @pytest.mark.parametrize("alice_reads", [0, FAST_PHY.total_symbols + 1])
+    def test_rejects_reads_outside_the_packet(self, alice_reads):
+        protocol, factory, _ = build_setup(1)
+        with pytest.raises(ConfigurationError):
+            run_fastpath_group([protocol], 4, [factory], alice_reads=alice_reads)
+
+    def test_rejects_eavesdroppers_with_a_window(self):
+        protocol, factory, eves = build_setup(
+            7, scenario=ScenarioName.V2V_URBAN, n_eves=1
+        )
+        with pytest.raises(ConfigurationError):
+            run_fastpath_group(
+                [protocol], 4, [factory], eavesdroppers=[eves], alice_reads=3
+            )
+
+    @pytest.mark.parametrize(
+        "alice_shape", [(3, 6), (4, 5), (3, 0)], ids=["wider", "rounds", "empty"]
+    )
+    def test_trace_rejects_alice_beyond_bobs_grid(self, alice_shape):
+        with pytest.raises(ConfigurationError):
+            ProbeTrace(
+                phy=LoRaPHYConfig(),
+                alice_rssi=np.zeros(alice_shape),
+                bob_rssi=np.zeros((3, 5)),
+                round_start_s=np.zeros(3),
+                valid=np.ones(3, dtype=bool),
+            )
+
+    def test_windowed_trace_survives_save_load_and_valid_only(self, tmp_path):
+        protocols, factories = build_group(
+            [91], link_budget=LinkBudget(tx_power_dbm=-35.0)
+        )
+        (trace,) = run_fastpath_group(protocols, 24, factories, alice_reads=3)
+        assert 0 < trace.n_valid_rounds < trace.n_rounds
+        path = tmp_path / "windowed.npz"
+        trace.save(path)
+        loaded = ProbeTrace.load(path)
+        assert_windowed_matches(trace, loaded, alice_reads=3)
+        clean = loaded.valid_only()
+        assert clean.alice_rssi.shape == (trace.n_valid_rounds, 3)
+        np.testing.assert_array_equal(
+            clean.alice_rssi, trace.alice_rssi[trace.valid]
+        )
+        np.testing.assert_array_equal(clean.bob_rssi, trace.bob_rssi[trace.valid])
+        assert np.isnan(clean.alice_prssi).all()
+        assert clean.samples_per_packet == trace.samples_per_packet
+
+
 class TestPipelineCollectTraces:
     def test_matches_collect_trace(self, tiny_pipeline):
+        # Served traces are windowed to the reads the arRSSI feature
+        # uses: Alice's matrix is collect_trace's first columns, her
+        # packet RSSI is NaN, and everything else is bit-identical.
+        config = tiny_pipeline.config
+        alice_reads = config.feature_config.window_length(config.phy.total_symbols)
+        assert alice_reads < config.phy.total_symbols
         labels = [f"xsession-{i}" for i in range(4)]
         group_traces = tiny_pipeline.collect_traces(labels, n_rounds=12)
         for label, group_trace in zip(labels, group_traces):
             single_trace = tiny_pipeline.collect_trace(label, n_rounds=12)
-            assert_traces_bit_identical(single_trace, group_trace)
+            assert_windowed_matches(single_trace, group_trace, alice_reads)
+            for expected, actual in zip(
+                arrssi_sequences(single_trace, config.feature_config),
+                arrssi_sequences(group_trace, config.feature_config),
+            ):
+                np.testing.assert_array_equal(expected, actual)
 
     def test_default_rounds(self, tiny_pipeline):
         traces = tiny_pipeline.collect_traces(["xsession-d"])

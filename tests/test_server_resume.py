@@ -11,6 +11,8 @@ the recovery counters.
 """
 
 import asyncio
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -354,3 +356,33 @@ class TestCrashRecovery:
         assert gen2.metrics.recoveries == 1
         assert gen3.metrics.recoveries == 1
         assert gen3.metrics.recovered_orphans == 0
+
+
+class TestJournalLessServer:
+    def test_token_is_answered_unknown_at_once(self, tiny_pipeline, tmp_path):
+        """A server without a journal mints no tokens, so a presented
+        one is rejected as unknown straight away -- not admitted and
+        left idling until the reaper's ``idle-timeout``."""
+        config = replace(
+            journal_config(tmp_path / "wal", idle_timeout_s=2.0), journal_dir=None
+        )
+
+        async def body():
+            server = await start_server(tiny_pipeline, config)
+            endpoint = Endpoint(port=server.bound_port)
+            try:
+                started = time.perf_counter()
+                outcome = await DeviceClient(
+                    endpoint, "dev-no-journal", timeout_s=10.0
+                ).resume_session("00" * 16)
+                elapsed = time.perf_counter() - started
+            finally:
+                await server.drain(timeout=10.0)
+            return outcome, elapsed, server
+
+        outcome, elapsed, server = asyncio.run(body())
+        assert server.journal is None
+        assert outcome.kind == "rejected"
+        assert outcome.frame["reason"] == "unknown-resumption-token"
+        assert elapsed < 0.5 * config.idle_timeout_s
+        assert server.metrics.accepted == 0

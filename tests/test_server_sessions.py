@@ -24,6 +24,7 @@ from repro.server import (
     ServerConfig,
     run_behavior,
 )
+from repro.server.server import MAX_HELLO_ROUNDS
 
 #: Short probing sessions keep each scenario well under a second.
 ROUNDS = 48
@@ -338,11 +339,11 @@ class TestFailureIsolation:
 
 class TestHelloValidation:
     def test_bad_rounds_are_malformed_never_raised(self, tiny_pipeline):
-        # A string, a list, zero, a negative and a fraction: none is a
-        # round count.  Each hello is counted malformed and admits
-        # nothing; no exception escapes the connection handler and no
-        # tick ever sees a bad value.
-        bad_rounds = ["abc", [1], 0, -5, 2.9]
+        # A string, a list, zero, a negative, a fraction and one round
+        # past the bound: none is a round count.  Each hello is counted
+        # malformed and admits nothing; no exception escapes the
+        # connection handler and no tick ever sees a bad value.
+        bad_rounds = ["abc", [1], 0, -5, 2.9, MAX_HELLO_ROUNDS + 1]
 
         async def scenario(server, endpoint):
             unhandled = []
