@@ -32,11 +32,11 @@ import pytest
 from repro.channel.mobility import RelativeMotion
 from repro.channel.scenario import ScenarioName, scenario_config
 from repro.core.batch import BatchedSessionRunner
-from repro.core.pipeline import PipelineConfig, VehicleKeyPipeline
+from repro.faults.chaos import build_chaos_pipeline
 from repro.lora.airtime import LoRaPHYConfig
 from repro.lora.radio import DRAGINO_LORA_SHIELD
 from repro.probing.dataset import build_dataset
-from repro.probing.features import FeatureConfig, arrssi_sequences
+from repro.probing.features import arrssi_sequences
 from repro.probing.protocol import ProbingProtocol, run_fastpath_group
 from repro.utils.rng import SeedSequenceFactory
 from tests.oracles.extraction import assert_details_equal, reference_extract_detail
@@ -193,24 +193,12 @@ class TestMotionGrid:
 
 @pytest.fixture(scope="module")
 def trained_pipeline():
-    """The tiny pipeline the session-level entries run (``tiny_r256``)."""
-    config = PipelineConfig(
-        scenario=scenario_config(ScenarioName.V2I_URBAN),
-        feature_config=FeatureConfig(window_fraction=0.10, values_per_packet=2),
-        seq_len=16,
-        hidden_units=16,
-        key_bits=32,
-        code_dim=24,
-        decoder_units=64,
-        rounds_per_episode=48,
-        session_rounds=256,
-        final_key_bits=64,
-        alice_confidence_margin=0.12,
-        bob_guard_fraction=0.30,
-    )
-    pipeline = VehicleKeyPipeline(config, seed=11)
-    pipeline.train(n_episodes=60, epochs=20, reconciler_epochs=8)
-    return pipeline
+    """The chaos-sized pipeline the served workloads run (``tiny_r256``).
+
+    Trained enough that 256-round sessions keep samples and reconcile
+    blocks, so the session-level entries time every phase of a batch.
+    """
+    return build_chaos_pipeline()
 
 
 class TestServedProbe:
@@ -314,6 +302,9 @@ class TestSessionThroughput:
         )
         assert report.n_sessions == self.SESSIONS
         assert entry["sessions_per_sec"] > 0.0
+        # Sessions that reconcile nothing would leave the reconcile and
+        # amplify phases untimed.
+        assert all(outcome.session.n_blocks >= 1 for outcome in report.outcomes)
         # The phase breakdown must cover the batch fast path's stages and
         # account for (nearly) all of the tick's wall time.
         assert set(entry["phases"]) == {

@@ -1,19 +1,26 @@
-"""Session-server benchmarks: throughput and chaos-sweep cost.
+"""Session-server benchmarks: start-up, throughput and chaos-sweep cost.
 
 Stands up the real asyncio key-establishment server on a loopback port
-and measures what an operator would: sessions per second through the
-full framed-transport -> batch-tick -> result path for a burst of honest
+and measures what an operator would: the CPU a fresh process spends
+starting the key service, sessions per second through the full
+framed-transport -> batch-tick -> result path for a burst of honest
 concurrent devices, and the wall cost of the mixed (hostile + honest)
 chaos sweep.  Numbers persist to ``BENCH_server.json`` at the repo root.
 
-Both entries are absolute-cost trackers (``speedup: null``):
-``scripts/check_bench_regression.py`` reports them and fails CI if
-either entry disappears (or the payload comes back empty), but does not
-gate on the absolute seconds, which do not transfer across runners.
+``server_start@import`` is a same-run before/after: the start-up alone
+against the same start-up after importing SciPy's ``stats`` and
+``special``, so ``scripts/check_bench_regression.py`` gates its speedup
+at the CI tolerance.  The other entries are absolute-cost trackers
+(``speedup: null``): the checker reports them and fails CI if one
+disappears (or the payload comes back empty), but does not gate on the
+absolute seconds, which do not transfer across runners.
 """
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -36,6 +43,7 @@ from repro.server.client import channel_from_frame
 from repro.server.journal import SessionJournal
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_server.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Honest concurrent devices in the throughput burst.
 CLIENTS = 32
@@ -80,14 +88,85 @@ def write_results():
     entries.update(_ENTRIES)
     payload = {
         "benchmark": "key-establishment-session-server",
-        "units": "seconds, single run (absolute-cost trackers)",
-        "before": None,
+        "units": (
+            "seconds, single run (absolute-cost trackers); server_start: "
+            "child CPU seconds, min over interleaved fresh interpreters"
+        ),
+        "before": "server_start: the same start-up after importing SciPy",
         "after": "asyncio server: framed transport -> batch ticks -> results",
         "numpy": np.__version__,
         "entries": dict(sorted(entries.items())),
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\n[benchmarks] wrote {RESULTS_PATH} with {len(entries)} entries")
+
+
+#: The key service's start-up in a fresh interpreter: import the CLI and
+#: the server, then build a pipeline (which builds Bob's quantizer).
+_START_UP = """
+import json, resource, sys, time
+import repro.cli, repro.server
+from repro.channel.scenario import ScenarioName
+from repro.core.pipeline import VehicleKeyPipeline
+VehicleKeyPipeline.for_scenario(ScenarioName.V2I_URBAN)
+print(json.dumps({
+    "cpu_s": time.process_time(),
+    "modules": len(sys.modules),
+    "scipy_modules": sum(name.split(".")[0] == "scipy" for name in sys.modules),
+    "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+}))
+"""
+#: The same start-up after the SciPy modules the key path used to import.
+_START_UP_WITH_SCIPY = "import scipy.stats, scipy.special\n" + _START_UP
+
+
+def _start_up(script):
+    """Run one start-up script in a fresh interpreter; returns its figures."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1",
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True
+    )
+    return json.loads(completed.stdout)
+
+
+def test_server_start_without_scipy():
+    """CPU, modules and memory of starting the key service.
+
+    Five interleaved pairs of fresh interpreters; each side keeps its
+    minimum CPU time and its median max RSS.
+    """
+    runs = {"before": [], "after": []}
+    for _ in range(5):
+        runs["before"].append(_start_up(_START_UP_WITH_SCIPY))
+        runs["after"].append(_start_up(_START_UP))
+    before, after = (
+        {
+            "cpu_s": min(run["cpu_s"] for run in runs[side]),
+            "max_rss_mb": round(float(np.median([run["max_rss_mb"] for run in runs[side]])), 1),
+            "modules": runs[side][-1]["modules"],
+            "scipy_modules": runs[side][-1]["scipy_modules"],
+        }
+        for side in ("before", "after")
+    )
+    entry = _record(
+        "server_start@import",
+        before["cpu_s"],
+        after["cpu_s"],
+        pairs=5,
+        before_modules=before["modules"],
+        after_modules=after["modules"],
+        before_max_rss_mb=before["max_rss_mb"],
+        after_max_rss_mb=after["max_rss_mb"],
+        after_scipy_modules=after["scipy_modules"],
+    )
+    # The key service imports no SciPy; the committed baseline gates the
+    # fine-grained ratio in CI.
+    assert after["scipy_modules"] == 0
+    assert entry["speedup"] >= 2.0
 
 
 @pytest.fixture(scope="module")

@@ -11,14 +11,10 @@ with vehicle mobility driving the distance and the fading decorrelation,
 and channel reciprocity holding exactly for the *channel* while the
 *measurements* diverge through probe time offsets and per-device noise --
 precisely the decomposition in the paper's Sec. II-A.
+
+``doppler`` and ``validation`` need SciPy and are imported directly.
 """
 
-from repro.channel.doppler import (
-    doppler_shift_hz,
-    coherence_time_s,
-    coherence_time_from_speeds_s,
-    jakes_autocorrelation,
-)
 from repro.channel.pathloss import (
     PathLossModel,
     LogDistancePathLoss,
@@ -34,7 +30,6 @@ from repro.channel.mobility import (
     RelativeMotion,
 )
 from repro.channel.reciprocity import ReciprocalChannel
-from repro.channel.validation import ValidationReport, validate_all
 from repro.channel.scenario import (
     ScenarioName,
     ScenarioConfig,
@@ -45,10 +40,6 @@ from repro.channel.scenario import (
 )
 
 __all__ = [
-    "doppler_shift_hz",
-    "coherence_time_s",
-    "coherence_time_from_speeds_s",
-    "jakes_autocorrelation",
     "PathLossModel",
     "LogDistancePathLoss",
     "FreeSpacePathLoss",
@@ -61,8 +52,6 @@ __all__ = [
     "StopAndGoTrajectory",
     "RelativeMotion",
     "ReciprocalChannel",
-    "ValidationReport",
-    "validate_all",
     "ScenarioName",
     "ScenarioConfig",
     "Environment",

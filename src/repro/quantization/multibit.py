@@ -10,6 +10,7 @@ model (Sec. IV-B).
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -17,6 +18,61 @@ import numpy as np
 from repro.quantization.base import QuantizationResult, Quantizer
 from repro.utils.bits import gray_code_table
 from repro.utils.validation import require, require_in_range
+
+# Cephes ``ndtri`` (which ``scipy.stats.norm.ppf`` evaluates): the central
+# rational approximation for exp(-2) < p < 1 - exp(-2), and the tail one
+# for sqrt(-2 log p) < 8.  The far tail (p < exp(-32)) is not ported: the
+# smallest boundary a quantizer asks for is 1/256.
+_S2PI = 2.50662827463100050242e0
+_EXP_MINUS_2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+def _polevl(x: float, coefficients: Tuple[float, ...]) -> float:
+    """Cephes ``polevl``: Horner's rule, highest power first."""
+    result = coefficients[0]
+    for coefficient in coefficients[1:]:
+        result = result * x + coefficient
+    return result
+
+
+def _p1evl(x: float, coefficients: Tuple[float, ...]) -> float:
+    """Cephes ``p1evl``: ``polevl`` with an implied leading coefficient 1."""
+    return _polevl(x, (x + coefficients[0],) + coefficients[1:])
+
+
+def _normal_quantile(p: float) -> float:
+    """The standard normal quantile of ``p``, for 1e-13 <= p <= 1 - 1e-13.
+
+    Bit for bit what ``scipy.stats.norm.ppf`` returns on that range.
+    """
+    y, negate = p, True
+    if y > 1.0 - _EXP_MINUS_2:
+        y, negate = 1.0 - y, False
+    if y > _EXP_MINUS_2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    x = x - math.log(x) / x - z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    return -x if negate else x
 
 
 class MultiBitQuantizer(Quantizer):
@@ -57,9 +113,9 @@ class MultiBitQuantizer(Quantizer):
         self._boundary_cdf = np.arange(1, self.n_levels) / self.n_levels
         self._normal_boundaries = None
         if self.fixed_thresholds:
-            from scipy.stats import norm
-
-            self._normal_boundaries = norm.ppf(self._boundary_cdf)
+            self._normal_boundaries = np.array(
+                [_normal_quantile(p) for p in self._boundary_cdf.tolist()]
+            )
 
     @property
     def n_levels(self) -> int:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import norm
 
 from repro.exceptions import ConfigurationError
 from repro.quantization import (
@@ -12,6 +13,7 @@ from repro.quantization import (
     QuantizationResult,
     consensus_mask,
 )
+from repro.quantization.multibit import _normal_quantile
 from repro.utils.bits import hamming_distance
 
 RNG = np.random.default_rng(42)
@@ -101,6 +103,23 @@ class TestMultiBit:
     def test_invalid_bits_per_sample_rejected(self):
         with pytest.raises(ConfigurationError):
             MultiBitQuantizer(bits_per_sample=0)
+
+
+class TestNormalQuantile:
+    """The SciPy-free quantile equals ``scipy.stats.norm.ppf`` bit for bit."""
+
+    def test_every_boundary_a_quantizer_can_ask_for(self):
+        # Every boundary k / 2**b with 1 <= b <= 8 is one of the k / 256.
+        probabilities = np.arange(1, 256) / 256
+        ours = np.array([_normal_quantile(p) for p in probabilities.tolist()])
+        np.testing.assert_array_equal(ours, norm.ppf(probabilities))
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_fixed_thresholds_match_scipy(self, bits):
+        quantizer = MultiBitQuantizer(bits, fixed_thresholds=True)
+        np.testing.assert_array_equal(
+            quantizer._normal_boundaries, norm.ppf(np.arange(1, 2**bits) / 2**bits)
+        )
 
 
 class TestGuardBand:
