@@ -22,7 +22,6 @@ implementation differences.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -259,13 +258,8 @@ class TestSessionThroughput:
     ROUNDS = 256
 
     def test_batched_vs_sequential(self, trained_pipeline):
-        # REPRO_BENCH_SHARDS>1 times the fork-sharded runner instead of
-        # the in-process one (CI smokes shards=2); the shard count is
-        # recorded with the entry so baselines compare like with like.
-        shards = int(os.environ.get("REPRO_BENCH_SHARDS", "1"))
         runner = BatchedSessionRunner(
-            trained_pipeline, n_rounds=self.ROUNDS, episode_prefix="tput",
-            shards=shards,
+            trained_pipeline, n_rounds=self.ROUNDS, episode_prefix="tput"
         )
 
         def before():
@@ -293,7 +287,6 @@ class TestSessionThroughput:
             after_s,
             sessions=self.SESSIONS,
             sessions_per_sec=round(self.SESSIONS / after_s, 3),
-            shards=report.shards,
             # Where a batch tick's time goes (seconds, from the last run):
             # probing, window building, the single stacked predict,
             # per-session reconciliation + amplification, and whatever

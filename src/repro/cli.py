@@ -54,7 +54,7 @@ def _cmd_establish(args) -> int:
             pipeline.save(args.save_dir)
             print(f"saved trained components to {args.save_dir}")
     if args.sessions > 1:
-        return _establish_batch(pipeline, args.sessions, shards=args.shards)
+        return _establish_batch(pipeline, args.sessions)
     outcome = pipeline.establish_key(episode="cli")
     session = outcome.session
     print(f"raw agreement        : {outcome.raw_agreement_rate:.2%}")
@@ -73,13 +73,11 @@ def _cmd_establish(args) -> int:
     return 1
 
 
-def _establish_batch(pipeline, n_sessions: int, shards: int = 1) -> int:
+def _establish_batch(pipeline, n_sessions: int) -> int:
     """Run ``n_sessions`` concurrent establishments through the batched engine."""
     from repro.core.batch import BatchedSessionRunner
 
-    report = BatchedSessionRunner(
-        pipeline, episode_prefix="cli", shards=shards
-    ).run(n_sessions)
+    report = BatchedSessionRunner(pipeline, episode_prefix="cli").run(n_sessions)
     for index, outcome in enumerate(report.outcomes):
         status = "ok" if outcome.success else f"failed ({outcome.failure_reason})"
         key = outcome.final_key.hex() if outcome.success else "-"
@@ -89,7 +87,6 @@ def _establish_batch(pipeline, n_sessions: int, shards: int = 1) -> int:
             f"kgr {outcome.key_generation_rate_bps:7.3f} bit/s  key {key}"
         )
     print(f"sessions             : {report.n_successful}/{report.n_sessions} successful")
-    print(f"shards               : {report.shards}")
     print(f"batch wall time      : {report.elapsed_s:.2f} s")
     print(f"throughput           : {report.sessions_per_sec:.2f} sessions/s")
     return 0 if report.n_successful == report.n_sessions else 1
@@ -214,20 +211,8 @@ def _chaos_server(pipeline, args) -> int:
         f"sweeping {args.sessions} concurrent clients against a live "
         f"server (seed {args.seed}) ..."
     )
-    config = None
-    if args.shards > 1:
-        # The sweep's tuned knobs, with batch ticks sharded across cores.
-        from dataclasses import replace
-
-        from repro.faults.chaos import chaos_server_config
-
-        config = replace(chaos_server_config(args.sessions), shards=args.shards)
     report = run_server_chaos(
-        pipeline,
-        n_clients=args.sessions,
-        seed=args.seed,
-        n_rounds=args.rounds,
-        config=config,
+        pipeline, n_clients=args.sessions, seed=args.seed, n_rounds=args.rounds
     )
     print(f"clients              : {report.n_sessions}  {report.behaviors}")
     print(f"terminal kinds       : {report.client_kinds}")
@@ -317,38 +302,27 @@ def _cmd_serve(args) -> int:
         session_deadline_s=args.deadline,
         queue_limit=args.queue_limit,
         max_batch=args.max_batch,
-        shards=args.shards,
         journal_dir=args.journal_dir,
         journal_fsync=args.journal_fsync,
     )
     server = KeyEstablishmentServer(registry, config)
 
-    async def _serve_forever() -> int:
-        """serve_forever with a drain summary on shutdown."""
-        await server.start()
+    def on_ready() -> None:
+        # Flushed: a supervisor reading stdout through a pipe takes this
+        # line as the ready signal.
         where = args.unix if args.unix else f"{args.host}:{server.bound_port}"
-        print(f"serving key establishment on {where} (SIGTERM drains gracefully)")
-        import signal as _signal
-
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (_signal.SIGTERM, _signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await stop.wait()
-        print("draining ...")
-        report = await server.drain()
         print(
-            f"drained: {report.delivered} delivered, "
-            f"{report.aborted_draining} aborted, {report.leaked} leaked"
+            f"serving key establishment on {where} (SIGTERM drains gracefully)",
+            flush=True,
         )
-        snapshot = server.metrics.snapshot()
-        print(f"final metrics: {snapshot}")
-        return 0 if report.leaked == 0 else 1
 
-    return asyncio.run(_serve_forever())
+    report = asyncio.run(server.serve_forever(on_ready=on_ready))
+    print(
+        f"drained: {report.delivered} delivered, "
+        f"{report.aborted_draining} aborted, {report.leaked} leaked"
+    )
+    print(f"final metrics: {server.metrics.snapshot()}")
+    return 0 if report.leaked == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="run N concurrent key establishments through the batched engine",
-    )
-    establish.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="fork workers to split the batched engine across (1 = in-process)",
     )
     establish.set_defaults(handler=_cmd_establish)
 
@@ -458,10 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(library sweep only)",
     )
     chaos.add_argument(
-        "--shards", type=int, default=1,
-        help="fork workers per server batch tick (--server sweep only)",
-    )
-    chaos.add_argument(
         "--restart", action="store_true",
         help="kill/restart sweep: SIGKILL a forked server at seeded "
         "crashpoints mid-sweep, restart it against the same journal, and "
@@ -510,10 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-batch", type=int, default=32,
         help="most sessions one batch tick may coalesce",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1,
-        help="fork workers to split each batch tick across (1 = in-process)",
     )
     serve.add_argument(
         "--journal-dir", default=None,

@@ -44,35 +44,6 @@ from repro.probing.features import arrssi_sequences  # noqa: F401
 from repro.probing.trace import ProbeTrace
 from repro.utils.validation import require, require_positive
 
-#: The runner a forked shard worker executes.  Set by the parent
-#: immediately before its worker pool forks, so children inherit the
-#: whole runner (trained model weights included) as copy-on-write pages
-#: instead of a per-worker pickle.
-_SHARD_RUNNER: Optional["BatchedSessionRunner"] = None
-
-
-def _run_shard_chunk(labels: List[str]) -> "BatchReport":
-    """Fork-pool worker: run one contiguous chunk of the batch's labels."""
-    return _SHARD_RUNNER._run_episodes_local(labels)
-
-
-def _contiguous_chunks(labels: List[str], n_chunks: int) -> List[List[str]]:
-    """Split ``labels`` into up to ``n_chunks`` contiguous, near-even runs.
-
-    Earlier chunks absorb the remainder, sizes differ by at most one, and
-    concatenating the chunks reproduces ``labels`` exactly -- the merge
-    side relies on that for deterministic session order.
-    """
-    n_chunks = min(n_chunks, len(labels))
-    base, remainder = divmod(len(labels), n_chunks)
-    chunks: List[List[str]] = []
-    cursor = 0
-    for index in range(n_chunks):
-        size = base + (1 if index < remainder else 0)
-        chunks.append(labels[cursor : cursor + size])
-        cursor += size
-    return chunks
-
 
 @dataclass(frozen=True)
 class BatchReport:
@@ -87,19 +58,12 @@ class BatchReport:
             ``predict`` (the single batched forward pass), ``reconcile``
             and ``amplify`` (summed from each session's own phase
             timings) and ``orchestrate`` (everything else: outcome
-            grading, Python dispatch, and on a sharded run the fork /
-            merge overhead).  On a sharded run each named phase is the
-            *maximum* across shards (the wall-clock view of phases
-            running in parallel).
-        shards: Worker processes the batch actually ran across (1 for an
-            in-process run, including any fallback from an unavailable
-            fork context).
+            grading and Python dispatch).
     """
 
     outcomes: List[KeyEstablishmentOutcome]
     elapsed_s: float
     phase_s: Dict[str, float]
-    shards: int = 1
 
     @property
     def n_sessions(self) -> int:
@@ -129,15 +93,6 @@ class BatchedSessionRunner:
         episode_prefix: Label prefix; session ``i`` probes episode
             ``{prefix}-{i}``, so a batch covers the same independent
             channel realizations the sequential loop would.
-        shards: Worker processes to split a batch across (default 1 =
-            in-process).  Shards are forked, so the trained model weights
-            are shared copy-on-write rather than pickled per worker; the
-            batch's labels are split into contiguous chunks and the
-            merged outcomes keep session order, bit-identical to
-            ``shards=1`` (episodes are seeded by name, so the process
-            that probes an episode cannot change its trace).  On
-            platforms without a ``fork`` start method the batch silently
-            runs in-process.
     """
 
     def __init__(
@@ -145,7 +100,6 @@ class BatchedSessionRunner:
         pipeline: VehicleKeyPipeline,
         n_rounds: Optional[int] = None,
         episode_prefix: str = "batch",
-        shards: int = 1,
     ):
         self.pipeline = pipeline
         self.n_rounds = (
@@ -154,9 +108,7 @@ class BatchedSessionRunner:
             else pipeline.config.session_rounds
         )
         require_positive(self.n_rounds, "n_rounds")
-        require_positive(int(shards), "shards")
         self.episode_prefix = episode_prefix
-        self.shards = int(shards)
 
     def session_labels(self, n_sessions: int) -> List[str]:
         """The episode labels a batch of ``n_sessions`` probes."""
@@ -179,19 +131,9 @@ class BatchedSessionRunner:
         whatever sessions are ready when a tick fires are coalesced under
         their own episode labels, so outcomes stay bit-identical to
         per-session ``establish_key`` calls regardless of how arrivals
-        were grouped into ticks -- or across how many shards the batch
-        was split.
+        were grouped into ticks.
         """
         require(bool(labels), "need at least one episode label")
-        n_shards = min(self.shards, len(labels))
-        if n_shards > 1:
-            report = self._run_sharded(list(labels), n_shards)
-            if report is not None:
-                return report
-        return self._run_episodes_local(labels)
-
-    def _run_episodes_local(self, labels: Sequence[str]) -> BatchReport:
-        """One in-process batch (a whole batch, or one shard's chunk)."""
         start = time.perf_counter()
         phase_s = {}
         session = self.pipeline.build_session()
@@ -221,52 +163,3 @@ class BatchedSessionRunner:
         elapsed = time.perf_counter() - start
         phase_s["orchestrate"] = max(0.0, elapsed - sum(phase_s.values()))
         return BatchReport(outcomes=outcomes, elapsed_s=elapsed, phase_s=phase_s)
-
-    def _run_sharded(
-        self, labels: List[str], n_shards: int
-    ) -> Optional[BatchReport]:
-        """Fork the batch across ``n_shards`` workers and merge in order.
-
-        Returns ``None`` when no ``fork`` start method exists (the caller
-        then runs in-process).  The runner is handed to workers through a
-        module global set *before* the pool forks, so the pipeline's
-        trained weights travel by copy-on-write page sharing -- nothing
-        is pickled per worker except each chunk's label list and its
-        returned outcomes.
-        """
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        global _SHARD_RUNNER
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platform
-            return None
-        start = time.perf_counter()
-        chunks = _contiguous_chunks(labels, n_shards)
-        previous = _SHARD_RUNNER
-        _SHARD_RUNNER = self
-        try:
-            with ProcessPoolExecutor(
-                max_workers=len(chunks), mp_context=context
-            ) as pool:
-                futures = [pool.submit(_run_shard_chunk, chunk) for chunk in chunks]
-                reports = [future.result() for future in futures]
-        finally:
-            _SHARD_RUNNER = previous
-        outcomes = [outcome for report in reports for outcome in report.outcomes]
-        elapsed = time.perf_counter() - start
-        # Named phases ran in parallel, so the batch-level view of each is
-        # the slowest shard; orchestrate absorbs the fork/merge overhead.
-        phase_s: Dict[str, float] = {}
-        for report in reports:
-            for key, value in report.phase_s.items():
-                if key != "orchestrate":
-                    phase_s[key] = max(phase_s.get(key, 0.0), value)
-        phase_s["orchestrate"] = max(0.0, elapsed - sum(phase_s.values()))
-        return BatchReport(
-            outcomes=outcomes,
-            elapsed_s=elapsed,
-            phase_s=phase_s,
-            shards=len(chunks),
-        )

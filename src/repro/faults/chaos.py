@@ -1210,17 +1210,9 @@ async def _restart_server_child_main(
 
     server.on_outcome = on_outcome
     ledger.on_reuse = on_reuse
-    await server.start()
-    _write_port_file(port_path, int(server.bound_port))
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    await stop.wait()
-    report = await server.drain()
+    report = await server.serve_forever(
+        on_ready=lambda: _write_port_file(port_path, int(server.bound_port))
+    )
     return 0 if report.leaked == 0 else 3
 
 

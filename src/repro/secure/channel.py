@@ -224,46 +224,23 @@ class SecureChannel:
         return sum(self.open_failures.values())
 
     def seal(self, plaintext: bytes) -> bytes:
-        """Seal one plaintext into wire bytes; advances the send counter.
+        """Seal one plaintext into wire bytes: a one-record burst.
 
-        Raises :class:`NonceExhaustedError` once the counter bound is
-        reached -- the caller (the rekey layer) must roll the epoch.  A
-        payload ``bytes()`` cannot convert raises before any state
-        changes, as in :meth:`seal_records`.
+        Raises :class:`NonceExhaustedError` (with ``sealed == []``) once
+        the counter bound is reached -- the caller (the rekey layer) must
+        roll the epoch.
         """
-        plaintext = bytes(plaintext)
-        if self._send_sequence > self.max_sequence:
-            raise NonceExhaustedError(
-                f"send counter exhausted at {self.max_sequence} "
-                f"(epoch {self.epoch}, role {self.role}); rekey required"
-            )
-        sequence = self._send_sequence
-        self._send_sequence += 1
-        send_keys = self._send_keys
-        epoch = self._epoch
-        direction = self._send_direction
-        if self.ledger is not None:
-            self.ledger.record_seal(send_keys.key_id, direction, sequence)
-        keystream = keystream_bytes(
-            send_keys, epoch, direction, sequence, len(plaintext)
-        )
-        ciphertext = xor_bytes(plaintext, keystream)
-        header = _HEADER.pack(
-            RECORD_VERSION, epoch, direction, sequence, len(ciphertext)
-        )
-        body = header + ciphertext
-        self.sealed += 1
-        return body + send_keys.mac().tag(body)
+        return self.seal_records([plaintext])[0]
 
     def seal_records(self, payloads: Sequence[bytes]) -> List[bytes]:
-        """Seal a burst of payloads; wire bytes and end state are exactly
-        those of sealing the burst one :meth:`seal` call at a time.
+        """Seal a burst of payloads; advances the send counter per record.
 
         The whole burst is witnessed in the ledger as one contiguous run
-        and shares one round of attribute lookups.  Hitting the counter
-        bound mid-burst raises :class:`NonceExhaustedError` with the
-        already-sealed records on its ``sealed`` attribute (a sequential
-        caller would hold them too -- the counter advanced for each).
+        and shares one round of attribute lookups.  A payload ``bytes()``
+        cannot convert raises before any state changes.  Hitting the
+        counter bound mid-burst raises :class:`NonceExhaustedError` with
+        the already-sealed records on its ``sealed`` attribute (the
+        counter advanced for each).
         """
         payloads = [bytes(payload) for payload in payloads]
         start = self._send_sequence

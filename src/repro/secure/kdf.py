@@ -124,9 +124,8 @@ class DirectionKeys:
     old path re-derived the MAC key via a bytes->bits->bytes round trip
     and re-hashed both HMAC key blocks per record).  The caches hold
     live hash objects, which do not pickle; ``__getstate__`` drops them
-    so a :class:`DirectionKeys` crossing a fork/pickle boundary (the
-    sharded batch runner) travels as its three key fields and re-primes
-    lazily on the other side.
+    so a pickled or deep-copied :class:`DirectionKeys` travels as its
+    three key fields and re-primes lazily on the other side.
     """
 
     enc_key: bytes

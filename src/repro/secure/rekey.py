@@ -25,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.secure.channel import (
-    NonceExhaustedError,
-    OpenOutcome,
-    SecureLink,
-)
+from repro.secure.channel import OpenOutcome, SecureLink
 from repro.secure.kdf import (
     ChannelContext,
     derive_channel_keys,
@@ -292,27 +288,13 @@ class ManagedSecureLink:
 
     # -- data path -------------------------------------------------------------
     def seal(self, role: str, plaintext: bytes) -> Optional[bytes]:
-        """Seal one payload as ``role``; rekeys first when an epoch is spent.
+        """Seal one payload as ``role``: a one-record :meth:`seal_records`.
 
         Returns the wire bytes, or ``None`` when the link is (or just
         became) closed -- in which case :attr:`close_report` says why.
-        Never raises on the data path: even the hard counter bound is
-        converted into a rekey attempt and, failing that, a structured
-        closure.
         """
-        if self.closed:
-            return None
-        trigger = self._due_trigger(role)
-        if trigger is not None and not self._rekey(trigger):
-            return None
-        try:
-            return self.link.endpoint(role).seal(plaintext)
-        except NonceExhaustedError:
-            # The policy should rekey strictly before the hard bound;
-            # reaching it still converts into a rekey, never a raise.
-            if not self._rekey(TRIGGER_EXHAUSTION):
-                return None
-            return self.link.endpoint(role).seal(plaintext)
+        wires = self.seal_records(role, [plaintext])
+        return wires[0] if wires else None
 
     def seal_records(self, role: str, payloads: Sequence[bytes]) -> List[bytes]:
         """Seal a burst as ``role``; rekeys at every trigger boundary.
@@ -321,10 +303,12 @@ class ManagedSecureLink:
         records and lifecycle events are exactly those of sealing the
         payloads one :meth:`seal` call at a time (the logical clock only
         advances through :meth:`tick`, so no age trigger can fire inside
-        a chunk that a sequential caller would have seen).  Returns the
-        records sealed before the link closed, if it did --
-        :attr:`close_report` then says why; a still-open link returns
-        one record per payload.
+        a chunk that a sequential caller would have seen).  Never raises
+        on the data path: the constructor bounds the per-epoch capacity
+        by the channel's ``max_sequence``, so the hard counter bound is
+        never reached.  Returns the records sealed before the link
+        closed, if it did -- :attr:`close_report` then says why; a
+        still-open link returns one record per payload.
         """
         wires: List[bytes] = []
         index = 0
@@ -350,32 +334,26 @@ class ManagedSecureLink:
         return wires
 
     def deliver(self, role: str, data: bytes) -> Optional[OpenOutcome]:
-        """Open one wire record at ``role``'s endpoint.
+        """Open one wire record at ``role``: a one-record :meth:`deliver_records`.
 
         Returns the structured :class:`~repro.secure.channel.OpenOutcome`
         (``plaintext`` only on success), or ``None`` when the link is
-        closed.  Each failed open burns the epoch's decrypt-failure
-        budget; exceeding it forces a rekey, and a failed rekey closes
-        the link structurally.
+        closed.
         """
-        if self.closed:
-            return None
-        outcome = self.link.endpoint(role).open(data)
-        if not outcome.ok:
-            self._epoch_decrypt_failures += 1
-            if self._epoch_decrypt_failures >= self.policy.decrypt_failure_budget:
-                self._rekey(TRIGGER_DECRYPT_BUDGET)
-        return outcome
+        outcomes = self.deliver_records(role, [data])
+        return outcomes[0] if outcomes else None
 
     def deliver_records(
         self, role: str, blobs: Sequence[bytes]
     ) -> List[OpenOutcome]:
         """Open a burst at ``role``'s endpoint, in order.
 
-        Uses the channel's batched open with the remaining decrypt
-        budget as the stop cap, so the outcomes and any forced rekey
-        land exactly where a sequential :meth:`deliver` loop would put
-        them.  Returns the outcomes of the blobs processed before the
+        Each failed open burns the epoch's decrypt-failure budget;
+        exhausting it forces a rekey, and a failed rekey closes the link
+        structurally.  The channel's batched open runs with the
+        remaining budget as its stop cap, so the outcomes and any forced
+        rekey land exactly where a sequential :meth:`deliver` loop would
+        put them.  Returns the outcomes of the blobs processed before the
         link closed (if it did); a blob delivered after a mid-burst
         rekey is opened under the new epoch, as in the sequential case.
         """

@@ -56,6 +56,32 @@ _BUILDERS = {
     "imitator": build_imitating_eve,
 }
 
+#: Projected-gradient steps :func:`invert_syndrome` takes from its
+#: least-squares start.
+SYNDROME_INVERSION_STEPS = 500
+
+
+def invert_syndrome(reconciler, syndrome: np.ndarray) -> np.ndarray:
+    """Bob's key block recovered from his public syndrome alone.
+
+    Bob's encoder is one linear ``Dense`` layer, so his syndrome is
+    ``y = s @ W + b`` with ``s`` his Bloom-transformed block written as
+    +-1, and the Bloom filter is a public permutation plus a public pad.
+    Eve starts from the least-squares solution of ``s @ W = y - b``,
+    runs projected gradient on ``0.5 * ||s @ W + b - y||^2`` over the box
+    ``[-1, 1]^n`` with step ``1 / ||W||_2^2``, takes signs and undoes the
+    Bloom filter.  numpy only: no solver library is needed.
+    """
+    layer = reconciler.encoder_bob.layers[0]
+    kernel = layer.parameters["kernel"]
+    target = np.asarray(syndrome, dtype=float) - layer.parameters["bias"]
+    signed = np.clip(np.linalg.lstsq(kernel.T, target, rcond=None)[0], -1.0, 1.0)
+    step = 1.0 / np.linalg.norm(kernel, 2) ** 2
+    for _ in range(SYNDROME_INVERSION_STEPS):
+        residual = signed @ kernel - target
+        signed = np.clip(signed - step * (kernel @ residual), -1.0, 1.0)
+    return reconciler.bloom.inverse((signed > 0.0).astype(np.uint8))
+
 
 def collect_attack_traces(
     pipeline, attacker: str, n_traces: int = 2, n_rounds: int = None

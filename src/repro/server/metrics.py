@@ -11,7 +11,7 @@ key in degraded mode is never silent in server metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict
 
 
@@ -43,11 +43,6 @@ class ServerMetrics:
             tick.
         batch_fallbacks: Ticks whose batched run failed and fell back to
             supervised per-session execution (failure isolation).
-        sharded_batches: Tick batches that actually ran across more than
-            one fork worker (``ServerConfig.shards`` > 1 and enough
-            sessions to split).
-        shards_used_max: Largest worker count any single batch ran
-            across.
         model_reloads: Successful hot-reloads of the model registry.
         model_reload_failures: Rejected (corrupt/mismatched) reloads that
             rolled back to the serving generation.
@@ -95,8 +90,6 @@ class ServerMetrics:
     ticks: int = 0
     tick_sessions_max: int = 0
     batch_fallbacks: int = 0
-    sharded_batches: int = 0
-    shards_used_max: int = 0
     model_reloads: int = 0
     model_reload_failures: int = 0
     channels_opened: int = 0
@@ -125,50 +118,9 @@ class ServerMetrics:
         """Count one structured data-phase channel close by its reason."""
         self.channels_closed[reason] = self.channels_closed.get(reason, 0) + 1
 
-    @property
-    def total_aborted(self) -> int:
-        """Sessions ended by any server-side abort."""
-        return sum(self.aborted.values())
-
-    @property
-    def total_rejected(self) -> int:
-        """Sessions shed at admission (overload, draining, duplicate)."""
-        return (
-            self.rejected_overload + self.rejected_draining + self.rejected_duplicate
-        )
-
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-serializable copy for the health frame / logs."""
-        return {
-            "accepted": self.accepted,
-            "rejected_overload": self.rejected_overload,
-            "rejected_draining": self.rejected_draining,
-            "rejected_duplicate": self.rejected_duplicate,
-            "completed": self.completed,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "degraded_sessions": self.degraded_sessions,
-            "aborted": dict(self.aborted),
-            "reaped_idle": self.reaped_idle,
-            "reaped_deadline": self.reaped_deadline,
-            "disconnects": self.disconnects,
-            "malformed_frames": self.malformed_frames,
-            "ticks": self.ticks,
-            "tick_sessions_max": self.tick_sessions_max,
-            "batch_fallbacks": self.batch_fallbacks,
-            "sharded_batches": self.sharded_batches,
-            "shards_used_max": self.shards_used_max,
-            "model_reloads": self.model_reloads,
-            "model_reload_failures": self.model_reload_failures,
-            "channels_opened": self.channels_opened,
-            "secure_records": self.secure_records,
-            "secure_batches": self.secure_batches,
-            "secure_batch_records_max": self.secure_batch_records_max,
-            "secure_echoed": self.secure_echoed,
-            "secure_open_failures": dict(self.secure_open_failures),
-            "channels_closed": dict(self.channels_closed),
-            "recoveries": self.recoveries,
-            "recovered_orphans": self.recovered_orphans,
-            "resumed_sessions": self.resumed_sessions,
-            "journal_records": self.journal_records,
-        }
+        """A JSON-serializable copy for the health frame / logs.
+
+        Keys follow the field order; the per-slug dicts are copies.
+        """
+        return asdict(self)

@@ -100,10 +100,6 @@ class ServerConfig:
         tick_interval_s: Coalescing window: how long a tick waits for
             more ready sessions after the first arrival.
         max_batch: Most sessions one tick may coalesce.
-        shards: Fork workers each batch tick splits its sessions across
-            (1 = in-process).  Outcomes are bit-identical for any value
-            (see :class:`~repro.core.batch.BatchedSessionRunner`); raise
-            it to scale ``repro serve`` past one core.
         queue_limit: Bounded ingress queue; a full queue sheds new
             sessions with ``server-overloaded`` + retry-after.
         max_sessions: Most live sessions the server admits at once.
@@ -139,7 +135,6 @@ class ServerConfig:
     session_deadline_s: float = 120.0
     tick_interval_s: float = 0.05
     max_batch: int = 32
-    shards: int = 1
     queue_limit: int = 64
     max_sessions: int = 1024
     retry_after_s: float = 1.0
@@ -153,7 +148,6 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         require_positive(self.max_batch, "max_batch")
-        require_positive(self.shards, "shards")
         require_positive(self.queue_limit, "queue_limit")
         require_positive(self.max_sessions, "max_sessions")
         require_positive(self.secure_decrypt_budget, "secure_decrypt_budget")
@@ -464,9 +458,15 @@ class KeyEstablishmentServer:
             self.journal.abandon()
         self._closed.set()
 
-    async def serve_forever(self) -> DrainReport:
-        """Serve until SIGTERM/SIGINT, then drain gracefully."""
-        await self.start()
+    async def serve_forever(
+        self, on_ready: Optional[Callable[[], None]] = None
+    ) -> DrainReport:
+        """Serve until SIGTERM/SIGINT, then drain gracefully.
+
+        The signal handlers are installed before :meth:`start`, so a
+        signal sent as soon as ``on_ready`` reports the bound socket
+        drains the server instead of killing it.
+        """
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for signum in (signal.SIGTERM, signal.SIGINT):
@@ -474,6 +474,9 @@ class KeyEstablishmentServer:
                 loop.add_signal_handler(signum, stop.set)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
+        await self.start()
+        if on_ready is not None:
+            on_ready()
         await stop.wait()
         return await self.drain()
 
@@ -1282,17 +1285,10 @@ class KeyEstablishmentServer:
         for rounds, sessions in by_rounds.items():
             labels = [s.episode for s in sessions]
             try:
-                runner = BatchedSessionRunner(
-                    pipeline, n_rounds=rounds, shards=self.config.shards
-                )
+                runner = BatchedSessionRunner(pipeline, n_rounds=rounds)
                 report = await loop.run_in_executor(
                     None, runner.run_episodes, labels
                 )
-                if report.shards > 1:
-                    self.metrics.sharded_batches += 1
-                    self.metrics.shards_used_max = max(
-                        self.metrics.shards_used_max, report.shards
-                    )
                 verdicts: List[object] = list(report.outcomes)
             except Exception:  # noqa: BLE001 - isolate, then retry per session
                 self.metrics.batch_fallbacks += 1

@@ -8,11 +8,12 @@ numbers, byte accounting) equals what a sequential
 """
 
 import asyncio
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchedSessionRunner, BatchReport, _contiguous_chunks
+from repro.core.batch import BatchedSessionRunner, BatchReport
 from repro.exceptions import ConfigurationError
 
 
@@ -90,74 +91,13 @@ class TestBatchedEngine:
             runner.run(0)
 
 
-class TestShardedRunner:
-    """Fork-sharded batches must be byte-identical to one-process runs.
-
-    Shards inherit the trained model by copy-on-write fork (nothing is
-    pickled but episode labels and outcomes), and every episode is seeded
-    by name, so the worker count can never change a result.
-    """
-
-    def test_shard_sweep_matches_sequential(self, tiny_pipeline):
-        # 5 sessions across 1, 2 and 3 shards (uneven remainders both
-        # ways) must all equal the sequential establish_key loop.
-        reports = {}
-        for shards in (1, 2, 3):
-            runner = BatchedSessionRunner(
-                tiny_pipeline, n_rounds=128, episode_prefix="batch-shard",
-                shards=shards,
-            )
-            reports[shards] = runner.run(5)
-        reference = sequential_outcomes(
-            tiny_pipeline,
-            BatchedSessionRunner(
-                tiny_pipeline, n_rounds=128, episode_prefix="batch-shard"
-            ),
-            5,
-        )
-        for shards, report in reports.items():
-            assert report.shards == shards
-            assert report.n_sessions == 5
-            for batched, sequential in zip(report.outcomes, reference):
-                assert_outcomes_identical(batched, sequential)
-
-    def test_sharded_phase_accounting_survives_merge(self, tiny_pipeline):
-        report = BatchedSessionRunner(
-            tiny_pipeline, n_rounds=128, episode_prefix="batch-shard-phase",
-            shards=2,
-        ).run(4)
-        assert report.shards == 2
-        assert set(report.phase_s) == {
-            "probe", "window", "predict", "reconcile", "amplify", "orchestrate",
-        }
-        assert sum(report.phase_s.values()) <= report.elapsed_s + 1e-6
-
-    def test_shards_clamped_to_session_count(self, tiny_pipeline):
-        report = BatchedSessionRunner(
-            tiny_pipeline, n_rounds=64, episode_prefix="batch-clamp", shards=8
-        ).run(2)
-        assert report.shards == 2
-
-    def test_rejects_nonpositive_shards(self, tiny_pipeline):
-        with pytest.raises(ConfigurationError):
-            BatchedSessionRunner(tiny_pipeline, n_rounds=64, shards=0)
-
-    def test_contiguous_chunks_cover_exactly(self):
-        labels = [f"s-{i}" for i in range(7)]
-        for n_chunks in (1, 2, 3, 7):
-            chunks = _contiguous_chunks(labels, n_chunks)
-            assert len(chunks) == n_chunks
-            assert [label for chunk in chunks for label in chunk] == labels
-            sizes = [len(chunk) for chunk in chunks]
-            assert max(sizes) - min(sizes) <= 1
-
-
-class TestShardedServerTick:
-    """A sharded batch tick serves the same keys and counts itself."""
+class TestServedTick:
+    """A coalesced served tick serves the keys the in-process runner gives."""
 
     ROUNDS = 48
+    N_CLIENTS = 6
 
-    def run_clients(self, pipeline, shards, n_clients=6):
+    def run_clients(self, pipeline):
         from repro.server import (
             Endpoint,
             KeyEstablishmentServer,
@@ -172,14 +112,13 @@ class TestShardedServerTick:
             idle_timeout_s=10.0,
             session_deadline_s=60.0,
             # A slow first tick so every client is queued before it fires
-            # and the batch really spans multiple shards.
+            # and the batch really coalesces several sessions.
             tick_interval_s=0.2,
             max_batch=8,
             queue_limit=8,
             max_sessions=32,
             retry_after_s=0.25,
             reap_interval_s=0.1,
-            shards=shards,
         )
 
         async def body():
@@ -193,10 +132,10 @@ class TestShardedServerTick:
                             endpoint,
                             "normal",
                             f"dev-{i}",
-                            episode=f"srv-shard-{i}",
+                            episode=f"srv-tick-{i}",
                             rounds=self.ROUNDS,
                         )
-                        for i in range(n_clients)
+                        for i in range(self.N_CLIENTS)
                     )
                 )
             finally:
@@ -207,27 +146,28 @@ class TestShardedServerTick:
 
         return asyncio.run(body())
 
-    def test_sharded_tick_parity_and_metrics(self, tiny_pipeline):
-        sharded, sharded_server = self.run_clients(tiny_pipeline, shards=2)
-        plain, _ = self.run_clients(tiny_pipeline, shards=1)
-        assert all(outcome.kind == "result" for outcome in sharded)
-        digests = {
-            outcome.frame["session_id"]: outcome.frame.get("key_digest")
-            for outcome in sharded
+    def test_served_tick_matches_in_process_runner(self, tiny_pipeline):
+        served, server = self.run_clients(tiny_pipeline)
+        assert all(outcome.kind == "result" for outcome in served)
+        report = BatchedSessionRunner(
+            tiny_pipeline, n_rounds=self.ROUNDS
+        ).run_episodes([f"srv-tick-{i}" for i in range(self.N_CLIENTS)])
+        expected = {
+            f"dev-{i}": (
+                None
+                if outcome.final_key is None
+                else hashlib.sha256(outcome.final_key).hexdigest()[:32]
+            )
+            for i, outcome in enumerate(report.outcomes)
         }
-        for outcome in plain:
-            # Same episode label => same key digest, sharded or not.
-            assert outcome.frame.get("key_digest") == digests[
-                outcome.frame["session_id"]
-            ]
-        metrics = sharded_server.metrics
-        assert metrics.tick_sessions_max >= 2  # the batch really coalesced
-        assert metrics.sharded_batches >= 1
-        assert metrics.shards_used_max == 2
-        assert metrics.batch_fallbacks == 0
-        snapshot = metrics.snapshot()
-        assert snapshot["sharded_batches"] == metrics.sharded_batches
-        assert snapshot["shards_used_max"] == 2
+        assert any(expected.values())  # some labels key: digests are compared
+        # Same episode label => same key digest, served or in process.
+        assert {
+            outcome.frame["session_id"]: outcome.frame.get("key_digest")
+            for outcome in served
+        } == expected
+        assert server.metrics.tick_sessions_max >= 2  # the batch coalesced
+        assert server.metrics.batch_fallbacks == 0
 
 
 class TestPrecomputedProbabilities:

@@ -1,5 +1,12 @@
 """Tests for the command-line interface (fast paths only)."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -37,3 +44,36 @@ class TestCommands:
     def test_experiments_forwarding(self, capsys):
         assert main(["experiments", "fig04"]) == 0
         assert "fig04" in capsys.readouterr().out
+
+
+class TestServe:
+    def test_sigterm_on_ready_line_drains(self):
+        """A supervisor reading stdout through a pipe may stop the server
+        the moment it reports ready: the line must arrive, and the signal
+        must drain the server, not kill it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--episodes", "8", "--epochs", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        watchdog = threading.Timer(120.0, proc.kill)
+        watchdog.start()
+        try:
+            for line in proc.stdout:
+                if line.startswith("serving"):
+                    proc.send_signal(signal.SIGTERM)
+                    break
+            rest, _ = proc.communicate(timeout=60.0)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, rest
+        assert "drained: 0 delivered, 0 aborted, 0 leaked" in rest.splitlines()

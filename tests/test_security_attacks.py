@@ -1,9 +1,17 @@
 """Tests for the eavesdropping and imitating attack harnesses."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.security.attacks import AttackReport, collect_attack_traces, run_attack
+from repro.privacy.amplification import amplify_to_bytes
+from repro.reconciliation.mac import verify_mac
+from repro.security.attacks import (
+    AttackReport,
+    collect_attack_traces,
+    invert_syndrome,
+    run_attack,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +77,55 @@ class TestImitatingAttack:
         # With agreement this far below 1, the probability of assembling a
         # matching 128-bit key is negligible.
         assert imitator_report.eve_agreement < 0.9
+
+
+class TestSyndromeInversion:
+    """The known leak, pinned: Bob's public syndrome gives his key away.
+
+    Eve inverts each block's syndrome offline with the numpy-only
+    attacker and tests her candidate against the block's MAC, which Bob
+    keys with his own transformed block; the public key-confirmation
+    commitments then tell her which blocks were amplified.  Step 2 of
+    the leak fix (a code-offset reconciler, a MAC Eve cannot test
+    offline) must flip both assertions, and CHANGES.md must record the
+    flip.
+    """
+
+    SESSIONS = 20
+
+    def test_eve_recovers_blocks_and_keys(self, tiny_pipeline):
+        reconciler = tiny_pipeline.reconciler
+        blocks = recovered = keyed = stolen = 0
+        for index in range(self.SESSIONS):
+            messages = []
+
+            def tap(message):
+                messages.append(message)
+                return message
+
+            session = tiny_pipeline.build_session()
+            result = session.run(
+                tiny_pipeline.collect_trace(f"eve-invert-{index}", n_rounds=256),
+                tamper=tap,
+            )
+            candidates = {}
+            for message in messages:
+                candidate = invert_syndrome(reconciler, message.syndrome)
+                blocks += 1
+                if verify_mac(
+                    reconciler.bloom.transform(candidate), message.body(), message.mac
+                ):
+                    recovered += 1
+                    candidates[message.block_index] = candidate
+            if result.final_key_bob is None:
+                continue
+            keyed += 1
+            if all(block in candidates for block in result.verified_blocks):
+                eve_key = amplify_to_bytes(
+                    np.concatenate([candidates[b] for b in result.verified_blocks]),
+                    session.final_key_bits,
+                )
+                stolen += eve_key == result.final_key_bob
+        assert blocks > 0 and keyed > 0
+        assert recovered >= 0.9 * blocks
+        assert stolen >= 0.8 * keyed

@@ -12,7 +12,7 @@ the recovery counters.
 
 import asyncio
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -23,6 +23,7 @@ from repro.server import (
     KeyEstablishmentServer,
     ModelRegistry,
     ServerConfig,
+    ServerMetrics,
 )
 from repro.server.client import fetch_status
 from repro.server.framing import FrameReader, write_frame
@@ -85,6 +86,15 @@ class TestStatusFrame:
             assert key in metrics
         assert metrics["accepted"] >= 1
         assert metrics["journal_records"] >= 1  # the probe's admit record
+
+    def test_snapshot_lists_every_field_in_order_as_a_copy(self):
+        metrics = ServerMetrics()
+        metrics.record_abort("idle-timeout")
+        snapshot = metrics.snapshot()
+        assert list(snapshot) == [f.name for f in fields(ServerMetrics)]
+        snapshot["aborted"]["idle-timeout"] = 99
+        snapshot["aborted"]["forged"] = 1
+        assert metrics.aborted == {"idle-timeout": 1}
 
 
 class TestDisconnectedOutcome:
