@@ -354,7 +354,6 @@ class VehicleKeyPipeline:
         retry_policy: Optional[RetryPolicy] = None,
         adversary_plan: Optional[AdversaryPlan] = None,
         max_attempts: int = 1,
-        reprobe_airtime_budget_s: Optional[float] = None,
         raise_on_failure: bool = False,
     ) -> "KeyEstablishmentOutcome":
         """Probe a fresh episode and run the full key agreement.
@@ -383,10 +382,6 @@ class VehicleKeyPipeline:
                 is probed and the surviving bits of all bursts are pooled.
                 The default of 1 reproduces the seed's single-shot
                 behaviour exactly.
-            reprobe_airtime_budget_s: Optional wall-clock cap on the total
-                probing time across re-probe attempts; once exceeded no
-                further burst is probed and the outcome reports
-                ``retry-budget-exhausted``.
             raise_on_failure: Raise :class:`InsufficientEntropyError` /
                 :class:`RetryBudgetExhausted` /
                 :class:`~repro.exceptions.SessionAborted` instead of
@@ -412,7 +407,6 @@ class VehicleKeyPipeline:
         # ``all_traces`` keeps everything for airtime accounting.
         pool: List[ProbeTrace] = list(all_traces)
         result: SessionResult = None
-        budget_stopped = False
         attempts = 0
         aborted_attempts = 0
         adversary_events = None
@@ -462,19 +456,11 @@ class VehicleKeyPipeline:
                 pool = []
             if result.final_key_alice is not None:
                 break
-            probing_so_far = sum(t.duration_s for t in all_traces)
-            if (
-                reprobe_airtime_budget_s is not None
-                and probing_so_far >= reprobe_airtime_budget_s
-            ):
-                budget_stopped = True
-                break
 
         return self.build_outcome(
             result,
             all_traces,
             attempts=attempts,
-            budget_stopped=budget_stopped,
             raise_on_failure=raise_on_failure,
             aborted_attempts=aborted_attempts,
             adversary_events=adversary_events,
@@ -485,7 +471,6 @@ class VehicleKeyPipeline:
         result: SessionResult,
         traces: Sequence[ProbeTrace],
         attempts: int = 1,
-        budget_stopped: bool = False,
         raise_on_failure: bool = False,
         aborted_attempts: int = 0,
         adversary_events=None,
@@ -500,8 +485,6 @@ class VehicleKeyPipeline:
             result: The session's message-level result.
             traces: The probing traces the session consumed.
             attempts: Probing bursts that were run.
-            budget_stopped: Whether a re-probe airtime budget cut the
-                attempt loop short.
             raise_on_failure: Raise the typed establishment error instead
                 of returning a failed outcome.
             aborted_attempts: Attempts ended by a session abort (desync
@@ -515,10 +498,9 @@ class VehicleKeyPipeline:
         if result.abort is not None:
             failure_reason = result.abort.reason
         elif result.final_key_alice is None:
-            exhausted = budget_stopped or attempts > 1
             failure_reason = (
                 RetryBudgetExhausted.reason
-                if exhausted
+                if attempts > 1
                 else InsufficientEntropyError.reason
             )
         elif result.final_key_alice != result.final_key_bob:

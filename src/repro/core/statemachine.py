@@ -13,6 +13,11 @@ than leaking a partially-derived key.  This module provides that skeleton:
   aborted, carried on :class:`~repro.core.session.SessionResult` and
   surfaced as ``KeyEstablishmentOutcome.failure_reason``.
 
+The machine runs once per session, inside
+:meth:`~repro.core.session.KeyAgreementSession.exchange`, for library and
+served sessions alike; the session server keeps no machine of its own
+(see :class:`~repro.server.session.DeviceSession`).
+
 The abort taxonomy (every slug an attacker-triggered abort can carry).
 Message-level reasons (the original four):
 
@@ -31,15 +36,12 @@ a misbehaving, slow or disconnecting peer must end in one of these, never
 in an exception):
 
 ========================= ====================================================
-``protocol-desync``       A progress event arrived in a state that cannot
-                          accept it (out-of-order peer).
 ``deadline-exceeded``     The session overran its end-to-end deadline.
 ``idle-timeout``          The peer went quiet past the idle budget and was
                           reaped.
 ``client-disconnected``   The transport dropped mid-session.
 ``malformed-frame``       A wire frame was truncated, oversized or not
                           decodable.
-``duplicate-session``     A second live session claimed the same session id.
 ``server-overloaded``     The ingress queue was full; the session was shed
                           with a structured retry-after.
 ``server-draining``       The server is draining (SIGTERM); no new work is
@@ -55,13 +57,17 @@ in an exception):
                           receives this structured outcome, never a
                           recomputed key).
 ========================= ====================================================
+
+A second connection claiming a live session (its session id, or its
+resumption token while attached) is not aborted: admission rejects it
+with a ``duplicate-session`` rejection and the live session carries on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.exceptions import ProtocolError
 
@@ -72,12 +78,10 @@ ABORT_MAC = "mac-verification-failed"
 ABORT_CONFIRMATION = "confirmation-failed"
 
 #: Server-level abort slugs (liveness, transport and load management).
-ABORT_DESYNC = "protocol-desync"
 ABORT_DEADLINE = "deadline-exceeded"
 ABORT_IDLE = "idle-timeout"
 ABORT_DISCONNECT = "client-disconnected"
 ABORT_FRAME = "malformed-frame"
-ABORT_DUPLICATE = "duplicate-session"
 ABORT_OVERLOAD = "server-overloaded"
 ABORT_DRAINING = "server-draining"
 ABORT_INTERNAL = "internal-error"
@@ -90,12 +94,10 @@ ABORT_REASONS = (
     ABORT_MALFORMED,
     ABORT_MAC,
     ABORT_CONFIRMATION,
-    ABORT_DESYNC,
     ABORT_DEADLINE,
     ABORT_IDLE,
     ABORT_DISCONNECT,
     ABORT_FRAME,
-    ABORT_DUPLICATE,
     ABORT_OVERLOAD,
     ABORT_DRAINING,
     ABORT_INTERNAL,
@@ -119,94 +121,6 @@ class SessionState(Enum):
     COMPLETE = "complete"
     #: Terminal: the session was aborted; no key material is released.
     ABORTED = "aborted"
-
-
-class SessionEvent(Enum):
-    """Everything that can happen to a session, as a closed event set.
-
-    The session server drives each peer's state machine through
-    :meth:`SessionStateMachine.on_event` with these events.  Progress
-    events are legal in exactly one state; abort events carry their
-    taxonomized reason from any live state.  The set is closed so the
-    exhaustive transition-matrix test can prove that *no* (state, event)
-    pair raises.
-    """
-
-    #: Probing finished; windowing and bit extraction begin.
-    START = "start"
-    #: Extraction pooled at least one reconciliation block.
-    BLOCKS_READY = "blocks-ready"
-    #: Extraction yielded no block (short trace); complete without a key.
-    NO_BLOCKS = "no-blocks"
-    #: At least one syndrome verified; key confirmation begins.
-    SYNDROMES_VERIFIED = "syndromes-verified"
-    #: Reconciliation ended without enough verified bits for a key.
-    RECONCILE_EXHAUSTED = "reconcile-exhausted"
-    #: The key-confirmation exchange verified on both sides.
-    CONFIRM_OK = "confirm-ok"
-    #: A message carried a stale session nonce.
-    REPLAY = "replay"
-    #: A structurally invalid protocol message arrived.
-    MALFORMED = "malformed"
-    #: Every received syndrome failed MAC verification.
-    MAC_FAILURE = "mac-failure"
-    #: The key-confirmation exchange failed to verify.
-    CONFIRM_FAIL = "confirm-fail"
-    #: The session overran its end-to-end deadline.
-    DEADLINE_EXPIRED = "deadline-expired"
-    #: The peer went quiet past its idle budget.
-    IDLE_EXPIRED = "idle-expired"
-    #: The transport dropped mid-session.
-    PEER_DISCONNECTED = "peer-disconnected"
-    #: A wire frame was truncated, oversized or undecodable.
-    FRAME_CORRUPT = "frame-corrupt"
-    #: Another live session already owns this session id.
-    DUPLICATE_SESSION = "duplicate-session"
-    #: The ingress queue is full; the session is being shed.
-    OVERLOADED = "overloaded"
-    #: The server is draining and admits no new work.
-    DRAINING = "draining"
-    #: An isolated server-side failure ended this session.
-    INTERNAL_ERROR = "internal-error"
-    #: The secure data phase was misused before a channel existed.
-    SECURE_FAILURE = "secure-failure"
-    #: The server crashed mid-session; recovery orphan-aborted it.
-    RECOVERED = "recovered"
-
-
-#: Progress events: the one state each is legal in, and its successor.
-_PROGRESS_EVENTS: Dict[SessionEvent, Tuple[SessionState, SessionState]] = {
-    SessionEvent.START: (SessionState.INIT, SessionState.EXTRACTING),
-    SessionEvent.BLOCKS_READY: (SessionState.EXTRACTING, SessionState.RECONCILING),
-    SessionEvent.NO_BLOCKS: (SessionState.EXTRACTING, SessionState.COMPLETE),
-    SessionEvent.SYNDROMES_VERIFIED: (
-        SessionState.RECONCILING,
-        SessionState.CONFIRMING,
-    ),
-    SessionEvent.RECONCILE_EXHAUSTED: (
-        SessionState.RECONCILING,
-        SessionState.COMPLETE,
-    ),
-    SessionEvent.CONFIRM_OK: (SessionState.CONFIRMING, SessionState.COMPLETE),
-}
-
-#: Abort events and the taxonomy slug each carries.
-_ABORT_EVENTS: Dict[SessionEvent, str] = {
-    SessionEvent.REPLAY: ABORT_REPLAY,
-    SessionEvent.MALFORMED: ABORT_MALFORMED,
-    SessionEvent.MAC_FAILURE: ABORT_MAC,
-    SessionEvent.CONFIRM_FAIL: ABORT_CONFIRMATION,
-    SessionEvent.DEADLINE_EXPIRED: ABORT_DEADLINE,
-    SessionEvent.IDLE_EXPIRED: ABORT_IDLE,
-    SessionEvent.PEER_DISCONNECTED: ABORT_DISCONNECT,
-    SessionEvent.FRAME_CORRUPT: ABORT_FRAME,
-    SessionEvent.DUPLICATE_SESSION: ABORT_DUPLICATE,
-    SessionEvent.OVERLOADED: ABORT_OVERLOAD,
-    SessionEvent.DRAINING: ABORT_DRAINING,
-    SessionEvent.INTERNAL_ERROR: ABORT_INTERNAL,
-    SessionEvent.SECURE_FAILURE: ABORT_SECURE,
-    SessionEvent.RECOVERED: ABORT_RECOVERED,
-}
 
 
 #: Legal transitions.  EXTRACTING may complete directly (a trace too short
@@ -291,44 +205,6 @@ class SessionStateMachine:
         self.advance(SessionState.ABORTED)
         self.abort_record = record
         return record
-
-    def on_event(
-        self, event: SessionEvent, detail: str = ""
-    ) -> Optional[SessionAbort]:
-        """Apply one :class:`SessionEvent`; never raises on any pair.
-
-        This is the session server's driver: events come from the wire,
-        from timers and from the batch executor, so *every*
-        (state, event) pair must resolve without an exception
-        (``tests/test_statemachine_matrix.py`` proves the full matrix):
-
-        - a progress event in its one legal state advances the machine;
-        - a progress event in any other live state is a peer desync and
-          aborts with ``protocol-desync``;
-        - an abort event in any live state aborts with its taxonomized
-          reason;
-        - any event in a terminal state is absorbed (a reaped or
-          completed session cannot be re-aborted or resurrected).
-
-        Returns the :class:`SessionAbort` recorded for this session, or
-        ``None`` when it is live or completed cleanly.
-        """
-        if self.terminal:
-            return self.abort_record
-        if event in _PROGRESS_EVENTS:
-            legal_state, successor = _PROGRESS_EVENTS[event]
-            if self.state is legal_state:
-                self.advance(successor)
-                return None
-            return self.abort(
-                ABORT_DESYNC,
-                detail
-                or (
-                    f"event {event.value!r} is illegal in state "
-                    f"{self.state.value!r}"
-                ),
-            )
-        return self.abort(_ABORT_EVENTS[event], detail or f"event {event.value!r}")
 
     @property
     def terminal(self) -> bool:

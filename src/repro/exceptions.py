@@ -33,7 +33,7 @@ class InsufficientEntropyError(KeyEstablishmentError):
 
 
 class RetryBudgetExhausted(KeyEstablishmentError):
-    """Retries/re-probes hit their wall-clock or airtime budget without a key."""
+    """Every re-probe burst ``max_attempts`` allows ran without a key."""
 
     reason = "retry-budget-exhausted"
 

@@ -13,7 +13,7 @@ decrypt-failure taxonomy with the hard guarantee that no failure path
 releases plaintext.  :mod:`repro.secure.ledger` records every sealed and
 accepted nonce so the chaos harness can prove nonce-reuse never happens,
 and :mod:`repro.secure.rekey` runs the key lifecycle -- counter
-exhaustion, decrypt-failure budgets and age trigger a fresh
+exhaustion and decrypt-failure budgets trigger a fresh
 ``establish_key`` epoch through the PR-1 retry/backoff machinery, and a
 failed rekey degrades to a structured channel-closed outcome, never a
 silent mismatch.

@@ -1,10 +1,10 @@
 """Key lifecycle management: epochs, rekey triggers, structured closure.
 
 A traffic key is a consumable.  :class:`RekeyPolicy` declares when one
-epoch's keys are spent -- the send counter approaching exhaustion, a
+epoch's keys are spent -- the send counter approaching exhaustion, or a
 bounded budget of decrypt failures (a tampering adversary or a desynced
-peer), or plain age -- and :class:`ManagedSecureLink` executes the
-lifecycle: each trigger runs a fresh
+peer) -- and :class:`ManagedSecureLink` executes the lifecycle: each
+trigger runs a fresh
 :meth:`~repro.core.pipeline.VehicleKeyPipeline.establish_key` under the
 same fault plan, retry/backoff policy and adversary the channel lives
 with, derives the next epoch's keys with the epoch counter bumped in the
@@ -16,16 +16,14 @@ complete (establishment failed under faults, or the rekey budget is
 spent) degrades to a **structured channel-closed outcome** -- a
 :class:`ChannelCloseReport` with a slug from :data:`CLOSE_REASONS` --
 never a silent key mismatch and never an exception out of the data path.
-Time is a logical clock (:meth:`ManagedSecureLink.tick`) so age-triggered
-rekeys are deterministic under test and chaos seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.secure.channel import OpenOutcome, SecureLink
+from repro.secure.channel import DEFAULT_MAX_SEQUENCE, OpenOutcome, SecureLink
 from repro.secure.kdf import (
     ChannelContext,
     derive_channel_keys,
@@ -37,8 +35,7 @@ from repro.utils.validation import require
 #: Rekey trigger slugs, in reporting order.
 TRIGGER_EXHAUSTION = "counter-exhaustion"
 TRIGGER_DECRYPT_BUDGET = "decrypt-budget"
-TRIGGER_AGE = "epoch-age"
-REKEY_TRIGGERS = (TRIGGER_EXHAUSTION, TRIGGER_DECRYPT_BUDGET, TRIGGER_AGE)
+REKEY_TRIGGERS = (TRIGGER_EXHAUSTION, TRIGGER_DECRYPT_BUDGET)
 
 #: Closed taxonomy of structured channel closures.
 CLOSE_REKEY_FAILED = "rekey-establish-failed"
@@ -60,8 +57,6 @@ class RekeyPolicy:
         decrypt_failure_budget: Failed opens tolerated per epoch before a
             rekey is forced (a tampering adversary burns the budget, not
             the plaintext).
-        max_epoch_age_s: Age trigger on the logical clock; ``None``
-            disables it.
         grace_opens: In-flight old-epoch records each endpoint may still
             accept after a rollover before the old epoch is rejected as
             ``epoch-mismatch``.
@@ -74,7 +69,6 @@ class RekeyPolicy:
 
     max_records_per_epoch: int = 4096
     decrypt_failure_budget: int = 8
-    max_epoch_age_s: Optional[float] = None
     grace_opens: int = 4
     max_rekey_attempts: int = 2
     max_rekeys: Optional[int] = None
@@ -84,8 +78,6 @@ class RekeyPolicy:
         require(self.decrypt_failure_budget > 0, "decrypt_failure_budget must be > 0")
         require(self.grace_opens >= 0, "grace_opens must be >= 0")
         require(self.max_rekey_attempts >= 1, "max_rekey_attempts must be >= 1")
-        if self.max_epoch_age_s is not None:
-            require(self.max_epoch_age_s > 0, "max_epoch_age_s must be > 0")
         if self.max_rekeys is not None:
             require(self.max_rekeys >= 0, "max_rekeys must be >= 0")
 
@@ -98,13 +90,11 @@ class RekeyEvent:
         epoch: The epoch the link rolled *into*.
         trigger: Which :data:`REKEY_TRIGGERS` slug forced it.
         attempts: Probing attempts the establishment consumed.
-        clock_s: Logical-clock time of the rollover.
     """
 
     epoch: int
     trigger: str
     attempts: int
-    clock_s: float
 
 
 @dataclass(frozen=True)
@@ -135,20 +125,19 @@ class ManagedSecureLink:
         episode: Episode label of that establishment; rekey episodes are
             labelled ``{episode}-rekey-{epoch}``.
         policy: The :class:`RekeyPolicy`.
-        context: Epoch-0 KDF context; defaults to the result's session
-            nonce with the pipeline's fingerprint bound in.  Rekeys keep
-            the channel identity (nonce, ids, fingerprint) and bump only
-            the epoch counter -- the fresh master secret of each rekey
-            establishment does the cryptographic separation, the counter
-            keeps old-epoch records rejectable.
         ledger: Optional global nonce ledger threaded through every epoch.
         fault_plan: Link faults rekey establishments run under.
         retry_policy: ARQ retry/backoff policy for rekey establishments
             (the PR-1 machinery; ``None`` is the reliable transport).
         adversary_plan: Active adversary attacking rekey establishments.
         n_rounds: Probing rounds per rekey establishment.
-        max_sequence: Hard per-endpoint counter bound.
-        replay_window: Receive-side replay window width.
+
+    Epoch 0's KDF context binds the result's session nonce and the
+    pipeline's fingerprint.  Rekeys keep that channel identity and bump
+    only the epoch counter -- the fresh master secret of each rekey
+    establishment does the cryptographic separation, the counter keeps
+    old-epoch records rejectable.  Each endpoint has the channel's
+    default ``max_sequence`` and replay window.
     """
 
     def __init__(
@@ -157,44 +146,35 @@ class ManagedSecureLink:
         result,
         episode: str,
         policy: Optional[RekeyPolicy] = None,
-        context: Optional[ChannelContext] = None,
         ledger: Optional[NonceLedger] = None,
         fault_plan=None,
         retry_policy=None,
         adversary_plan=None,
         n_rounds: Optional[int] = None,
-        max_sequence: int = 2**20,
-        replay_window: int = 64,
     ):
         self.pipeline = pipeline
         self.episode = episode
         self.policy = policy if policy is not None else RekeyPolicy()
         require(
-            self.policy.max_records_per_epoch <= max_sequence,
+            self.policy.max_records_per_epoch <= DEFAULT_MAX_SEQUENCE,
             "max_records_per_epoch must not exceed the channel max_sequence",
         )
-        if context is None:
-            context = ChannelContext(
-                session_nonce=result.session_nonce,
-                pipeline_fingerprint=pipeline.fingerprint(),
-            )
-        self.context = context
+        self.context = ChannelContext(
+            session_nonce=result.session_nonce,
+            pipeline_fingerprint=pipeline.fingerprint(),
+        )
         self.ledger = ledger
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         self.adversary_plan = adversary_plan
         self.n_rounds = n_rounds
         self.link = SecureLink(
-            derive_channel_keys(master_secret_from_result(result), context),
+            derive_channel_keys(master_secret_from_result(result), self.context),
             ledger=ledger,
-            max_sequence=max_sequence,
-            replay_window=replay_window,
         )
         self.close_report: Optional[ChannelCloseReport] = None
         #: Completed rekeys, in order.
         self.rekey_events: List[RekeyEvent] = []
-        self._clock_s = 0.0
-        self._epoch_started_s = 0.0
         self._epoch_decrypt_failures = 0
 
     # -- state -----------------------------------------------------------------
@@ -212,11 +192,6 @@ class ManagedSecureLink:
     def rekeys_completed(self) -> int:
         """Rekeys that completed over the link's lifetime."""
         return len(self.rekey_events)
-
-    def tick(self, dt_s: float) -> None:
-        """Advance the logical clock (drives the age trigger)."""
-        require(dt_s >= 0.0, "dt_s must be >= 0")
-        self._clock_s += dt_s
 
     def close(self, reason: str = CLOSE_BY_PEER, trigger: Optional[str] = None,
               detail: str = "") -> ChannelCloseReport:
@@ -262,15 +237,9 @@ class ManagedSecureLink:
             master_secret_from_result(outcome.session), self.context
         )
         self.link.rollover(new_keys, grace_opens=self.policy.grace_opens)
-        self._epoch_started_s = self._clock_s
         self._epoch_decrypt_failures = 0
         self.rekey_events.append(
-            RekeyEvent(
-                epoch=next_epoch,
-                trigger=trigger,
-                attempts=outcome.attempts,
-                clock_s=self._clock_s,
-            )
+            RekeyEvent(epoch=next_epoch, trigger=trigger, attempts=outcome.attempts)
         )
         return True
 
@@ -279,11 +248,6 @@ class ManagedSecureLink:
         endpoint = self.link.endpoint(role)
         if endpoint.send_sequence >= self.policy.max_records_per_epoch:
             return TRIGGER_EXHAUSTION
-        if (
-            self.policy.max_epoch_age_s is not None
-            and self._clock_s - self._epoch_started_s >= self.policy.max_epoch_age_s
-        ):
-            return TRIGGER_AGE
         return None
 
     # -- data path -------------------------------------------------------------
@@ -301,9 +265,7 @@ class ManagedSecureLink:
 
         Chunks the burst at the policy's per-epoch capacity, so the wire
         records and lifecycle events are exactly those of sealing the
-        payloads one :meth:`seal` call at a time (the logical clock only
-        advances through :meth:`tick`, so no age trigger can fire inside
-        a chunk that a sequential caller would have seen).  Never raises
+        payloads one :meth:`seal` call at a time.  Never raises
         on the data path: the constructor bounds the per-epoch capacity
         by the channel's ``max_sequence``, so the hard counter bound is
         never reached.  Returns the records sealed before the link

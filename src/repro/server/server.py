@@ -1,18 +1,21 @@
 """Fault-tolerant asyncio key-establishment session server.
 
 Accepts concurrent device sessions over the framed transport
-(:mod:`repro.server.framing`), drives each through the authenticated
-state machine (:mod:`repro.core.statemachine`), and coalesces ready
-sessions into :class:`~repro.core.batch.BatchedSessionRunner` ticks so
-the batched-inference fast path is amortized across whatever arrives
-together.
+(:mod:`repro.server.framing`) and coalesces ready sessions into
+:class:`~repro.core.batch.BatchedSessionRunner` ticks so the
+batched-inference fast path is amortized across whatever arrives
+together.  Each session ends in one verdict, its
+:class:`~repro.server.session.DeviceSession` result: the tick's outcome,
+whose session walked the authenticated state machine
+(:mod:`repro.core.statemachine`) in process, or a server-side abort.
 
 The robustness contract, in order of importance:
 
 - **Never hang, never raise.**  Misbehaving peers -- slow-loris frames,
-  corrupt payloads, mid-phase disconnects, duplicate ids -- end in a
-  taxonomized :class:`~repro.core.statemachine.SessionAbort`, reported
-  on the wire when the peer is still there to hear it.
+  corrupt payloads, mid-phase disconnects -- end in a taxonomized
+  :class:`~repro.core.statemachine.SessionAbort`, reported on the wire
+  when the peer is still there to hear it; a duplicate id is rejected at
+  admission.
 - **Backpressure with structured shedding.**  The ingress queue is
   bounded; a session that cannot be admitted receives a ``rejected``
   frame carrying ``retry_after_s`` and a clean close, never an
@@ -53,7 +56,19 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.batch import BatchedSessionRunner
 from repro.core.pipeline import KeyEstablishmentOutcome
-from repro.core.statemachine import ABORT_RECOVERED, SessionEvent
+from repro.core.statemachine import (
+    ABORT_DEADLINE,
+    ABORT_DISCONNECT,
+    ABORT_DRAINING,
+    ABORT_FRAME,
+    ABORT_IDLE,
+    ABORT_INTERNAL,
+    ABORT_MALFORMED,
+    ABORT_OVERLOAD,
+    ABORT_RECOVERED,
+    ABORT_SECURE,
+    SessionAbort,
+)
 from repro.server.framing import FrameError, FrameReader, write_frames
 from repro.secure import (
     ChannelContext,
@@ -363,9 +378,7 @@ class KeyEstablishmentServer:
         # them now so their handlers answer and release the connection.
         for session in list(self.sessions.values()):
             if not session.started and not session.terminal:
-                self._abort_session(
-                    session, SessionEvent.DRAINING, "server is draining"
-                )
+                self._abort_session(session, ABORT_DRAINING, "server is draining")
                 report.aborted_draining += 1
         # Detached sessions have no handler to unregister them; end the
         # resumption window now (the journaled outcome stays resumable
@@ -374,21 +387,19 @@ class KeyEstablishmentServer:
             if session.detached:
                 if not session.terminal:
                     self._abort_session(
-                        session, SessionEvent.DRAINING, "server is draining"
+                        session, ABORT_DRAINING, "server is draining"
                     )
                     report.aborted_draining += 1
                 self._unregister(session)
         pending_results = [
             session.result
             for session in self.sessions.values()
-            if not session.result.done()
+            if not session.terminal
         ]
         if pending_results:
             await asyncio.wait(pending_results, timeout=timeout)
         report.delivered = sum(
-            1
-            for session in self.sessions.values()
-            if session.outcome is not None or session.terminal
+            1 for session in self.sessions.values() if session.terminal
         )
         # Give handlers one reap interval to flush frames and unregister.
         deadline = asyncio.get_running_loop().time() + max(
@@ -554,7 +565,7 @@ class KeyEstablishmentServer:
         if session.resume_token:
             session.detached = True
         else:
-            self._abort_session(session, SessionEvent.PEER_DISCONNECTED, detail)
+            self._abort_session(session, ABORT_DISCONNECT, detail)
 
     def _unregister(self, session: DeviceSession) -> None:
         """Drop a session from the live tables.
@@ -692,9 +703,7 @@ class KeyEstablishmentServer:
                     self._pending.put_nowait(live)
                 except asyncio.QueueFull:
                     self.metrics.rejected_overload += 1
-                    self._abort_session(
-                        live, SessionEvent.OVERLOADED, "ingress queue full"
-                    )
+                    self._abort_session(live, ABORT_OVERLOAD, "ingress queue full")
             await self._send(
                 writer, self._welcome(live.session_id, token, resumed=True)
             )
@@ -789,9 +798,7 @@ class KeyEstablishmentServer:
                     frame = frame_or_error.result()
                 except FrameError as error:
                     self.metrics.malformed_frames += 1
-                    self._abort_session(
-                        session, SessionEvent.FRAME_CORRUPT, str(error)
-                    )
+                    self._abort_session(session, ABORT_FRAME, str(error))
                     await self._send_verdict(session, writer)
                     return
                 if frame is None:  # peer closed the stream
@@ -818,9 +825,7 @@ class KeyEstablishmentServer:
                 self._pending.put_nowait(session)
             except asyncio.QueueFull:
                 self.metrics.rejected_overload += 1
-                self._abort_session(
-                    session, SessionEvent.OVERLOADED, "ingress queue full"
-                )
+                self._abort_session(session, ABORT_OVERLOAD, "ingress queue full")
         elif kind == "ping":
             await self._send(writer, {"type": "pong"})
         elif kind == "health":
@@ -842,14 +847,14 @@ class KeyEstablishmentServer:
             self.metrics.malformed_frames += 1
             self._abort_session(
                 session,
-                SessionEvent.SECURE_FAILURE,
+                ABORT_SECURE,
                 "secure record before establishment completed",
             )
         else:
             self.metrics.malformed_frames += 1
             self._abort_session(
                 session,
-                SessionEvent.MALFORMED,
+                ABORT_MALFORMED,
                 f"unknown frame type {kind!r}",
             )
 
@@ -880,7 +885,7 @@ class KeyEstablishmentServer:
                 "reason": verdict.reason,
                 "detail": verdict.detail,
             }
-            if verdict.reason in ("server-overloaded", "server-draining"):
+            if verdict.reason in (ABORT_OVERLOAD, ABORT_DRAINING):
                 frame["retry_after_s"] = self.config.retry_after_s
         CRASHPOINTS.hit("deliver")
         try:
@@ -915,7 +920,7 @@ class KeyEstablishmentServer:
             "agreed_bits": outcome.session.agreed_bits,
             "key_generation_rate_bps": outcome.key_generation_rate_bps,
             "key_digest": digest,
-            "final_state": session.machine.state.value,
+            "final_state": outcome.session.final_state,
         }
 
     # -- encrypted data phase ------------------------------------------------
@@ -1166,12 +1171,11 @@ class KeyEstablishmentServer:
 
     # -- supervision ---------------------------------------------------------
     def _abort_session(
-        self, session: DeviceSession, event: SessionEvent, detail: str
+        self, session: DeviceSession, reason: str, detail: str
     ) -> None:
         """Abort one session and account for it; never raises."""
-        record = session.abort(event, detail)
-        if record is not None:
-            self.metrics.record_abort(record.reason)
+        if session.abort(reason, detail):
+            self.metrics.record_abort(reason)
         self._journal_outcome(session)
 
     def _journal_outcome(self, session: DeviceSession) -> None:
@@ -1187,8 +1191,8 @@ class KeyEstablishmentServer:
                 "frame": session.verdict_frame,
             }
         else:
-            abort = session.machine.abort_record
-            if abort is None:
+            abort = session.result.result()
+            if not isinstance(abort, SessionAbort):
                 return
             record = {
                 "t": "outcome",
@@ -1215,27 +1219,24 @@ class KeyEstablishmentServer:
             await asyncio.sleep(self.config.reap_interval_s)
             now = None
             for session in list(self.sessions.values()):
-                if session.detached and (
-                    session.terminal or session.result.done()
-                ):
-                    if session.result.done():
-                        self._journal_outcome(session)
+                if session.detached and session.terminal:
+                    self._journal_outcome(session)
                     self._unregister(session)
                     continue
-                if session.terminal or session.result.done():
+                if session.terminal:
                     continue
                 if session.deadline_expired(now):
                     self.metrics.reaped_deadline += 1
                     self._abort_session(
                         session,
-                        SessionEvent.DEADLINE_EXPIRED,
+                        ABORT_DEADLINE,
                         f"exceeded {self.config.session_deadline_s}s deadline",
                     )
                 elif session.idle_expired(now):
                     self.metrics.reaped_idle += 1
                     self._abort_session(
                         session,
-                        SessionEvent.IDLE_EXPIRED,
+                        ABORT_IDLE,
                         f"no frame for {self.config.idle_timeout_s}s",
                     )
 
@@ -1265,7 +1266,7 @@ class KeyEstablishmentServer:
         event loop keeps answering pings, admitting sessions and reaping
         the dead while a tick computes.
         """
-        live = [s for s in batch if not s.terminal and not s.result.done()]
+        live = [s for s in batch if not s.terminal]
         if not live:
             return
         CRASHPOINTS.hit("tick")
@@ -1310,8 +1311,7 @@ class KeyEstablishmentServer:
     def _settle(self, session: DeviceSession, verdict: object) -> None:
         """Deliver one tick verdict to one session; never raises."""
         if isinstance(verdict, KeyEstablishmentOutcome):
-            session.complete(verdict)
-            if session.outcome is verdict:
+            if session.complete(verdict):
                 if session.resume_token:
                     session.verdict_frame = self._result_frame(session, verdict)
                     self._journal_outcome(session)
@@ -1330,6 +1330,6 @@ class KeyEstablishmentServer:
         else:
             self._abort_session(
                 session,
-                SessionEvent.INTERNAL_ERROR,
+                ABORT_INTERNAL,
                 f"{type(verdict).__name__}: {verdict}",
             )

@@ -1,15 +1,16 @@
 """Per-device session state for the key-establishment server.
 
-Each connected device owns one :class:`DeviceSession`: its authenticated
-state machine (the same :class:`~repro.core.statemachine.SessionStateMachine`
-the library path uses, driven through the never-raising
-:meth:`~repro.core.statemachine.SessionStateMachine.on_event`), its
-liveness budgets (end-to-end deadline and idle timeout), and the future
-its connection handler awaits for the batch tick's outcome.  The session
-is the unit of failure isolation: everything that can go wrong with one
-device -- stalls, disconnects, poisoned frames, batch-side errors --
-terminates *this* record with a taxonomized abort and never another
-session's.
+Each connected device owns one :class:`DeviceSession`: its liveness
+budgets (end-to-end deadline and idle timeout) and its result future,
+the session's one verdict.  The future resolves exactly once, to the
+tick's :class:`~repro.core.pipeline.KeyEstablishmentOutcome` (whose
+session already walked the authenticated state machine in
+:meth:`~repro.core.session.KeyAgreementSession.exchange`) or to a
+server-side :class:`~repro.core.statemachine.SessionAbort`; whichever
+comes first wins.  The session is the unit of failure isolation:
+everything that can go wrong with one device -- stalls, disconnects,
+poisoned frames, batch-side errors -- terminates *this* record with a
+taxonomized abort and never another session's.
 """
 
 from __future__ import annotations
@@ -20,11 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.pipeline import KeyEstablishmentOutcome
-from repro.core.statemachine import (
-    SessionAbort,
-    SessionEvent,
-    SessionStateMachine,
-)
+from repro.core.statemachine import SessionAbort, SessionState
 from repro.secure import SecureChannel
 
 
@@ -36,13 +33,10 @@ class DeviceSession:
         session_id: The device-chosen id (unique among live sessions).
         episode: Episode label the session's probing burst uses.
         rounds: Probing rounds requested (``None``: the server default).
-        machine: The authenticated session state machine; all server
-            events go through its never-raising ``on_event`` driver.
         created_s: Monotonic admission time.
         last_activity_s: Monotonic time of the last frame from the peer.
         deadline_s: Absolute monotonic end-to-end deadline.
         idle_timeout_s: Budget between peer frames before reaping.
-        outcome: The establishment outcome once a tick produced one.
         started: Whether the peer requested establishment (``start``).
         wants_data: Whether the hello frame requested an encrypted data
             phase after establishment (``"data": true``).
@@ -63,12 +57,10 @@ class DeviceSession:
     session_id: str
     episode: str
     rounds: Optional[int] = None
-    machine: SessionStateMachine = field(default_factory=SessionStateMachine)
     created_s: float = field(default_factory=time.monotonic)
     last_activity_s: float = field(default_factory=time.monotonic)
     deadline_s: float = 0.0
     idle_timeout_s: float = 30.0
-    outcome: Optional[KeyEstablishmentOutcome] = None
     started: bool = False
     wants_data: bool = False
     channel: Optional[SecureChannel] = None
@@ -107,51 +99,33 @@ class DeviceSession:
 
     @property
     def terminal(self) -> bool:
-        """Whether the state machine reached COMPLETE or ABORTED."""
-        return self.machine.terminal
+        """Whether the session has its verdict (see :attr:`result`)."""
+        return self._result.done()
 
-    @property
-    def abort_record(self) -> Optional[SessionAbort]:
-        """The abort that ended this session, if any."""
-        return self.machine.abort_record
+    def abort(self, reason: str, detail: str) -> bool:
+        """End the session with a server-side abort.
 
-    def abort(self, event: SessionEvent, detail: str = "") -> Optional[SessionAbort]:
-        """Drive an abort event through the machine and resolve the future.
-
-        Idempotent and never raises: a session that is already terminal
-        keeps its first verdict, and the result future is only resolved
-        once.
+        ``reason`` is a slug from
+        :data:`~repro.core.statemachine.ABORT_REASONS`.  The record's
+        ``state`` is ``init``: a server-side abort only wins before the
+        tick delivered an outcome.  Returns whether this abort became the
+        verdict; a session that already has one keeps it.
         """
-        record = self.machine.on_event(event, detail)
-        if record is not None and not self._result.done():
-            self._result.set_result(record)
-        return record
+        if self._result.done():
+            return False
+        self._result.set_result(
+            SessionAbort(reason=reason, detail=detail, state=SessionState.INIT.value)
+        )
+        return True
 
-    def complete(self, outcome: KeyEstablishmentOutcome) -> None:
-        """Deliver a tick's outcome and mirror it onto the state machine.
+    def complete(self, outcome: KeyEstablishmentOutcome) -> bool:
+        """Deliver a tick's outcome; returns whether it became the verdict.
 
-        The server-side machine walks the same phases the in-process
-        session walked, so ``final_state``/abort taxonomy agree between
-        the library path and the served path.  A session that aborted
-        server-side first (reaped, disconnected) keeps its abort; the
-        late outcome is dropped -- it carried no key to the peer.
+        A session that aborted server-side first (reaped, disconnected)
+        keeps its abort; the late outcome is dropped -- it carried no key
+        to the peer.
         """
-        if self.machine.terminal:
-            return
-        self.outcome = outcome
-        result = outcome.session
-        self.machine.on_event(SessionEvent.START)
-        if result.abort is not None:
-            # Replay the in-session abort onto the server machine.
-            self.machine.abort(result.abort.reason, result.abort.detail)
-        elif result.n_blocks == 0:
-            self.machine.on_event(SessionEvent.NO_BLOCKS)
-        else:
-            self.machine.on_event(SessionEvent.BLOCKS_READY)
-            if result.verified_blocks and result.final_key_alice is not None:
-                self.machine.on_event(SessionEvent.SYNDROMES_VERIFIED)
-                self.machine.on_event(SessionEvent.CONFIRM_OK)
-            else:
-                self.machine.on_event(SessionEvent.RECONCILE_EXHAUSTED)
-        if not self._result.done():
-            self._result.set_result(outcome)
+        if self._result.done():
+            return False
+        self._result.set_result(outcome)
+        return True

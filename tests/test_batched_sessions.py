@@ -156,14 +156,20 @@ class TestServedTick:
             f"dev-{i}": (
                 None
                 if outcome.final_key is None
-                else hashlib.sha256(outcome.final_key).hexdigest()[:32]
+                else hashlib.sha256(outcome.final_key).hexdigest()[:32],
+                outcome.session.final_state,
             )
             for i, outcome in enumerate(report.outcomes)
         }
-        assert any(expected.values())  # some labels key: digests are compared
-        # Same episode label => same key digest, served or in process.
+        # Some labels key, so digests are compared.
+        assert any(digest for digest, _ in expected.values())
+        # Same episode label => same key digest and final state, served
+        # or in process.
         assert {
-            outcome.frame["session_id"]: outcome.frame.get("key_digest")
+            outcome.frame["session_id"]: (
+                outcome.frame.get("key_digest"),
+                outcome.frame["final_state"],
+            )
             for outcome in served
         } == expected
         assert server.metrics.tick_sessions_max >= 2  # the batch coalesced

@@ -308,16 +308,6 @@ class TestGracefulDegradation:
                 episode="starved", n_rounds=8, max_attempts=2, raise_on_failure=True
             )
 
-    def test_airtime_budget_stops_reprobing(self, tiny_pipeline):
-        outcome = tiny_pipeline.establish_key(
-            episode="capped",
-            n_rounds=8,
-            max_attempts=5,
-            reprobe_airtime_budget_s=1e-6,
-        )
-        assert outcome.attempts == 1  # budget exhausted before any re-probe
-        assert outcome.failure_reason == RetryBudgetExhausted.reason
-
     def test_key_mismatch_never_silent(self, tiny_pipeline, monkeypatch):
         trace = tiny_pipeline.collect_trace("mismatch", n_rounds=8)
         empty = AgreementSummary(mean=1.0, std=0.0, n_pairs=1)

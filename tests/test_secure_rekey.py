@@ -20,7 +20,6 @@ from repro.secure.rekey import (
     CLOSE_REKEY_BUDGET,
     CLOSE_REKEY_FAILED,
     REKEY_TRIGGERS,
-    TRIGGER_AGE,
     TRIGGER_DECRYPT_BUDGET,
     TRIGGER_EXHAUSTION,
 )
@@ -117,34 +116,8 @@ class TestRekeyTriggers:
             return
         pytest.fail("no successful decrypt-budget rekey found")
 
-    def test_epoch_age_on_the_logical_clock(self, tiny_pipeline, established):
-        for i in range(SEARCH):
-            link = ManagedSecureLink(
-                tiny_pipeline,
-                established,
-                episode=f"rk-age-{i}",
-                policy=RekeyPolicy(max_epoch_age_s=5.0),
-                n_rounds=ROUNDS,
-            )
-            link.seal("initiator", b"young epoch")
-            assert link.rekeys_completed == 0  # age not yet reached
-            link.tick(6.0)
-            link.seal("initiator", b"old epoch")
-            if link.closed:
-                assert link.close_report.reason in CLOSE_REASONS
-                continue
-            assert link.rekeys_completed == 1
-            assert link.rekey_events[0].trigger == TRIGGER_AGE
-            assert link.rekey_events[0].clock_s == pytest.approx(6.0)
-            return
-        pytest.fail("no successful age-triggered rekey found")
-
     def test_trigger_taxonomy_is_closed(self):
-        assert set(REKEY_TRIGGERS) == {
-            TRIGGER_EXHAUSTION,
-            TRIGGER_DECRYPT_BUDGET,
-            TRIGGER_AGE,
-        }
+        assert set(REKEY_TRIGGERS) == {TRIGGER_EXHAUSTION, TRIGGER_DECRYPT_BUDGET}
 
 
 class TestStructuredClosure:
@@ -212,7 +185,6 @@ class TestStructuredClosure:
                 established,
                 episode="rk-bad",
                 policy=RekeyPolicy(max_records_per_epoch=2**21),
-                max_sequence=2**20,
             )
 
 

@@ -6,18 +6,35 @@ get results, overload sheds with a structured retry-after, duplicate ids
 are refused, quiet and slow-loris peers are reaped, corrupt frames abort
 only their own session, a poisoned batch falls back to supervised
 per-session execution, and a drain delivers in-flight work without
-leaking a single session record.
+leaking a single session record.  ``TestOneVerdict`` drives a bare
+:class:`DeviceSession`: its result future is the session's one verdict.
 
 No pytest-asyncio in the environment: every test wraps its scenario in
 ``asyncio.run``.
 """
 
 import asyncio
+import time
 
 import pytest
 
+import repro.server.server as server_module
+from repro.core.statemachine import (
+    ABORT_DEADLINE,
+    ABORT_DISCONNECT,
+    ABORT_DRAINING,
+    ABORT_FRAME,
+    ABORT_IDLE,
+    ABORT_INTERNAL,
+    ABORT_MALFORMED,
+    ABORT_OVERLOAD,
+    ABORT_RECOVERED,
+    ABORT_SECURE,
+    SessionAbort,
+)
 from repro.server import (
     DeviceClient,
+    DeviceSession,
     Endpoint,
     KeyEstablishmentServer,
     ModelRegistry,
@@ -28,6 +45,21 @@ from repro.server.server import MAX_HELLO_ROUNDS
 
 #: Short probing sessions keep each scenario well under a second.
 ROUNDS = 48
+
+#: Every slug the server aborts a live session with.
+#: (``recovered-after-crash`` is journaled for an orphan of a crashed
+#: process; no live session carries it.)
+SERVER_ABORTS = (
+    ABORT_DEADLINE,
+    ABORT_DISCONNECT,
+    ABORT_DRAINING,
+    ABORT_FRAME,
+    ABORT_IDLE,
+    ABORT_INTERNAL,
+    ABORT_MALFORMED,
+    ABORT_OVERLOAD,
+    ABORT_SECURE,
+)
 
 
 def fast_config(**overrides) -> ServerConfig:
@@ -269,8 +301,6 @@ class TestFailureIsolation:
         assert outcome.frame["reason"] == "malformed-message"
 
     def test_poisoned_batch_falls_back_per_session(self, tiny_pipeline, monkeypatch):
-        import repro.server.server as server_module
-
         class ExplodingRunner:
             """A batch runner whose batched path always detonates."""
 
@@ -299,8 +329,6 @@ class TestFailureIsolation:
         assert server.metrics.batch_fallbacks >= 1
 
     def test_poisoned_session_aborts_alone(self, tiny_pipeline, monkeypatch):
-        import repro.server.server as server_module
-
         real_establish = tiny_pipeline.establish_key
 
         class ExplodingRunner:
@@ -335,6 +363,109 @@ class TestFailureIsolation:
         assert bad.kind == "abort"
         assert bad.frame["reason"] == "internal-error"
         assert server.metrics.aborted.get("internal-error") == 1
+
+    def test_failure_after_reap_keeps_the_reap_verdict(
+        self, tiny_pipeline, monkeypatch
+    ):
+        # The reaper ends the session while its tick still runs; the
+        # tick's late failure changes neither the verdict nor the counts.
+        finished = []
+
+        class ExplodingRunner:
+            """Force the per-session fallback, which then fails late."""
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def run_episodes(self, labels):
+                raise RuntimeError("force fallback")
+
+        def late_failure(episode="live", **kwargs):
+            time.sleep(1.0)  # outlives the 0.3 s idle budget below
+            finished.append(episode)
+            raise RuntimeError("poisoned session")
+
+        monkeypatch.setattr(server_module, "BatchedSessionRunner", ExplodingRunner)
+        monkeypatch.setattr(tiny_pipeline, "establish_key", late_failure)
+        config = fast_config(idle_timeout_s=0.3, reap_interval_s=0.05)
+
+        async def scenario(server, endpoint):
+            outcome = await run_behavior(
+                endpoint, "normal", "dev-late", episode="srv-late", timeout_s=10.0
+            )
+            while not finished:
+                await asyncio.sleep(0.05)
+            await asyncio.sleep(0.2)  # the tick settles the failure
+            return outcome
+
+        outcome, server = run_scenario(tiny_pipeline, config, scenario)
+        assert outcome.kind == "abort"
+        assert outcome.frame["reason"] == "idle-timeout"
+        assert server.metrics.aborted == {"idle-timeout": 1}
+
+
+@pytest.fixture(scope="module")
+def late_outcome(tiny_pipeline):
+    """A real tick outcome to deliver after (or before) an abort."""
+    return tiny_pipeline.establish_key(episode="srv-verdict", n_rounds=ROUNDS)
+
+
+def on_loop(body):
+    """Run ``body()`` where ``DeviceSession`` can make its future."""
+
+    async def runner():
+        return body()
+
+    return asyncio.run(runner())
+
+
+class TestOneVerdict:
+    """A ``DeviceSession``'s result future is its one verdict."""
+
+    def test_slugs_are_the_servers(self):
+        imported = {
+            getattr(server_module, name)
+            for name in dir(server_module)
+            if name.startswith("ABORT_")
+        }
+        assert imported - {ABORT_RECOVERED} == set(SERVER_ABORTS)
+
+    @pytest.mark.parametrize("reason", SERVER_ABORTS)
+    def test_abort_resolves_a_live_session(self, reason):
+        def body():
+            session = DeviceSession(session_id="dev-v", episode="srv-verdict")
+            assert not session.terminal
+            assert session.abort(reason, "first")
+            return session
+
+        session = on_loop(body)
+        assert session.terminal
+        assert session.result.result() == SessionAbort(
+            reason=reason, detail="first", state="init"
+        )
+
+    @pytest.mark.parametrize("reason", SERVER_ABORTS)
+    def test_first_abort_keeps_its_verdict(self, reason, late_outcome):
+        def body():
+            session = DeviceSession(session_id="dev-v", episode="srv-verdict")
+            session.abort(reason, "first")
+            verdict = session.result.result()
+            assert not session.abort(ABORT_INTERNAL, "second")
+            assert not session.complete(late_outcome)
+            assert session.result.result() is verdict
+
+        on_loop(body)
+
+    def test_outcome_keeps_its_verdict(self, late_outcome):
+        def body():
+            session = DeviceSession(session_id="dev-v", episode="srv-verdict")
+            assert session.complete(late_outcome)
+            for reason in SERVER_ABORTS:
+                assert not session.abort(reason, "late")
+            assert not session.complete(late_outcome)
+            assert session.result.result() is late_outcome
+
+        on_loop(body)
 
 
 class TestHelloValidation:

@@ -73,12 +73,12 @@ class TestAbort:
             SessionAbort(reason="not-a-reason", detail="x", state="init")
 
     def test_taxonomy_is_closed(self):
-        # 4 protocol slugs from the original machine plus desync, plus
-        # the 8 server-path slugs (liveness, transport, admission,
-        # supervisor), the secure data-phase slug and the crash-recovery
-        # slug; tests/test_statemachine_matrix.py proves every abort
-        # event maps into this set.
-        assert len(ABORT_REASONS) == 15
-        assert len(set(ABORT_REASONS)) == 15
+        # 4 protocol slugs from the original machine, the 7 server-path
+        # slugs (liveness, transport, load, supervisor), the secure
+        # data-phase slug and the crash-recovery slug;
+        # tests/test_server_sessions.py::TestOneVerdict aborts a live
+        # server session with each of the nine slugs the server uses.
+        assert len(ABORT_REASONS) == 13
+        assert len(set(ABORT_REASONS)) == 13
         for reason in ABORT_REASONS:
             SessionAbort(reason=reason, detail="d", state="reconciling")
