@@ -15,7 +15,9 @@ tolerance; ``before`` is the frozen per-attempt ARQ loop
 (``tests/oracles/probing_loop.py``).  The sweep entry runs the whole
 sweep with ``ProbingProtocol.run_loop`` swapped for that loop and
 requires both reports to be equal; the ``arq_probing`` entry times the
-two loops alone.
+two loops alone and records the live loop's decision-pass counts
+(attempts, ``path_gain_db`` calls and the instants they evaluate), whose
+instants per attempt the test bounds.
 """
 
 import dataclasses
@@ -34,6 +36,7 @@ from tests.test_probing_loop_oracle import (
     N_PLANS,
     assert_traces_equal,
     build_attacked,
+    decision_pass_counts,
     plan_case,
 )
 
@@ -49,6 +52,10 @@ SWEEP_REPS = 2
 
 #: Rounds per ARQ probing session in the ``arq_probing`` entry.
 ARQ_ROUNDS = 64
+#: Bound on the live loop's decision instants per ARQ attempt.  Two per
+#: attempt are read; re-evaluating the rest of the burst after every
+#: retransmission read 25.8 on these plans, the look-ahead 7.5.
+MAX_DECISION_INSTANTS_PER_ATTEMPT = 10.0
 
 #: Collected by the tests below, written once at module teardown.
 _ENTRIES = {}
@@ -185,6 +192,19 @@ def test_arq_probing_vs_frozen_loop():
     before_s, after_s = _compare(lambda: sweep("before"), lambda: sweep("after"))
     for expected, actual in zip(traces["before"], traces["after"]):
         assert_traces_equal(expected, actual)
+    # The decision pass's work, counted in one untimed pass of the live
+    # loop as tests/test_probing_loop_oracle.py::TestTwoPasses counts it.
+    attempts = calls = instants = 0
+    for index, expected in enumerate(traces["after"]):
+        setup, *plans = plan_case(index)
+        protocol, seeds, eavesdroppers = build_attacked(1000 + index, *plans, **setup)
+        trace, trace_calls, trace_instants = decision_pass_counts(
+            protocol, ARQ_ROUNDS, seeds, eavesdroppers
+        )
+        assert_traces_equal(expected, trace)
+        attempts += int((trace.retries + 1).sum())
+        calls += trace_calls
+        instants += trace_instants
     entry = _record(
         f"arq_probing@chaos_plans_x{N_PLANS}_r{ARQ_ROUNDS}",
         before_s,
@@ -192,8 +212,12 @@ def test_arq_probing_vs_frozen_loop():
         sessions=N_PLANS,
         rounds=ARQ_ROUNDS,
         retries=int(sum(trace.retries.sum() for trace in traces["after"])),
+        attempts=attempts,
+        decision_instants=instants,
+        path_gain_calls=calls,
     )
     # Deciding per attempt and measuring once per round must clearly beat
     # four channel evaluations per attempt; the committed baseline gates
     # the fine-grained ratio in CI.
     assert entry["speedup"] >= 3.0
+    assert instants <= MAX_DECISION_INSTANTS_PER_ATTEMPT * attempts

@@ -33,6 +33,15 @@ from repro.utils.validation import require, require_positive
 _DEFAULT_N_PATHS = 64
 _TWO_PI = 2.0 * np.pi
 
+#: Cap on the ``S * T_chunk * n_paths`` intermediate of
+#: :func:`batched_spatial_gain_db`.  It keeps each float64 temporary of
+#: the angle, trig and reduction passes at 512 KiB, small enough to stay
+#: in cache; at 1,000,000 elements each was 8 MB and every pass streamed
+#: through memory (``docs/PERFORMANCE.md`` has the measured costs).
+#: Chunking is along the time axis only, so it never perturbs the
+#: path-axis reduction order.
+BATCH_CHUNK_ELEMS = 65_536
+
 #: Valid ``trig_precision`` modes for the sum-of-sinusoids evaluation.
 #:
 #: ``"mixed"`` (the default) accumulates the per-path angles in float64
@@ -197,9 +206,7 @@ class TemporalJakesFading(_SumOfSinusoids):
 
 
 def batched_spatial_gain_db(
-    fadings: Sequence[SpatialJakesFading],
-    displacements_m: np.ndarray,
-    chunk_elems: int = 65_536,
+    fadings: Sequence[SpatialJakesFading], displacements_m: np.ndarray
 ) -> np.ndarray:
     """Evaluate S fading realizations on S displacement rows in one sweep.
 
@@ -216,13 +223,8 @@ def batched_spatial_gain_db(
         fadings: Homogeneous realizations (same ``n_paths``, ``rician_k``
             and ``trig_precision``; wavelengths may differ per row).
         displacements_m: ``[S, T]`` displacement rows, one per realization.
-        chunk_elems: Cap on the ``S * T_chunk * n_paths`` intermediate.
-            The default keeps each float64 temporary of the angle, trig
-            and reduction passes at 512 KiB, small enough to stay in
-            cache; at 1,000,000 elements each was 8 MB and every pass
-            streamed through memory (``docs/PERFORMANCE.md`` has the
-            measured costs).  Chunking is along the time axis only, so
-            it never perturbs the path-axis reduction order.
+            The time axis is evaluated in chunks of at most
+            :data:`BATCH_CHUNK_ELEMS` angles.
 
     Returns:
         ``[S, T]`` float64 power gains in dB, floored at -60 dB.
@@ -262,7 +264,7 @@ def batched_spatial_gain_db(
         los_phase = np.array([m._los_phase for m in models])[:, np.newaxis]
     n_sessions, n_times = disp.shape
     gains = np.empty((n_sessions, n_times), dtype=complex)
-    step = max(1, int(chunk_elems) // max(1, n_sessions * n_paths))
+    step = max(1, BATCH_CHUNK_ELEMS // max(1, n_sessions * n_paths))
     for start in range(0, n_times, step):
         chunk = scaled[:, start : start + step]  # [S, Tc]
         angles = chunk[:, :, np.newaxis] * cos_angles[:, np.newaxis, :] + per_path[:, np.newaxis, :]

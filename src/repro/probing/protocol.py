@@ -34,6 +34,8 @@ eavesdroppers):
   fault and attack draws that never read a register.  So a cheap
   sequential pass decides every attempt first, and one stacked pass then
   measures each round's final attempt -- the only one a trace keeps.
+  The sequential pass evaluates those instants a few rounds ahead along
+  the success timeline (:data:`LOOKAHEAD_ROUNDS`).
 
 Each engine replays the per-party noise streams row-major, so the
 fault-free kernel is bit-identical to ``run_loop``, and ``run_loop`` to
@@ -55,12 +57,18 @@ from repro.faults.adversary import ActiveAdversary
 from repro.faults.link import LinkFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.lora.airtime import LoRaPHYConfig
-from repro.lora.link_budget import LinkBudget
+from repro.lora.link_budget import _SNR_LIMIT_DB, LinkBudget
 from repro.lora.radio import TransceiverModel
 from repro.lora.rssi import RegisterRssiSampler, quantize_packet_rssi
 from repro.probing.trace import EveTrace, ProbeTrace
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import require, require_positive
+
+#: Rounds of its success timeline the ARQ decision pass evaluates after an
+#: attempt off the previous one (a retransmission, or the first attempt
+#: after a dropped round); each time they run out with the attempts still
+#: on the timeline, it evaluates twice as many more.
+LOOKAHEAD_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -201,14 +209,19 @@ class ProbingProtocol:
     ) -> ProbeTrace:
         """The ARQ engine: :meth:`run` one attempt at a time, in two passes.
 
-        The *timeline pass* decides each attempt in order from the path
-        gains at its mid-probe and mid-response instants, with every
-        fault, attack and backoff draw in the frozen loop's per-attempt
-        order.  The gains come from a memo keyed on the exact attempt
-        start; a miss makes one ``path_gain_db`` call over the decision
-        instants of every remaining round on the all-success timeline
-        from that attempt (:func:`_success_timeline`).  Gains are a pure
-        function of time, so a hit is exact.  The *measurement pass*
+        The *timeline pass* decides each attempt in order from the SNR at
+        its mid-probe and mid-response instants, with every fault, attack
+        and backoff draw in the frozen loop's per-attempt order.  The
+        SNRs and decodability come from a look-ahead along the
+        all-success timeline (:func:`_success_timeline`): the first
+        evaluation covers the whole burst, and an attempt off the
+        timeline (a retransmission, or the first attempt after a dropped
+        round) starts a new one from its own start and evaluates its
+        first :data:`LOOKAHEAD_ROUNDS` rounds, twice as many more each
+        time the attempts use them up.  Each evaluation is one
+        ``path_gain_db`` call and one link-budget pass over its
+        instants.  Gains are a pure function of time, so every decision
+        is the one a fresh evaluation would give.  The *measurement pass*
         measures what the trace keeps, each round's final attempt, with
         the stacked kernel's register pipeline (:func:`_measure_rounds`),
         then applies the recorded register glitches and injected probes.
@@ -241,7 +254,15 @@ class ProbingProtocol:
         final_starts = np.empty((2, n_rounds))
         glitches: Tuple[list, list] = ([None] * n_rounds, [None] * n_rounds)
         injections: Dict[int, np.ndarray] = {}
-        decision_gains: Dict[float, Tuple[float, float]] = {}
+        # The look-ahead: the success timeline's probe and response starts
+        # from round ``timeline_round``, where the latest attempt off the
+        # previous timeline started, and its first rounds' decisions
+        # ``(probe_snr, response_snr, probe_ok, response_ok)``, evaluated
+        # ``width`` rounds at a time.  The burst's first timeline is
+        # evaluated whole.
+        timeline_round, width, decisions = 0, n_rounds, []
+        timeline = _success_timeline(self, start_time_s, n_rounds)
+        snr_limit = _SNR_LIMIT_DB[sf]
 
         def attempt(k: int, attempt_start: float):
             """Decide one attempt of round ``k``, recording it as the final one.
@@ -250,17 +271,22 @@ class ProbingProtocol:
             glitch's draws never depend on the readings, so it is decided
             here, in the stream order of the reception it hits.
             """
-            if attempt_start not in decision_gains:
-                probe_starts, response_starts = _success_timeline(
-                    self, attempt_start, n_rounds - k
-                )
-                gains = self.channel.path_gain_db(
-                    np.concatenate([probe_starts, response_starts]) + airtime / 2.0
+            nonlocal timeline_round, width, decisions, timeline
+            i = k - timeline_round
+            if timeline[0][i] != attempt_start:
+                timeline_round, width, decisions, i = k, LOOKAHEAD_ROUNDS, [], 0
+                timeline = _success_timeline(self, attempt_start, n_rounds - k)
+            if i == len(decisions):
+                snr = self.link_budget.snr_db(
+                    self.channel.path_gain_db(
+                        np.concatenate([starts[i : i + width] for starts in timeline])
+                        + airtime / 2.0
+                    ),
+                    self.phy,
                 ).reshape(2, -1)
-                decision_gains.update(
-                    zip(probe_starts.tolist(), zip(*gains.tolist()))
-                )
-            probe_gain, response_gain = decision_gains[attempt_start]
+                decisions += zip(*snr.tolist(), *(snr >= snr_limit).tolist())
+                width *= 2
+            probe_snr, response_snr, probe_ok, response_ok = decisions[i]
             response_start = (
                 attempt_start + airtime + self.bob_device.processing_delay_s
             )
@@ -270,11 +296,8 @@ class ProbingProtocol:
             # --- Alice's probe, received by Bob.
             if faults is not None:
                 glitches[0][k] = faults.register_glitch(n_samples)
-            probe_ok = self.link_budget.is_decodable(probe_gain, self.phy)
             if faults is not None and probe_ok:
-                probe_ok = not faults.packet_lost(
-                    "a2b", self.link_budget.snr_db(probe_gain, self.phy), sf
-                )
+                probe_ok = not faults.packet_lost("a2b", probe_snr, sf)
             if adversary is not None:
                 if adversary.jams("a2b"):
                     # Reactive jamming burst over the probe slot.
@@ -297,11 +320,8 @@ class ProbingProtocol:
             # --- Bob's response after his turnaround delay.
             if faults is not None:
                 glitches[1][k] = faults.register_glitch(n_samples)
-            response_ok = self.link_budget.is_decodable(response_gain, self.phy)
             if faults is not None and response_ok:
-                response_ok = not faults.packet_lost(
-                    "b2a", self.link_budget.snr_db(response_gain, self.phy), sf
-                )
+                response_ok = not faults.packet_lost("b2a", response_snr, sf)
             if adversary is not None and adversary.jams("b2a"):
                 response_ok = False
             return probe_ok, response_ok, response_start

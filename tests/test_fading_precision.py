@@ -21,6 +21,7 @@ promises that make that safe:
 import numpy as np
 import pytest
 
+from repro.channel import fading
 from repro.channel.fading import (
     SpatialJakesFading,
     TemporalJakesFading,
@@ -80,8 +81,8 @@ class TestAccuracyContract:
 
 
 class TestBatchedBitIdentity:
-    def assert_rows_bit_identical(self, models, disp, **kwargs):
-        batched = batched_spatial_gain_db(models, disp, **kwargs)
+    def assert_rows_bit_identical(self, models, disp):
+        batched = batched_spatial_gain_db(models, disp)
         for i, model in enumerate(models):
             np.testing.assert_array_equal(batched[i], model.gain_db(disp[i]))
 
@@ -102,16 +103,18 @@ class TestBatchedBitIdentity:
         disp = rng.uniform(0.0, 400.0, size=(3, 101))
         self.assert_rows_bit_identical(models, disp)
 
-    def test_chunking_never_perturbs_rows(self):
+    def test_chunking_never_perturbs_rows(self, monkeypatch):
         # A chunk size far below one row forces many time-axis chunks;
         # the output must not change by a single bit.
         models = [SpatialJakesFading(0.6912, rician_k=2.0, seed=s) for s in range(3)]
         rng = np.random.default_rng(2)
         disp = rng.uniform(0.0, 400.0, size=(3, 211))
         unchunked = batched_spatial_gain_db(models, disp)
-        chunked = batched_spatial_gain_db(models, disp, chunk_elems=1)
+        monkeypatch.setattr(fading, "BATCH_CHUNK_ELEMS", 1)
+        chunked = batched_spatial_gain_db(models, disp)
         np.testing.assert_array_equal(unchunked, chunked)
-        self.assert_rows_bit_identical(models, disp, chunk_elems=777)
+        monkeypatch.setattr(fading, "BATCH_CHUNK_ELEMS", 777)
+        self.assert_rows_bit_identical(models, disp)
 
     def test_heterogeneous_wavelengths_allowed(self):
         models = [

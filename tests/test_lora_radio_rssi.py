@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.lora.airtime import LoRaPHYConfig
-from repro.lora.link_budget import LinkBudget, noise_floor_dbm, sensitivity_dbm
+from repro.lora.airtime import STANDARD_BANDWIDTHS_HZ, LoRaPHYConfig
+from repro.lora.link_budget import (
+    _SNR_LIMIT_DB,
+    LinkBudget,
+    noise_floor_dbm,
+    sensitivity_dbm,
+)
 from repro.lora.radio import (
     ALL_DEVICES,
     DRAGINO_LORA_SHIELD,
@@ -64,6 +70,67 @@ class TestLinkBudget:
     def test_invalid_sf_rejected(self):
         with pytest.raises(ConfigurationError):
             sensitivity_dbm(13, 125_000.0)
+
+
+def gains_around_the_limit(budget, phy, ulps=8):
+    """The path gain that puts the SNR on the SF's limit, +-``ulps`` ulps.
+
+    The SNR is the gain plus constants, so one of these usually lands on
+    the limit exactly and the others straddle it.
+    """
+    gain = (
+        _SNR_LIMIT_DB[phy.spreading_factor]
+        + noise_floor_dbm(phy.bandwidth_hz)
+        - budget.rx_antenna_gain_dbi
+        - budget.eirp_dbm
+    )
+    return (np.array([gain]).view(np.int64) + np.arange(-ulps, ulps + 1)).view(
+        np.float64
+    )
+
+
+class TestArrayDecision:
+    """The link budget over an array is the scalar budget, element by element.
+
+    ``ProbingProtocol.run_loop`` decides its attempts from one
+    ``snr_db`` call over a look-ahead's gains and ``>=`` the SF's limit,
+    where the frozen loop made a scalar ``snr_db`` and ``is_decodable``
+    call per reception; the two must agree bit for bit.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spreading_factor=st.integers(7, 12),
+        bandwidth_hz=st.sampled_from(STANDARD_BANDWIDTHS_HZ),
+        tx_power_dbm=st.floats(-40.0, 20.0),
+        rx_antenna_gain_dbi=st.floats(0.0, 6.0),
+        drawn=st.lists(st.floats(-1e4, 10.0), max_size=16),
+    )
+    def test_snr_and_decodability_match_the_scalar_calls(
+        self, spreading_factor, bandwidth_hz, tx_power_dbm, rx_antenna_gain_dbi, drawn
+    ):
+        budget = LinkBudget(
+            tx_power_dbm=tx_power_dbm, rx_antenna_gain_dbi=rx_antenna_gain_dbi
+        )
+        phy = LoRaPHYConfig(spreading_factor=spreading_factor, bandwidth_hz=bandwidth_hz)
+        gains = np.concatenate(
+            [drawn, [0.0, -0.0, -300.0, -1e4], gains_around_the_limit(budget, phy)]
+        )
+        snr = budget.snr_db(gains, phy)
+        scalar = np.array([budget.snr_db(gain, phy) for gain in gains.tolist()])
+        np.testing.assert_array_equal(snr.view(np.uint64), scalar.view(np.uint64))
+        assert (snr >= _SNR_LIMIT_DB[spreading_factor]).tolist() == [
+            budget.is_decodable(gain, phy) for gain in gains.tolist()
+        ]
+
+    @pytest.mark.parametrize("spreading_factor", range(7, 13))
+    def test_the_limit_is_hit_exactly(self, spreading_factor):
+        """The default budget puts some gain's SNR exactly on every SF's limit."""
+        budget, phy = LinkBudget(), LoRaPHYConfig(spreading_factor=spreading_factor)
+        gains = gains_around_the_limit(budget, phy)
+        on_limit = budget.snr_db(gains, phy) == _SNR_LIMIT_DB[spreading_factor]
+        assert on_limit.any()
+        assert all(budget.is_decodable(gain, phy) for gain in gains[on_limit].tolist())
 
 
 class TestRegisterRssiSampler:

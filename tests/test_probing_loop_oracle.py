@@ -14,6 +14,7 @@ two eavesdroppers and symmetric and asymmetric devices.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from repro.faults.link import LinkFaultModel
 from repro.faults.plan import FaultPlan, LossConfig
 from repro.faults.retry import RetryPolicy
 from repro.lora.airtime import LoRaPHYConfig
-from repro.lora.link_budget import LinkBudget
+from repro.lora.link_budget import _SNR_LIMIT_DB, LinkBudget
 from repro.lora.radio import DRAGINO_LORA_SHIELD, MULTITECH_XDOT
 from repro.lora.rssi import RegisterRssiSampler
-from repro.probing.protocol import _success_timeline
+from repro.probing import protocol as protocol_module
+from repro.probing.protocol import LOOKAHEAD_ROUNDS, _success_timeline
 from tests.oracles.probing_loop import reference_run_loop
 from tests.test_probing_vectorized import build_setup
 
@@ -39,6 +41,9 @@ SYMMETRIC = (DRAGINO_LORA_SHIELD, DRAGINO_LORA_SHIELD)
 ASYMMETRIC = (DRAGINO_LORA_SHIELD, MULTITECH_XDOT)
 N_PLANS = 24
 ROUNDS = 16
+#: Rounds of the decision-instant bound: long enough that re-evaluating
+#: the rest of the burst on every miss breaks it.
+LONG_ROUNDS = 64
 
 
 def plan_case(index):
@@ -187,6 +192,36 @@ class TestSpecialCases:
         assert actual.retries.sum() > 0 and actual.dropped.sum() > 0
         assert_traces_equal(expected, actual)
 
+    def test_snr_exactly_on_the_limit_decodes(self):
+        """A probe received exactly at the SF's SNR limit is decodable.
+
+        The decision pass compares an array of SNRs ``>=`` the limit, as
+        the frozen loop's scalar ``is_decodable`` does.  The transmit
+        power is tuned, ulp by ulp, until one round's mid-probe SNR lands
+        on the limit while its response stays above it, so that round's
+        validity turns on the comparison.
+        """
+        plans = (FaultPlan.none(), AdversaryPlan.none(), RetryPolicy())
+        setup = dict(scenario=ScenarioName.V2I_URBAN)
+        protocol, _, _ = build_setup(41, **setup)
+        limit = _SNR_LIMIT_DB[protocol.phy.spreading_factor]
+        instants = np.concatenate(_success_timeline(protocol, 0.0, ROUNDS))
+        gains = protocol.channel.path_gain_db(instants + protocol.phy.airtime_s / 2.0)
+        k = int(np.argmax(gains[ROUNDS:] - gains[:ROUNDS]))
+        budget = LinkBudget()
+        tx_power = budget.tx_power_dbm + limit - budget.snr_db(gains[k], protocol.phy)
+        candidates = (
+            np.array([tx_power]).view(np.int64) + np.arange(-64, 65)
+        ).view(np.float64)
+        budget = next(
+            candidate
+            for candidate in (LinkBudget(tx_power_dbm=tx) for tx in candidates.tolist())
+            if candidate.snr_db(float(gains[k]), protocol.phy) == limit
+        )
+        expected, actual = run_both(41, plans, link_budget=budget, **setup)
+        assert expected.valid[k]
+        assert_traces_equal(expected, actual)
+
     def test_fault_free_loop(self):
         """``run_loop`` called directly without faults (the benchmark reference)."""
         plans = (FaultPlan.none(), AdversaryPlan.none(), RetryPolicy())
@@ -214,13 +249,46 @@ def record_calls(monkeypatch, owner, name, record):
     monkeypatch.setattr(owner, name, recorded)
 
 
+def decision_pass_counts(protocol, n_rounds, seeds, eavesdroppers):
+    """``(trace, calls, instants)`` of one ``run_loop`` call.
+
+    ``calls`` counts the ``path_gain_db`` calls on the protocol's own
+    channel, which only the decision pass makes, and ``instants`` the
+    times they evaluate; eavesdroppers' channels are not counted.
+    """
+    sizes = []
+    original = ReciprocalChannel.path_gain_db
+
+    def counted(channel, times):
+        if channel is protocol.channel:
+            sizes.append(np.size(times))
+        return original(channel, times)
+
+    with mock.patch.object(ReciprocalChannel, "path_gain_db", counted):
+        trace = protocol.run_loop(n_rounds, seeds, eavesdroppers)
+    return trace, len(sizes), sum(sizes)
+
+
+def off_timeline_attempts(trace):
+    """Retransmissions, plus first attempts after a dropped round."""
+    return int(trace.retries.sum() + trace.dropped[:-1].sum())
+
+
+def lookahead_chunks(n_rounds, lookahead):
+    """Doubling chunks, the first ``lookahead`` rounds long, that cover ``n_rounds``."""
+    chunks = 1
+    while lookahead * (2**chunks - 1) < n_rounds:
+        chunks += 1
+    return chunks
+
+
 class TestTwoPasses:
     """The shape of ``run_loop``: decide per attempt, measure per round.
 
     The frozen loop evaluates the channel and reads the registers once
     per attempt.  ``run_loop`` evaluates the channel at decision
-    instants only, through a memo that misses once per attempt off the
-    success timeline, and then runs the register pipeline once per
+    instants only, a few rounds ahead along the success timeline
+    (``LOOKAHEAD_ROUNDS``), and then runs the register pipeline once per
     receiver.
     """
 
@@ -236,27 +304,51 @@ class TestTwoPasses:
         protocol.run_loop(ROUNDS, seeds, eavesdroppers)
         assert len(calls) == 2 + len(eavesdroppers)
 
+    @pytest.mark.parametrize("lookahead", [1, LOOKAHEAD_ROUNDS, ROUNDS])
     @pytest.mark.parametrize("index", range(N_PLANS))
-    def test_channel_misses_once_per_attempt_off_the_success_timeline(
-        self, index, monkeypatch
-    ):
-        """Retransmissions and the first attempt after a dropped round.
+    def test_channel_calls_follow_the_lookahead(self, index, lookahead, monkeypatch):
+        """One call for the burst, then at most one per look-ahead chunk.
 
-        Every other attempt starts where the memo's success timeline put
-        it; the register reads go through the stacked fading evaluation,
-        not ``path_gain_db``.
+        Only an attempt off the success timeline (a retransmission, or
+        the first attempt after a dropped round) starts a new look-ahead,
+        and each one takes at most as many doubling chunks as cover the
+        burst.  With a look-ahead as long as the burst that is one call
+        per attempt off the timeline, plus one.  The register reads go
+        through the stacked fading evaluation, not ``path_gain_db``.
+        """
+        monkeypatch.setattr(protocol_module, "LOOKAHEAD_ROUNDS", lookahead)
+        setup, *plans = plan_case(index)
+        protocol, seeds, eavesdroppers = build_attacked(1000 + index, *plans, **setup)
+        trace, calls, _ = decision_pass_counts(protocol, ROUNDS, seeds, eavesdroppers)
+        chunks = lookahead_chunks(ROUNDS, lookahead)
+        assert 1 <= calls <= 1 + off_timeline_attempts(trace) * chunks
+
+    @pytest.mark.parametrize("index", range(N_PLANS))
+    def test_decision_instants_are_linear_in_rounds_and_misses(self, index):
+        """At most ``2 * (3 * rounds + LOOKAHEAD_ROUNDS * off-timeline attempts)``.
+
+        The first evaluation covers the burst once.  A look-ahead that
+        decides ``d`` rounds evaluates at most ``LOOKAHEAD_ROUNDS + 2 *
+        (d - 1)`` of them, and every round is decided once plus once per
+        retransmission; each round has two decision instants.  At
+        ``LONG_ROUNDS`` this fails when every miss evaluates the whole
+        rest of the burst, as a memo without a look-ahead did.
         """
         setup, *plans = plan_case(index)
         protocol, seeds, eavesdroppers = build_attacked(1000 + index, *plans, **setup)
-        channels = []
-        record_calls(
-            monkeypatch, ReciprocalChannel, "path_gain_db",
-            lambda channel, times: channels.append(channel),
+        trace, _, instants = decision_pass_counts(
+            protocol, LONG_ROUNDS, seeds, eavesdroppers
         )
-        trace = protocol.run_loop(ROUNDS, seeds, eavesdroppers)
-        calls = sum(channel is protocol.channel for channel in channels)
-        off_timeline = int(trace.retries.sum() + trace.dropped[:-1].sum())
-        assert 1 <= calls <= off_timeline + 1
+        off_timeline = off_timeline_attempts(trace)
+        assert instants <= 2 * (3 * LONG_ROUNDS + LOOKAHEAD_ROUNDS * off_timeline)
+
+    @pytest.mark.parametrize("lookahead", [1, ROUNDS])
+    @pytest.mark.parametrize("index", range(N_PLANS))
+    def test_traces_do_not_depend_on_the_lookahead(self, index, lookahead, monkeypatch):
+        monkeypatch.setattr(protocol_module, "LOOKAHEAD_ROUNDS", lookahead)
+        setup, *plans = plan_case(index)
+        expected, actual = run_both(1000 + index, plans, **setup)
+        assert_traces_equal(expected, actual)
 
     @pytest.mark.parametrize("index", range(N_PLANS))
     def test_memo_stays_within_the_frozen_loops_horizon(self, index, monkeypatch):
