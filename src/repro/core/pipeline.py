@@ -174,7 +174,12 @@ class VehicleKeyPipeline:
         retry_policy: Optional[RetryPolicy] = None,
         adversary: Optional[ActiveAdversary] = None,
     ) -> ProbeTrace:
-        """Run one probing episode; returns its trace.
+        """Run one probing episode; returns its full trace.
+
+        Every register read is measured, so Alice's packet RSSI is real:
+        training and the experiments probe here.  The key path measures
+        only her arRSSI window (:meth:`establish_key`,
+        :meth:`collect_traces`).
 
         Args:
             episode: Episode label (distinct labels give independent
@@ -217,9 +222,9 @@ class VehicleKeyPipeline:
         sessions.  The traces are *windowed*: trace ``i`` equals
         ``collect_trace(episodes[i], n_rounds=n_rounds)`` bit for bit,
         except that Alice's matrix keeps only the first
-        ``feature_config.window_length(phy.total_symbols)`` columns, the
-        reads her arRSSI window uses, and her packet RSSI is NaN.  The
-        arRSSI sequences, and so every key, are the same.
+        :meth:`alice_window_reads` columns, the reads her arRSSI window
+        uses, and her packet RSSI is NaN.  The arRSSI sequences, and so
+        every key, are the same.
         """
         labels = list(episodes)
         require(bool(labels), "collect_traces needs at least one episode")
@@ -230,8 +235,18 @@ class VehicleKeyPipeline:
             protocol, episode_seeds, _, _ = self.build_protocol(label)
             protocols.append(protocol)
             factories.append(episode_seeds)
-        window = self.config.feature_config.window_length(self.config.phy.total_symbols)
-        return run_fastpath_group(protocols, rounds, factories, alice_reads=window)
+        return run_fastpath_group(
+            protocols, rounds, factories, alice_reads=self.alice_window_reads()
+        )
+
+    def alice_window_reads(self) -> int:
+        """Alice's register reads per response that her arRSSI window uses.
+
+        ``feature_config.window_length(phy.total_symbols)``: the key path
+        measures only these, the first reads of each response; the rest
+        feed only her packet RSSI, which no key reads.
+        """
+        return self.config.feature_config.window_length(self.config.phy.total_symbols)
 
     def collect_dataset(
         self, n_episodes: int = 12, episode_prefix: str = "train"
@@ -358,12 +373,17 @@ class VehicleKeyPipeline:
     ) -> "KeyEstablishmentOutcome":
         """Probe a fresh episode and run the full key agreement.
 
+        Each burst probes as :meth:`collect_trace` would, but measures
+        only Alice's arRSSI window (:meth:`alice_window_reads`), as
+        :meth:`collect_traces` does: the arRSSI sequences, and so every
+        key and verdict, equal those of a full measurement.
+
         Args:
             episode: Episode label for the probing burst.
             n_rounds: Rounds per probing burst (default:
                 ``config.session_rounds``).
             trace: Pre-collected trace to use for the first attempt
-                instead of probing.
+                instead of probing, full or windowed.
             fault_plan: Optional fault injection: link loss + register
                 corruption during probing (absorbed by the ARQ layer) and
                 drop/duplication/reorder on the syndrome exchange
@@ -419,12 +439,14 @@ class VehicleKeyPipeline:
                     attack_plan, self.seeds.child(f"episode-{label}")
                 )
             if attempt > 0 or not pool:
-                collected = self.collect_trace(
+                protocol, episode_seeds, _, _ = self.build_protocol(
                     label,
-                    n_rounds=rounds,
                     fault_plan=plan,
                     retry_policy=retry_policy,
                     adversary=adversary,
+                )
+                collected = protocol.run(
+                    rounds, episode_seeds, alice_reads=self.alice_window_reads()
                 )
                 pool.append(collected)
                 all_traces.append(collected)

@@ -42,11 +42,20 @@ fault-free kernel is bit-identical to ``run_loop``, and ``run_loop`` to
 the frozen per-attempt loop in ``tests/oracles/probing_loop.py``
 (``tests/test_probing_loop_oracle.py``, ``test_probing_vectorized.py``
 and ``test_probing_cross_session.py`` pin this).
+
+Both engines take ``alice_reads``: measure only Alice's first reads of
+each response, the ones her arRSSI window uses.  The register filter is
+causal and the rest of the pipeline elementwise, so such a *windowed*
+trace is the full trace with Alice's matrix cut to its first columns and
+her packet RSSI NaN.  The key path probes this way
+(``VehicleKeyPipeline.establish_key`` and ``collect_traces``);
+``collect_trace`` keeps full traces for the experiments that read packet
+RSSI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,6 +166,7 @@ class ProbingProtocol:
         seeds: SeedSequenceFactory,
         eavesdroppers: Sequence[EavesdropperSetup] = (),
         start_time_s: float = 0.0,
+        alice_reads: Optional[int] = None,
     ) -> ProbeTrace:
         """Execute ``n_rounds`` probe/response rounds.
 
@@ -173,6 +183,13 @@ class ProbingProtocol:
                 ``eve-<label>-rssi-noise`` streams.
             eavesdroppers: Attackers overhearing the exchange.
             start_time_s: Protocol start time on the channel's clock.
+            alice_reads: Measure only Alice's first ``alice_reads``
+                register reads of each response (``None``: all of them).
+                The trace is then *windowed*: Alice's matrix is the full
+                trace's first ``alice_reads`` columns exactly, her packet
+                RSSI is NaN, and every other field is unchanged.
+                Eavesdroppers overhear on Alice's full read grid, so they
+                cannot be combined with a window.
 
         Returns:
             The complete :class:`ProbeTrace`, including per-round validity
@@ -191,13 +208,16 @@ class ProbingProtocol:
         ``dropped=True``) instead of desynchronizing the trace.
         """
         if self.fault_model is not None or self.adversary is not None:
-            return self.run_loop(n_rounds, seeds, eavesdroppers, start_time_s)
+            return self.run_loop(
+                n_rounds, seeds, eavesdroppers, start_time_s, alice_reads
+            )
         return run_fastpath_group(
             [self],
             n_rounds,
             [seeds],
             start_time_s=start_time_s,
             eavesdroppers=[eavesdroppers],
+            alice_reads=alice_reads,
         )[0]
 
     def run_loop(
@@ -206,6 +226,7 @@ class ProbingProtocol:
         seeds: SeedSequenceFactory,
         eavesdroppers: Sequence[EavesdropperSetup] = (),
         start_time_s: float = 0.0,
+        alice_reads: Optional[int] = None,
     ) -> ProbeTrace:
         """The ARQ engine: :meth:`run` one attempt at a time, in two passes.
 
@@ -225,12 +246,18 @@ class ProbingProtocol:
         measures what the trace keeps, each round's final attempt, with
         the stacked kernel's register pipeline (:func:`_measure_rounds`),
         then applies the recorded register glitches and injected probes.
+        With ``alice_reads`` it measures only Alice's window; her
+        register glitches are still drawn over the whole reception, so
+        the fault streams advance as on a full measurement, and are
+        applied to the columns kept.
 
         Pinned bit for bit to the frozen per-attempt loop in
-        ``tests/oracles/probing_loop.py``.  Arguments and return value are
-        exactly those of :meth:`run`.
+        ``tests/oracles/probing_loop.py``, and windowed to its first
+        columns (``tests/test_probing_loop_oracle.py``).  Arguments and
+        return value are exactly those of :meth:`run`.
         """
         require_positive(n_rounds, "n_rounds")
+        _require_window(alice_reads, [self], [eavesdroppers])
         airtime = self.phy.airtime_s
         n_samples = self.phy.total_symbols
         sf = self.phy.spreading_factor
@@ -377,9 +404,11 @@ class ProbingProtocol:
             [eavesdroppers],
             final_starts,
             np.cumsum(retries + 1) - 1,
+            alice_reads=alice_reads,
         )
         bob_rssi, alice_rssi = bob_rssi[0], alice_rssi[0]
         if faults is not None:
+            # A glitch's slice cuts itself to a windowed row.
             for readings, party_glitches, device in zip(
                 (bob_rssi, alice_rssi), glitches, (self.bob_device, self.alice_device)
             ):
@@ -388,7 +417,10 @@ class ProbingProtocol:
                         readings[k], glitch, device.rssi_floor_dbm
                     )
         bob_prssi = _packet_rssi(bob_rssi, bob_z[0], self.bob_device)
-        alice_prssi = _packet_rssi(alice_rssi, alice_z[0], self.alice_device)
+        # A windowed matrix has no packet average; ProbeTrace fills in NaN.
+        alice_prssi = None
+        if alice_rssi.shape == bob_rssi.shape:
+            alice_prssi = _packet_rssi(alice_rssi, alice_z[0], self.alice_device)
         injected = np.zeros(n_rounds, dtype=bool)
         for k, samples in injections.items():
             bob_rssi[k] = samples
@@ -644,17 +676,26 @@ def _measure_rounds(
     )
 
 
-def _windowed(trace: ProbeTrace, alice_reads: Optional[int]) -> ProbeTrace:
-    """``trace`` with Alice's matrix cut to its first ``alice_reads`` columns.
+def _require_window(
+    alice_reads: Optional[int],
+    protocols: Sequence[ProbingProtocol],
+    eavesdroppers: Sequence[Sequence[EavesdropperSetup]],
+) -> None:
+    """Reject an ``alice_reads`` outside the packet, or one with eavesdroppers.
 
-    The trace :func:`run_fastpath_group` measures with the same window;
-    :class:`ProbeTrace` fills the packet RSSI of a narrowed matrix with
-    NaN.
+    Eavesdroppers overhear on Alice's full read grid (:func:`_overheard`),
+    so no windowed session may carry one.
     """
-    if alice_reads is None or alice_reads == trace.samples_per_packet:
-        return trace
-    return replace(
-        trace, alice_rssi=trace.alice_rssi[:, :alice_reads], alice_prssi=None
+    if alice_reads is None:
+        return
+    require(
+        all(1 <= alice_reads <= p.phy.total_symbols for p in protocols),
+        "alice_reads must lie in 1..phy.total_symbols",
+    )
+    require(
+        not any(eavesdroppers),
+        "eavesdroppers overhear Alice's full read grid; "
+        "they cannot be combined with alice_reads",
     )
 
 
@@ -705,9 +746,9 @@ def run_fastpath_group(
 
     A group whose protocols cannot share a timeline (mixed PHYs, devices,
     link budgets or pacing, or any fault model or adversary) falls back
-    to per-session :meth:`ProbingProtocol.run`, which preserves
-    correctness for any input and returns the traces in input order,
-    windowed the same way.
+    to per-session :meth:`ProbingProtocol.run` with the same
+    ``alice_reads``, which preserves correctness for any input and
+    returns the traces in input order.
     """
     protocols = list(protocols)
     seeds = list(seeds)
@@ -724,21 +765,11 @@ def run_fastpath_group(
         "run_fastpath_group needs one eavesdropper list per protocol",
     )
     require_positive(n_rounds, "n_rounds")
-    if alice_reads is not None:
-        require(
-            all(1 <= alice_reads <= p.phy.total_symbols for p in protocols),
-            "alice_reads must lie in 1..phy.total_symbols",
-        )
-        require(
-            not any(eavesdroppers),
-            "eavesdroppers overhear Alice's full read grid; "
-            "they cannot be combined with alice_reads",
-        )
+    _require_window(alice_reads, protocols, eavesdroppers)
     if not _group_compatible(protocols):
         return [
-            _windowed(
-                protocol.run(n_rounds, session_seeds, session_eves, start_time_s),
-                alice_reads,
+            protocol.run(
+                n_rounds, session_seeds, session_eves, start_time_s, alice_reads
             )
             for protocol, session_seeds, session_eves in zip(
                 protocols, seeds, eavesdroppers

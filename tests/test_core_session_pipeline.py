@@ -8,6 +8,10 @@ import pytest
 from repro.core.session import SyndromeMessage
 from repro.core.statemachine import ABORT_REPLAY
 from repro.exceptions import RetryBudgetExhausted
+from repro.faults import chaos
+from repro.faults.plan import FaultPlan
+from repro.probing.protocol import ProbingProtocol
+from repro.secure import ManagedSecureLink, RekeyPolicy
 from tests.conftest import make_tiny_pipeline
 
 
@@ -105,6 +109,139 @@ class TestKeyEstablishment:
         )
         assert not short.success
         assert short.failure_reason == RetryBudgetExhausted.reason
+
+
+#: Chaos-drawn plans each windowed/full comparison runs, and their rounds.
+WINDOW_PLANS = 24
+WINDOW_ROUNDS = 48
+#: Episodes tried for a rekey that completes.
+REKEY_SEARCH = 8
+
+
+def chaos_plans(index):
+    """Plan ``index``'s fault plan, attack plan and retry policy, as run_chaos draws them."""
+    rng = np.random.default_rng([29, index])
+    return dict(
+        fault_plan=chaos.random_fault_plan(rng),
+        adversary_plan=chaos.random_adversary_plan(rng),
+        retry_policy=chaos.random_retry_policy(rng),
+    )
+
+
+def probed_widths(monkeypatch, every_read):
+    """Record Alice's reads per probed burst; ``every_read`` drops the window."""
+    widths = []
+    original = ProbingProtocol.run
+
+    def run(self, n_rounds, seeds, eavesdroppers=(), start_time_s=0.0, alice_reads=None):
+        trace = original(
+            self, n_rounds, seeds, eavesdroppers, start_time_s,
+            None if every_read else alice_reads,
+        )
+        widths.append(trace.alice_rssi.shape[1])
+        return trace
+
+    monkeypatch.setattr(ProbingProtocol, "run", run)
+    return widths
+
+
+def outcome_fields(outcome):
+    """Every outcome field but the session's wall-clock phase timings."""
+    fields = dataclasses.asdict(outcome)
+    del fields["session"]["phase_s"]
+    return fields
+
+
+class TestWindowedKeyPath:
+    """``establish_key`` measures only Alice's arRSSI window, at the same outcome.
+
+    Each outcome, both final keys among its fields, must equal that of a
+    run whose probing measures every read.
+    """
+
+    @pytest.mark.parametrize("pre_collected", [False, True], ids=["probed", "trace"])
+    def test_outcomes_equal_a_full_measurement(
+        self, tiny_pipeline, monkeypatch, pre_collected
+    ):
+        traces = [
+            tiny_pipeline.collect_trace(
+                f"windowed-{index}-pre",
+                n_rounds=WINDOW_ROUNDS,
+                fault_plan=chaos_plans(index)["fault_plan"],
+            )
+            if pre_collected
+            else None
+            for index in range(WINDOW_PLANS)
+        ]
+        runs = {}
+        for every_read in (False, True):
+            widths = probed_widths(monkeypatch, every_read)
+            outcomes = [
+                outcome_fields(
+                    tiny_pipeline.establish_key(
+                        episode=f"windowed-{index}",
+                        n_rounds=WINDOW_ROUNDS,
+                        trace=trace,
+                        max_attempts=3,
+                        **chaos_plans(index),
+                    )
+                )
+                for index, trace in enumerate(traces)
+            ]
+            monkeypatch.undo()
+            runs[every_read] = outcomes, widths
+        (windowed, windowed_widths), (full, full_widths) = runs[False], runs[True]
+        np.testing.assert_equal(windowed, full)
+        assert set(windowed_widths) == {tiny_pipeline.alice_window_reads()}
+        assert set(full_widths) == {tiny_pipeline.config.phy.total_symbols}
+        # The plans end in keys, aborts and spent budgets alike.
+        reasons = {outcome["failure_reason"] for outcome in full}
+        assert None in reasons and len(reasons) >= 3, reasons
+        assert any(outcome["session"]["final_key_bob"] for outcome in full)
+
+    def test_rekey_equals_a_full_measurement(self, tiny_pipeline, monkeypatch):
+        base = next(
+            (
+                outcome.session
+                for outcome in (
+                    tiny_pipeline.establish_key(episode=f"windowed-base-{i}", n_rounds=64)
+                    for i in range(REKEY_SEARCH)
+                )
+                if outcome.success
+            ),
+            None,
+        )
+        assert base is not None, f"no key in {REKEY_SEARCH} episodes"
+
+        def rekeyed(episode, every_read):
+            """A link that rekeys before its second record, and its records."""
+            widths = probed_widths(monkeypatch, every_read)
+            link = ManagedSecureLink(
+                tiny_pipeline,
+                base,
+                episode=episode,
+                policy=RekeyPolicy(max_records_per_epoch=1),
+                fault_plan=FaultPlan.lossy(0.2, mean_burst=2.0),
+                n_rounds=64,
+            )
+            wires = [link.seal("initiator", f"m{j}".encode()) for j in range(2)]
+            monkeypatch.undo()
+            return link, wires, widths
+
+        for i in range(REKEY_SEARCH):
+            episode = f"windowed-rekey-{i}"
+            link, wires, widths = rekeyed(episode, every_read=False)
+            if link.rekeys_completed == 1:
+                break
+        else:
+            pytest.fail(f"no rekey completed in {REKEY_SEARCH} episodes")
+        full_link, full_wires, full_widths = rekeyed(episode, every_read=True)
+        assert widths and set(widths) == {tiny_pipeline.alice_window_reads()}
+        assert set(full_widths) == {tiny_pipeline.config.phy.total_symbols}
+        assert link.rekey_events == full_link.rekey_events
+        assert link.epoch == full_link.epoch == 1
+        # The second record is sealed under the rekeyed epoch's keys.
+        assert wires == full_wires and all(wires)
 
 
 def tiny_pipeline_final_bytes():

@@ -11,6 +11,10 @@ query pattern) and require every ``ProbeTrace`` field to match exactly.
 The sweep draws its fault plan, attack plan and retry policy the way
 ``repro.faults.chaos.run_chaos`` does, over the four scenarios, zero to
 two eavesdroppers and symmetric and asymmetric devices.
+
+A *windowed* ``run_loop`` (``alice_reads``) measures only Alice's first
+reads of each response; it must equal the full ``run_loop`` trace with
+Alice's matrix cut to those columns.
 """
 
 from types import SimpleNamespace
@@ -22,19 +26,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channel.reciprocity import ReciprocalChannel
 from repro.channel.scenario import ScenarioName
+from repro.exceptions import ConfigurationError
 from repro.faults import chaos
 from repro.faults.adversary import AdversaryPlan, build_adversary
 from repro.faults.link import LinkFaultModel
-from repro.faults.plan import FaultPlan, LossConfig
+from repro.faults.plan import FaultPlan, LossConfig, RegisterCorruptionConfig
 from repro.faults.retry import RetryPolicy
 from repro.lora.airtime import LoRaPHYConfig
 from repro.lora.link_budget import _SNR_LIMIT_DB, LinkBudget
 from repro.lora.radio import DRAGINO_LORA_SHIELD, MULTITECH_XDOT
 from repro.lora.rssi import RegisterRssiSampler
 from repro.probing import protocol as protocol_module
-from repro.probing.protocol import LOOKAHEAD_ROUNDS, _success_timeline
+from repro.probing.features import FeatureConfig
+from repro.probing.protocol import (
+    LOOKAHEAD_ROUNDS,
+    _success_timeline,
+    run_fastpath_group,
+)
 from tests.oracles.probing_loop import reference_run_loop
-from tests.test_probing_vectorized import build_setup
+from tests.test_probing_cross_session import assert_windowed_matches
+from tests.test_probing_vectorized import FAST_PHY, build_setup
 
 SCENARIOS = list(ScenarioName)
 SYMMETRIC = (DRAGINO_LORA_SHIELD, DRAGINO_LORA_SHIELD)
@@ -44,6 +55,8 @@ ROUNDS = 16
 #: Rounds of the decision-instant bound: long enough that re-evaluating
 #: the rest of the burst on every miss breaks it.
 LONG_ROUNDS = 64
+#: Alice's arRSSI window at the sweep's PHY, as the key path measures it.
+ALICE_READS = FeatureConfig().window_length(FAST_PHY.total_symbols)
 
 
 def plan_case(index):
@@ -376,6 +389,133 @@ class TestTwoPasses:
         shortcut = protocol.phy.airtime_s + protocol.bob_device.processing_delay_s
         slack = trace.dropped.sum() * max(0.0, shortcut - policy.timeout_s)
         assert max(latest) <= oracle_latest + slack
+
+
+def run_loop_without_eves(seed, plans, alice_reads, n_rounds=ROUNDS, **setup_kwargs):
+    """``run_loop`` on a fresh build, with its eavesdroppers left out."""
+    protocol, seeds, _ = build_attacked(seed, *plans, **setup_kwargs)
+    return protocol.run_loop(n_rounds, seeds, alice_reads=alice_reads)
+
+
+class TestAliceWindow:
+    """``alice_reads`` on the ARQ engine: Alice's window of the full trace.
+
+    The register filter is causal and the rest of the pipeline
+    elementwise, and every noise and fault stream is drawn as on a full
+    measurement, so a windowed trace is the full one with Alice's matrix
+    cut to its first columns and her packet RSSI NaN.
+    """
+
+    @pytest.mark.parametrize(
+        "alice_reads",
+        [1, ALICE_READS, FAST_PHY.total_symbols - 1, FAST_PHY.total_symbols],
+    )
+    @pytest.mark.parametrize("index", range(N_PLANS))
+    def test_window_is_the_full_traces_first_columns(self, index, alice_reads):
+        setup, *plans = plan_case(index)
+        full = run_loop_without_eves(1000 + index, plans, None, **setup)
+        windowed = run_loop_without_eves(1000 + index, plans, alice_reads, **setup)
+        assert_windowed_matches(full, windowed, alice_reads)
+
+    @pytest.mark.parametrize(
+        "start", [1, ALICE_READS - 1, ALICE_READS], ids=["within", "straddling", "beyond"]
+    )
+    def test_register_glitch_around_the_window(self, start, monkeypatch):
+        """A glitch drawn over the whole reception lands on the kept columns.
+
+        Every glitch is drawn with the reception's full read count, so the
+        fault streams advance as on a full measurement; the test then
+        moves it to start at ``start``, within Alice's window, straddling
+        its edge or beyond it.
+        """
+        burst = 3
+        plans = (
+            FaultPlan(
+                loss=LossConfig(rate=0.2, mean_burst=2.0, snr_dependent=False),
+                register=RegisterCorruptionConfig(
+                    probability=0.5, burst_symbols=burst, magnitude_db=20.0
+                ),
+            ),
+            AdversaryPlan.none(),
+            RetryPolicy(max_retries=2),
+        )
+        sizes = []
+        original = LinkFaultModel.register_glitch
+
+        def run(alice_reads, glitch=True):
+            def placed(model, size):
+                sizes.append(size)
+                drawn = original(model, size)
+                if drawn is None or not glitch:
+                    return None
+                return slice(start, start + burst)
+
+            monkeypatch.setattr(LinkFaultModel, "register_glitch", placed)
+            return run_loop_without_eves(17, plans, alice_reads)
+
+        full = run(None)
+        windowed = run(ALICE_READS)
+        assert_windowed_matches(full, windowed, ALICE_READS)
+        assert set(sizes) == {FAST_PHY.total_symbols}
+        # The glitches hit Alice: within the window, on its edge or only
+        # past it.
+        clean = run(None, glitch=False)
+        hit = (full.alice_rssi != clean.alice_rssi).any(axis=0)
+        assert hit[start] and not hit[:start].any()
+        assert (windowed.alice_rssi != clean.alice_rssi[:, :ALICE_READS]).any() == (
+            start < ALICE_READS
+        )
+
+    @pytest.mark.parametrize("index", range(N_PLANS))
+    def test_one_stacked_evaluation_of_the_window(self, index, monkeypatch):
+        """One fading pass per measurement: Bob's reads and Alice's window."""
+        widths = []
+        record_calls(
+            monkeypatch, protocol_module, "batched_spatial_gain_db",
+            lambda fadings, displacements: widths.append(displacements.shape),
+        )
+        setup, *plans = plan_case(index)
+        run_loop_without_eves(1000 + index, plans, ALICE_READS, **setup)
+        assert widths == [(1, ROUNDS * (FAST_PHY.total_symbols + ALICE_READS))]
+
+    @pytest.mark.parametrize("method", ["run", "run_loop"])
+    def test_rejects_eavesdroppers_with_a_window(self, method):
+        plans = (
+            FaultPlan.lossy(0.2, mean_burst=2.0),
+            AdversaryPlan.none(),
+            RetryPolicy(),
+        )
+        protocol, seeds, eavesdroppers = build_attacked(
+            7, *plans, scenario=ScenarioName.V2V_URBAN, n_eves=1
+        )
+        with pytest.raises(ConfigurationError):
+            getattr(protocol, method)(
+                ROUNDS, seeds, eavesdroppers, alice_reads=ALICE_READS
+            )
+
+    @pytest.mark.parametrize("alice_reads", [0, FAST_PHY.total_symbols + 1])
+    def test_rejects_reads_outside_the_packet(self, alice_reads):
+        plans = (FaultPlan.lossy(0.2, mean_burst=2.0), AdversaryPlan.none(), RetryPolicy())
+        protocol, seeds, _ = build_attacked(7, *plans)
+        with pytest.raises(ConfigurationError):
+            protocol.run_loop(ROUNDS, seeds, alice_reads=alice_reads)
+
+    @pytest.mark.parametrize("method", ["run", "run_loop"])
+    def test_fault_free_window_matches_the_stacked_kernel(self, method):
+        """Both engines window a fault-free weak link the same way."""
+        setup = dict(
+            scenario=ScenarioName.V2V_URBAN,
+            link_budget=LinkBudget(tx_power_dbm=-14.0),
+        )
+        protocol, seeds, _ = build_setup(5, **setup)
+        actual = getattr(protocol, method)(ROUNDS, seeds, alice_reads=ALICE_READS)
+        protocol, seeds, _ = build_setup(5, **setup)
+        (expected,) = run_fastpath_group(
+            [protocol], ROUNDS, [seeds], alice_reads=ALICE_READS
+        )
+        assert 0 < actual.valid.sum() < ROUNDS
+        assert np.isnan(actual.alice_prssi).all()
+        assert_traces_equal(expected, actual)
 
 
 def loop_success_timeline(protocol, start_time_s, n_rounds):
