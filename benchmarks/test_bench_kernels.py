@@ -276,16 +276,13 @@ class TestEndToEnd:
 
         def before():
             protocol, seeds, _, _ = pipeline.build_protocol("bench")
-            pipeline.establish_key(
-                episode="bench",
-                n_rounds=256,
-                trace=reference_run_loop(protocol, 256, seeds),
-            )
+            trace = reference_run_loop(protocol, 256, seeds)
+            pipeline.build_outcome(pipeline.build_session().run(trace), [trace])
 
         # "before" probes with the frozen per-round loop
-        # (tests/oracles/probing_loop.py) and hands the trace to
-        # establish_key; "after" is the default fault-free
-        # kernel.  Both produce bit-identical keys, so this times exactly
+        # (tests/oracles/probing_loop.py) and grades the session on its
+        # trace as establish_key does; "after" is establish_key on the
+        # default fault-free kernel.  Both produce bit-identical keys, so this times exactly
         # the probing hot path inside a real establishment -- and gives
         # the entry the speedup column the regression gate needs (it
         # tracked absolute cost only, ungated, before the fast path

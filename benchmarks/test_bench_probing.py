@@ -268,10 +268,9 @@ class TestSessionThroughput:
             # what the paper's single-device pipeline costs.
             for label in runner.session_labels(self.SESSIONS):
                 protocol, seeds, _, _ = trained_pipeline.build_protocol(label)
-                trained_pipeline.establish_key(
-                    episode=label,
-                    n_rounds=self.ROUNDS,
-                    trace=reference_run_loop(protocol, self.ROUNDS, seeds),
+                trace = reference_run_loop(protocol, self.ROUNDS, seeds)
+                trained_pipeline.build_outcome(
+                    trained_pipeline.build_session().run(trace), [trace]
                 )
 
         last_report = {}

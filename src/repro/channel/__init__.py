@@ -21,7 +21,7 @@ from repro.channel.pathloss import (
     FreeSpacePathLoss,
 )
 from repro.channel.shadowing import GudmundsonShadowing
-from repro.channel.fading import SpatialJakesFading, TemporalJakesFading
+from repro.channel.fading import SpatialJakesFading
 from repro.channel.mobility import (
     Trajectory,
     StaticTrajectory,
@@ -45,7 +45,6 @@ __all__ = [
     "FreeSpacePathLoss",
     "GudmundsonShadowing",
     "SpatialJakesFading",
-    "TemporalJakesFading",
     "Trajectory",
     "StaticTrajectory",
     "StraightLineTrajectory",

@@ -6,23 +6,24 @@ the whole scheme -- and (b) makes key generation hard over LoRa, because
 it decorrelates over the channel coherence time, which is shorter than the
 packet airtime.
 
-Two parameterizations of the same sum-of-sinusoids model are provided:
+:class:`SpatialJakesFading` evaluates the complex gain as a function of
+the *relative displacement* between the endpoints (in meters).  Mobility
+models feed it the accumulated relative motion, which handles varying
+vehicle speed exactly (the instantaneous Doppler is just the derivative
+of displacement over wavelength); a fixed maximum Doppler ``f_d`` over
+time ``t`` is displacement ``wavelength * f_d * t``.  A Rician K-factor
+of ``K = 0`` is pure Rayleigh (urban NLOS); larger K adds a LOS
+component (rural).
 
-- :class:`SpatialJakesFading` evaluates the complex gain as a function of
-  the *relative displacement* between the endpoints (in meters).  Mobility
-  models feed it the accumulated relative motion, which handles varying
-  vehicle speed exactly (the instantaneous Doppler is just the derivative
-  of displacement over wavelength).
-- :class:`TemporalJakesFading` evaluates it against time for a fixed
-  maximum Doppler, matching textbook Jakes simulators; used by the
-  theoretical-verification experiments.
-
-Both support a Rician K-factor: ``K = 0`` is pure Rayleigh (urban NLOS),
-larger K adds a LOS component (rural).
+One kernel, :func:`_sum_of_sinusoids`, evaluates every gain: the
+single-realization :meth:`SpatialJakesFading.gain_db` and
+:meth:`~SpatialJakesFading.complex_gain` as one row, and
+:func:`batched_spatial_gain_db` as one row per realization.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -32,107 +33,80 @@ from repro.utils.validation import require, require_positive
 
 _DEFAULT_N_PATHS = 64
 _TWO_PI = 2.0 * np.pi
+_TURNS_PER_RADIAN = 1.0 / _TWO_PI
+_TWO_PI_F32 = np.float32(_TWO_PI)
 
 #: Cap on the ``S * T_chunk * n_paths`` intermediate of
-#: :func:`batched_spatial_gain_db`.  It keeps each float64 temporary of
-#: the angle, trig and reduction passes at 512 KiB, small enough to stay
-#: in cache; at 1,000,000 elements each was 8 MB and every pass streamed
+#: :func:`_sum_of_sinusoids`.  It keeps each float64 temporary of the
+#: angle, trig and reduction passes at 512 KiB, small enough to stay in
+#: cache; at 1,000,000 elements each was 8 MB and every pass streamed
 #: through memory (``docs/PERFORMANCE.md`` has the measured costs).
 #: Chunking is along the time axis only, so it never perturbs the
 #: path-axis reduction order.
 BATCH_CHUNK_ELEMS = 65_536
 
-#: Valid ``trig_precision`` modes for the sum-of-sinusoids evaluation.
-#:
-#: ``"mixed"`` (the default) accumulates the per-path angles in float64
-#: *turns* (angle / 2*pi), range-reduces them with a bare
-#: ``turns - floor(turns)`` in float64, and only then evaluates cos/sin
-#: in float32 where SIMD transcendentals apply.  The float64 reduction
-#: keeps the float32 arguments small, so the gain error stays ~1e-4 dB
-#: away from fades and below ~5e-3 dB even in deep fades (where the dB
-#: scale amplifies tiny linear errors) -- two orders of magnitude under
-#: the 0.5 dB RSSI register resolution either way (the precision
-#: contract pinned by ``tests/test_fading_precision.py``).
-#: ``"float64"`` is the exact legacy evaluation, kept as an escape
-#: hatch and as the reference the contract is measured against.
-TRIG_PRECISION_MODES = ("mixed", "float64")
 
+def _sum_of_sinusoids(progress, cos_angles, phases_turns, rician_k, los_cos, los_phase):
+    """Complex gains with unit average power, shaped ``progress.shape[:-1]``.
 
-def _diffuse_sum_exact(angles: np.ndarray, n_paths: int) -> np.ndarray:
-    """Float64 reference: sum ``exp(1j*angles)`` over the path axis."""
-    return np.exp(1j * angles).sum(axis=-1) / np.sqrt(n_paths)
+    ``progress`` is ``[..., T, 1]``: phase progress in radians per unit
+    cos-angle.  ``cos_angles`` and ``phases_turns`` are the scatterer
+    tables, ``[n_paths]`` for one realization or ``[S, 1, n_paths]`` for
+    ``[S, T, 1]`` rows; ``los_cos`` and ``los_phase`` are the LOS path's
+    (scalars or ``[S, 1]``).  When the ``progress.size * n_paths`` angles
+    exceed :data:`BATCH_CHUNK_ELEMS`, the ``T`` axis is evaluated in
+    chunks.
 
-
-def _diffuse_sum_turns(turns: np.ndarray, n_paths: int) -> np.ndarray:
-    """Mixed-precision diffuse sum over per-path *turns* (angle / 2*pi).
-
-    Working in turns makes the float64 range reduction a bare
-    ``turns - floor(turns)`` -- two memory passes instead of the four a
-    mod-2*pi on radians needs -- before the float32 SIMD cos/sin.
-    ``turns`` is float64 and owned by the caller (mutated in place).
+    The per-path angles accumulate in float64 *turns* (angle / 2*pi) and
+    range-reduce with a bare ``turns - floor(turns)``; only then do cos
+    and sin run in float32, where SIMD transcendentals apply.  The
+    float64 reduction keeps the float32 arguments small, so the gain
+    error stays ~1e-4 dB away from fades and below ~5e-3 dB even in deep
+    fades (where the dB scale amplifies tiny linear errors) -- two
+    orders of magnitude under the 0.5 dB RSSI register resolution either
+    way (``tests/test_fading_precision.py`` pins this against the exact
+    float64 evaluation in ``tests/oracles/fading.py``).  The single LOS
+    path stays float64 on radians.  Every operation is elementwise but
+    the path-axis sum, whose reduction order depends only on the path
+    count, so a row's gains depend neither on the other rows nor on the
+    chunking.
     """
+    n_paths = cos_angles.shape[-1]
+    n_times = progress.shape[-2] if progress.ndim > 1 else 1
+    if n_times > 1 and progress.size * n_paths > BATCH_CHUNK_ELEMS:
+        # Each chunk holds at most the cap's angles, or one instant.
+        step = max(1, BATCH_CHUNK_ELEMS * n_times // (progress.size * n_paths))
+        gains = np.empty(progress.shape[:-1], dtype=complex)
+        for start in range(0, n_times, step):
+            gains[..., start : start + step] = _sum_of_sinusoids(
+                progress[..., start : start + step, :],
+                cos_angles,
+                phases_turns,
+                rician_k,
+                los_cos,
+                los_phase,
+            )
+        return gains
+    turns = progress * _TURNS_PER_RADIAN * cos_angles + phases_turns
     turns -= np.floor(turns)
     a32 = turns.astype(np.float32)
-    a32 *= np.float32(_TWO_PI)
+    a32 *= _TWO_PI_F32
     re = np.cos(a32).sum(axis=-1, dtype=np.float32)
     im = np.sin(a32).sum(axis=-1, dtype=np.float32)
-    return (re.astype(float) + 1j * im.astype(float)) / np.sqrt(n_paths)
+    diffuse = (re.astype(float) + 1j * im.astype(float)) / math.sqrt(n_paths)
+    if rician_k == 0:
+        return diffuse
+    los = np.exp(1j * (progress[..., 0] * los_cos + los_phase))
+    k = rician_k
+    return math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * diffuse
 
 
-class _SumOfSinusoids:
-    """Shared machinery: N scatterers with random angles and phases."""
-
-    def __init__(
-        self,
-        n_paths: int,
-        rician_k: float,
-        seed: SeedLike,
-        trig_precision: str = "mixed",
-    ):
-        require(n_paths >= 8, f"n_paths must be >= 8 for a credible Rayleigh sum, got {n_paths}")
-        require(rician_k >= 0, "rician_k must be >= 0")
-        require(
-            trig_precision in TRIG_PRECISION_MODES,
-            f"trig_precision must be one of {TRIG_PRECISION_MODES}, got {trig_precision!r}",
-        )
-        rng = as_generator(seed)
-        self.n_paths = int(n_paths)
-        self.rician_k = float(rician_k)
-        self.trig_precision = str(trig_precision)
-        # Isotropic arrival angles and i.i.d. phases (Clarke's model).
-        self._cos_angles = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=self.n_paths))
-        self._phases = rng.uniform(0.0, 2.0 * np.pi, size=self.n_paths)
-        # Per-path phases pre-scaled to turns for the mixed-precision path.
-        self._phases_turns = self._phases * (1.0 / _TWO_PI)
-        self._los_phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        self._los_cos = float(np.cos(rng.uniform(0.0, 2.0 * np.pi)))
-
-    def _complex_gain(self, phase_progress: np.ndarray) -> np.ndarray:
-        """Complex gain given per-path phase progress (radians per unit cos-angle).
-
-        ``phase_progress`` has shape ``(..., 1)`` broadcastable against the
-        path axis; returns shape ``(...)`` complex gains with unit average
-        power.
-        """
-        if self.trig_precision == "float64":
-            angles = phase_progress * self._cos_angles + self._phases
-            diffuse = _diffuse_sum_exact(angles, self.n_paths)
-        else:
-            turns = (
-                phase_progress * (1.0 / _TWO_PI) * self._cos_angles
-                + self._phases_turns
-            )
-            diffuse = _diffuse_sum_turns(turns, self.n_paths)
-        if self.rician_k == 0:
-            return diffuse
-        # The LOS term is a single path: float64 cost is negligible and
-        # its phase never benefits from the SIMD batch, so it stays exact.
-        los = np.exp(1j * (phase_progress[..., 0] * self._los_cos + self._los_phase))
-        k = self.rician_k
-        return np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * diffuse
+def _power_db(gains: np.ndarray) -> np.ndarray:
+    """Power gain in dB, floored at -60 dB to avoid log-of-zero."""
+    return 20.0 * np.log10(np.maximum(np.abs(gains), 1e-3))
 
 
-class SpatialJakesFading(_SumOfSinusoids):
+class SpatialJakesFading:
     """Fading as a function of relative displacement between the endpoints.
 
     Args:
@@ -155,54 +129,36 @@ class SpatialJakesFading(_SumOfSinusoids):
         n_paths: int = _DEFAULT_N_PATHS,
         rician_k: float = 0.0,
         seed: SeedLike = None,
-        trig_precision: str = "mixed",
     ):
         require_positive(wavelength_m, "wavelength_m")
-        super().__init__(n_paths, rician_k, seed, trig_precision=trig_precision)
+        require(n_paths >= 8, f"n_paths must be >= 8 for a credible Rayleigh sum, got {n_paths}")
+        require(rician_k >= 0, "rician_k must be >= 0")
+        rng = as_generator(seed)
         self.wavelength_m = float(wavelength_m)
+        self.n_paths = int(n_paths)
+        self.rician_k = float(rician_k)
+        # Isotropic arrival angles and i.i.d. phases (Clarke's model);
+        # the phases are pre-scaled to turns for the kernel.
+        self._cos_angles = np.cos(rng.uniform(0.0, _TWO_PI, size=self.n_paths))
+        self._phases_turns = rng.uniform(0.0, _TWO_PI, size=self.n_paths) * _TURNS_PER_RADIAN
+        self._los_phase = float(rng.uniform(0.0, _TWO_PI))
+        self._los_cos = float(np.cos(rng.uniform(0.0, _TWO_PI)))
 
     def complex_gain(self, displacement_m) -> np.ndarray:
         """Complex channel gain at the given displacement(s)."""
         s = np.asarray(displacement_m, dtype=float)
-        progress = (2.0 * np.pi * s / self.wavelength_m)[..., np.newaxis]
-        return self._complex_gain(progress)
+        return _sum_of_sinusoids(
+            (_TWO_PI * s / self.wavelength_m)[..., np.newaxis],
+            self._cos_angles,
+            self._phases_turns,
+            self.rician_k,
+            self._los_cos,
+            self._los_phase,
+        )
 
     def gain_db(self, displacement_m) -> np.ndarray:
         """Power gain in dB, floored at -60 dB to avoid log-of-zero."""
-        magnitude = np.abs(self.complex_gain(displacement_m))
-        return 20.0 * np.log10(np.maximum(magnitude, 1e-3))
-
-
-class TemporalJakesFading(_SumOfSinusoids):
-    """Fading as a function of time for a fixed maximum Doppler.
-
-    Equivalent to :class:`SpatialJakesFading` with displacement
-    ``s = v t``; exposed separately for experiments that sweep Doppler
-    directly.
-    """
-
-    def __init__(
-        self,
-        max_doppler_hz: float,
-        n_paths: int = _DEFAULT_N_PATHS,
-        rician_k: float = 0.0,
-        seed: SeedLike = None,
-        trig_precision: str = "mixed",
-    ):
-        require(max_doppler_hz >= 0, "max_doppler_hz must be >= 0")
-        super().__init__(n_paths, rician_k, seed, trig_precision=trig_precision)
-        self.max_doppler_hz = float(max_doppler_hz)
-
-    def complex_gain(self, time_s) -> np.ndarray:
-        """Complex channel gain at the given time(s)."""
-        t = np.asarray(time_s, dtype=float)
-        progress = (2.0 * np.pi * self.max_doppler_hz * t)[..., np.newaxis]
-        return self._complex_gain(progress)
-
-    def gain_db(self, time_s) -> np.ndarray:
-        """Power gain in dB, floored at -60 dB."""
-        magnitude = np.abs(self.complex_gain(time_s))
-        return 20.0 * np.log10(np.maximum(magnitude, 1e-3))
+        return _power_db(self.complex_gain(displacement_m))
 
 
 def batched_spatial_gain_db(
@@ -211,20 +167,17 @@ def batched_spatial_gain_db(
     """Evaluate S fading realizations on S displacement rows in one sweep.
 
     This is the cross-session form of :meth:`SpatialJakesFading.gain_db`:
-    the per-realization scatterer tables are stacked into ``[S, n_paths]``
-    arrays so one vectorized trig pass covers the whole batch instead of
-    S separate dispatches.  Row ``i`` of the result is bit-identical to
-    ``fadings[i].gain_db(displacements_m[i])`` because every operation is
-    elementwise except the final path-axis sum, whose pairwise reduction
-    order depends only on the (shared) path count -- the contract pinned
-    by ``tests/test_probing_cross_session.py``.
+    the per-realization scatterer tables are stacked into
+    ``[S, n_paths]`` arrays so one vectorized trig pass covers the whole
+    batch instead of S separate dispatches.  Row ``i`` of the
+    result is bit-identical to ``fadings[i].gain_db(displacements_m[i])``
+    -- both run :func:`_sum_of_sinusoids` -- the contract pinned by
+    ``tests/test_probing_cross_session.py``.
 
     Args:
-        fadings: Homogeneous realizations (same ``n_paths``, ``rician_k``
-            and ``trig_precision``; wavelengths may differ per row).
+        fadings: Homogeneous realizations (same ``n_paths`` and
+            ``rician_k``; wavelengths may differ per row).
         displacements_m: ``[S, T]`` displacement rows, one per realization.
-            The time axis is evaluated in chunks of at most
-            :data:`BATCH_CHUNK_ELEMS` angles.
 
     Returns:
         ``[S, T]`` float64 power gains in dB, floored at -60 dB.
@@ -237,51 +190,21 @@ def batched_spatial_gain_db(
         f"displacements_m must be [S={len(models)}, T], got shape {disp.shape}",
     )
     first = models[0]
-    for model in models:
-        require(
-            model.n_paths == first.n_paths
-            and model.rician_k == first.rician_k
-            and model.trig_precision == first.trig_precision,
-            "batched_spatial_gain_db requires homogeneous fading realizations",
+    require(
+        all(
+            model.n_paths == first.n_paths and model.rician_k == first.rician_k
+            for model in models
+        ),
+        "batched_spatial_gain_db requires homogeneous fading realizations",
+    )
+    wavelengths = np.array([[model.wavelength_m] for model in models])
+    return _power_db(
+        _sum_of_sinusoids(
+            (_TWO_PI * disp / wavelengths)[..., np.newaxis],
+            np.stack([model._cos_angles for model in models])[:, np.newaxis, :],
+            np.stack([model._phases_turns for model in models])[:, np.newaxis, :],
+            first.rician_k,
+            np.array([[model._los_cos] for model in models]),
+            np.array([[model._los_phase] for model in models]),
         )
-    progress = np.empty_like(disp)
-    for i, model in enumerate(models):
-        progress[i] = 2.0 * np.pi * disp[i] / model.wavelength_m
-    cos_angles = np.stack([m._cos_angles for m in models])  # [S, P]
-    n_paths = first.n_paths
-    rician_k = first.rician_k
-    mixed = first.trig_precision != "float64"
-    if mixed:
-        # Same op order as the scalar path: progress scaled to turns
-        # *before* the per-path product, per-path phases pre-scaled.
-        scaled = progress * (1.0 / _TWO_PI)
-        per_path = np.stack([m._phases_turns for m in models])  # [S, P]
-    else:
-        scaled = progress
-        per_path = np.stack([m._phases for m in models])  # [S, P]
-    if rician_k > 0:
-        los_cos = np.array([m._los_cos for m in models])[:, np.newaxis]
-        los_phase = np.array([m._los_phase for m in models])[:, np.newaxis]
-    n_sessions, n_times = disp.shape
-    gains = np.empty((n_sessions, n_times), dtype=complex)
-    step = max(1, BATCH_CHUNK_ELEMS // max(1, n_sessions * n_paths))
-    for start in range(0, n_times, step):
-        chunk = scaled[:, start : start + step]  # [S, Tc]
-        angles = chunk[:, :, np.newaxis] * cos_angles[:, np.newaxis, :] + per_path[:, np.newaxis, :]
-        if mixed:
-            diffuse = _diffuse_sum_turns(angles, n_paths)
-        else:
-            diffuse = _diffuse_sum_exact(angles, n_paths)
-        if rician_k == 0:
-            gains[:, start : start + step] = diffuse
-        else:
-            # The single-path LOS term stays exact float64 on radians.
-            los = np.exp(
-                1j * (progress[:, start : start + step] * los_cos + los_phase)
-            )
-            k = rician_k
-            gains[:, start : start + step] = (
-                np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * diffuse
-            )
-    magnitude = np.abs(gains)
-    return 20.0 * np.log10(np.maximum(magnitude, 1e-3))
+    )

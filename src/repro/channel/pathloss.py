@@ -30,10 +30,6 @@ class PathLossModel(abc.ABC):
         1 m to keep the near-field out of the log.
         """
 
-    def gain_db(self, distance_m):
-        """Path *gain* (negative dB), convenience for link budgets."""
-        return -self.loss_db(distance_m)
-
 
 def _clamped(distance_m) -> np.ndarray:
     return np.maximum(np.asarray(distance_m, dtype=float), 1.0)

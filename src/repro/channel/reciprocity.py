@@ -56,28 +56,23 @@ class ReciprocalChannel:
 
         Identical for both link directions: this *is* channel reciprocity.
         """
-        t = np.asarray(time_s, dtype=float)
-        gain = -np.asarray(self.pathloss.loss_db(self.motion.distance_m(t)), dtype=float)
-        if self.shadowing is not None or self.fading is not None:
-            displacement = self.motion.relative_displacement_m(t)
-            if self.shadowing is not None:
-                gain = gain + self.shadowing.value_at(displacement)
-            if self.fading is not None:
-                gain = gain + self.fading.gain_db(displacement)
+        gain, displacement = self.prefading_gain_db(time_s)
+        if self.fading is not None:
+            gain = gain + self.fading.gain_db(displacement)
         if np.isscalar(time_s):
             return float(gain)
         return gain
 
     def prefading_gain_db(self, time_s):
-        """The :meth:`path_gain_db` split used by cross-session batching.
+        """:meth:`path_gain_db` before the fading term.
 
-        Returns ``(partial, displacement)`` where ``partial`` is the gain
-        with path loss and shadowing applied in exactly
-        :meth:`path_gain_db`'s association order and ``displacement`` is
-        the row to feed a batched fading evaluation:
-        ``partial + self.fading.gain_db(displacement)`` is bit-identical
-        to ``path_gain_db(time_s)``.  Only meaningful when ``fading`` is
-        set (callers without fading should use :meth:`path_gain_db`).
+        Returns ``(partial, displacement)``: the gain with path loss and
+        shadowing applied (what an imitating attacker shares) and the
+        relative displacement the fading term is evaluated at.
+        ``partial + self.fading.gain_db(displacement)`` *is*
+        ``path_gain_db(time_s)``; cross-session batching evaluates the
+        fading term of many channels in one
+        :func:`~repro.channel.fading.batched_spatial_gain_db` call instead.
         """
         t = np.asarray(time_s, dtype=float)
         gain = -np.asarray(self.pathloss.loss_db(self.motion.distance_m(t)), dtype=float)
@@ -85,13 +80,3 @@ class ReciprocalChannel:
         if self.shadowing is not None:
             gain = gain + self.shadowing.value_at(displacement)
         return gain, displacement
-
-    def large_scale_gain_db(self, time_s) -> np.ndarray:
-        """Path loss + shadowing only (what an imitating attacker shares)."""
-        t = np.asarray(time_s, dtype=float)
-        gain = -np.asarray(self.pathloss.loss_db(self.motion.distance_m(t)), dtype=float)
-        if self.shadowing is not None:
-            gain = gain + self.shadowing.value_at(self.motion.relative_displacement_m(t))
-        if np.isscalar(time_s):
-            return float(gain)
-        return gain

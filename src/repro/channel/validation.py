@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import j0
 from scipy.stats import kstest
 
-from repro.channel.fading import SpatialJakesFading, TemporalJakesFading
+from repro.channel.fading import SpatialJakesFading
 from repro.channel.pathloss import FreeSpacePathLoss, LogDistancePathLoss
 from repro.channel.shadowing import GudmundsonShadowing
 from repro.utils.rng import SeedLike, as_generator
@@ -79,13 +79,18 @@ def check_rayleigh_distribution(seed: SeedLike = 1, n_samples: int = 8_000) -> V
 
 
 def check_jakes_autocorrelation(seed: SeedLike = 2) -> ValidationReport:
-    """Temporal fading autocorrelation at lag tau vs ``J0(2 pi fd tau)``."""
+    """Temporal fading autocorrelation at lag tau vs ``J0(2 pi fd tau)``.
+
+    A fixed maximum Doppler ``fd`` moves the endpoints ``wavelength * fd``
+    meters per second, so time ``t`` is displacement ``wavelength * fd * t``.
+    """
     doppler = 12.0
     lag = 0.01
-    fading = TemporalJakesFading(max_doppler_hz=doppler, n_paths=128, seed=seed)
+    wavelength = 0.6912
+    fading = SpatialJakesFading(wavelength_m=wavelength, n_paths=128, seed=seed)
     times = np.arange(0.0, 4000.0, 0.9)  # samples far apart for independence
-    base = fading.complex_gain(times)
-    lagged = fading.complex_gain(times + lag)
+    base = fading.complex_gain(wavelength * doppler * times)
+    lagged = fading.complex_gain(wavelength * doppler * (times + lag))
     measured = float(np.real(np.mean(base * np.conj(lagged))) / np.mean(np.abs(base) ** 2))
     return ValidationReport(
         name="jakes autocorrelation at 10 ms",

@@ -334,7 +334,7 @@ class PredictionQuantizationModel:
         history: History,
     ) -> Dict:
         """Restore a persisted checkpoint; returns resume bookkeeping."""
-        artifact = load_artifact(path, kind=CHECKPOINT_ARTIFACT_KIND, allow_legacy=False)
+        artifact = load_artifact(path, kind=CHECKPOINT_ARTIFACT_KIND)
         require_matching_architecture(artifact, self._architecture(), path)
         meta = artifact.metadata
         # Build the layers, then overwrite weights and the RNG state; the
@@ -560,7 +560,7 @@ class PredictionQuantizationModel:
         """An OOD guard built from this model's training statistics.
 
         Returns ``None`` when no statistics are available (untrained model
-        or legacy weight file without embedded metadata); keyword
+        or a weight file saved without them); keyword
         arguments override :class:`~repro.core.guard.InferenceGuard`
         thresholds.
         """
@@ -606,8 +606,8 @@ class PredictionQuantizationModel:
         Raises :class:`~repro.exceptions.CorruptArtifactError` on a
         truncated or tampered file and
         :class:`~repro.exceptions.ArtifactMismatchError` when the stored
-        architecture or artifact kind differs from this model.  Legacy
-        plain ``.npz`` files load with a warning and no statistics.
+        architecture or artifact kind differs from this model, or the
+        file is a plain ``.npz`` without the integrity header.
         """
         artifact = load_artifact(Path(path), kind=MODEL_ARTIFACT_KIND)
         require_matching_architecture(artifact, self._architecture(), path)

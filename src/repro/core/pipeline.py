@@ -364,7 +364,6 @@ class VehicleKeyPipeline:
         self,
         episode: str = "live",
         n_rounds: int = None,
-        trace: ProbeTrace = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         adversary_plan: Optional[AdversaryPlan] = None,
@@ -382,8 +381,6 @@ class VehicleKeyPipeline:
             episode: Episode label for the probing burst.
             n_rounds: Rounds per probing burst (default:
                 ``config.session_rounds``).
-            trace: Pre-collected trace to use for the first attempt
-                instead of probing, full or windowed.
             fault_plan: Optional fault injection: link loss + register
                 corruption during probing (absorbed by the ARQ layer) and
                 drop/duplication/reorder on the syndrome exchange
@@ -420,12 +417,12 @@ class VehicleKeyPipeline:
         rounds = n_rounds if n_rounds is not None else self.config.session_rounds
         session = self.build_session()
 
-        all_traces: List[ProbeTrace] = [] if trace is None else [trace]
+        all_traces: List[ProbeTrace] = []
         # ``pool`` holds the traces feeding the *current* session; an
         # abort empties it (desync recovery: suspect bits are discarded
         # and the next attempt re-syncs from a fresh burst) while
         # ``all_traces`` keeps everything for airtime accounting.
-        pool: List[ProbeTrace] = list(all_traces)
+        pool: List[ProbeTrace] = []
         result: SessionResult = None
         attempts = 0
         aborted_attempts = 0
@@ -438,18 +435,17 @@ class VehicleKeyPipeline:
                 adversary = build_adversary(
                     attack_plan, self.seeds.child(f"episode-{label}")
                 )
-            if attempt > 0 or not pool:
-                protocol, episode_seeds, _, _ = self.build_protocol(
-                    label,
-                    fault_plan=plan,
-                    retry_policy=retry_policy,
-                    adversary=adversary,
-                )
-                collected = protocol.run(
-                    rounds, episode_seeds, alice_reads=self.alice_window_reads()
-                )
-                pool.append(collected)
-                all_traces.append(collected)
+            protocol, episode_seeds, _, _ = self.build_protocol(
+                label,
+                fault_plan=plan,
+                retry_policy=retry_policy,
+                adversary=adversary,
+            )
+            collected = protocol.run(
+                rounds, episode_seeds, alice_reads=self.alice_window_reads()
+            )
+            pool.append(collected)
+            all_traces.append(collected)
             channel = None
             if plan is not None and plan.messages.active:
                 channel = LossyMessageChannel(

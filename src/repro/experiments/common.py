@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.channel.scenario import ScenarioName
 from repro.core.pipeline import PipelineConfig, VehicleKeyPipeline
 from repro.exceptions import ReproError
+from repro.utils.artifact import write_atomically
 from repro.utils.validation import require
 
 
@@ -206,9 +207,10 @@ def _store_cached_pipeline(
             {"fingerprint": fingerprint, "format": _CACHE_FORMAT_VERSION},
             sort_keys=True,
         )
-        tmp = entry / f".{_COMPLETE_MARKER}.tmp.{os.getpid()}"
-        tmp.write_text(marker + "\n", encoding="utf-8")
-        os.replace(tmp, entry / _COMPLETE_MARKER)
+        write_atomically(
+            entry / _COMPLETE_MARKER,
+            lambda handle: handle.write((marker + "\n").encode("utf-8")),
+        )
     except OSError:
         # The cache is an optimization; a full disk or permission issue
         # must not take down the experiment that just finished training.

@@ -135,6 +135,7 @@ from repro.server.crashpoints import CRASHPOINTS, SITES
 from repro.server.journal import JOURNAL_FILENAME, replay_journal
 from repro.server.registry import ModelRegistry
 from repro.server.server import KeyEstablishmentServer, ServerConfig
+from repro.utils.artifact import write_atomically
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import require_one_of, require_positive
 
@@ -1163,12 +1164,7 @@ def restart_chaos_config(n_clients: int, journal_dir: str) -> ServerConfig:
 
 def _write_port_file(path: str, port: int) -> None:
     """Publish the child's bound port atomically (write-temp-then-rename)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(str(port))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    write_atomically(path, lambda handle: handle.write(str(port).encode("utf-8")))
 
 
 async def _restart_server_child_main(

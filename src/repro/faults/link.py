@@ -182,14 +182,3 @@ class LinkFaultModel:
         magnitude = self.plan.register.magnitude_db
         out[glitch] = np.maximum(out[glitch] - magnitude, floor_dbm)
         return out
-
-    def corrupt_register(
-        self, samples: np.ndarray, floor_dbm: float
-    ) -> np.ndarray:
-        """Maybe glitch one run of a reception's register reads.
-
-        :meth:`register_glitch` then :meth:`apply_glitch`; returns the
-        input unchanged (same object) when no glitch fires.
-        """
-        glitch = self.register_glitch(samples.size)
-        return self.apply_glitch(samples, glitch, floor_dbm)

@@ -18,14 +18,12 @@ calibration offset and corrupted by measurement noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.lora.airtime import LoRaPHYConfig
 from repro.lora.radio import TransceiverModel
-from repro.utils.rng import SeedLike, as_generator
 
 
 def quantize_packet_rssi(value_dbm, resolution_db: float = 1.0):
@@ -64,49 +62,13 @@ class RegisterRssiSampler:
         """Register samples per packet: one per symbol."""
         return self.phy.total_symbols
 
-    def sample_times(self, reception_start_s: float) -> np.ndarray:
-        """Absolute times of the register reads during one reception.
-
-        Reads occur at the end of each symbol, starting at
-        ``reception_start_s``.
-        """
-        symbol = self.phy.symbol_time_s
-        return reception_start_s + symbol * (1.0 + np.arange(self.n_samples))
-
-    def sample(
-        self,
-        received_power_dbm: Callable[[np.ndarray], np.ndarray],
-        reception_start_s: float,
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """Register-RSSI vector for one packet reception.
-
-        Args:
-            received_power_dbm: Vectorized function mapping absolute times
-                (seconds) to the true received power in dBm.
-            reception_start_s: When the reception began.
-            seed: Randomness for the measurement noise.
-
-        Returns:
-            ``n_samples`` register readings in dBm, quantized and clamped
-            the way the chip reports them.
-        """
-        rng = as_generator(seed)
-        times = self.sample_times(reception_start_s)
-        truth = np.asarray(received_power_dbm(times), dtype=float)
-        if truth.shape != times.shape:
-            raise ConfigurationError(
-                "received_power_dbm must return one power value per sample time"
-            )
-        noise = rng.normal(0.0, self.device.rssi_noise_std_db, size=truth.shape)
-        return self._register_readings(truth, noise)
-
     def reception_times(self, reception_starts_s: np.ndarray) -> np.ndarray:
         """The ``[n_receptions, n_samples]`` register-read time grid.
 
-        Row ``k`` is :meth:`sample_times` of ``reception_starts_s[k]``;
-        the stacked probing kernel builds the grid once per group and
-        feeds the powers it evaluates there to :meth:`readings_for_power`.
+        Reads occur at the end of each symbol: row ``k`` starts one
+        symbol after ``reception_starts_s[k]``.  The probing engines
+        evaluate the received power on this grid and feed it to
+        :meth:`readings_for_power`.
         """
         starts = np.asarray(reception_starts_s, dtype=float)
         symbol = self.phy.symbol_time_s
@@ -116,18 +78,19 @@ class RegisterRssiSampler:
     def readings_for_power(
         self, truth_dbm: np.ndarray, standard_noise: np.ndarray
     ) -> np.ndarray:
-        """Register readings from a precomputed received-power grid.
+        """Register readings from true received powers on the read grid.
 
-        The batched form of :meth:`sample` with the channel evaluation
-        factored out: ``truth_dbm`` holds true received powers on the
-        :meth:`reception_times` grid (any leading shape -- the smoothing
-        pipeline only touches the trailing symbol axis, so stacked
-        ``[n_sessions, n_receptions, n_samples]`` batches process each
-        reception bit-identically to a per-reception :meth:`sample`).
-        ``standard_noise`` holds *standard* normal draws of the same
-        shape, scaled here by the device's noise level
-        (``Generator.normal(0, std)`` computes ``std * z`` from the same
-        standard-normal stream).
+        ``truth_dbm`` holds true received powers on the
+        :meth:`reception_times` grid, with any leading shape: the
+        smoothing pipeline only touches the trailing symbol axis, so
+        stacked ``[n_sessions, n_receptions, n_samples]`` batches process
+        each reception exactly as a single one.  ``standard_noise`` holds
+        *standard* normal draws of the same shape, scaled here by the
+        device's noise level (``Generator.normal(0, std)`` computes
+        ``std * z`` from the same standard-normal stream).
+
+        Returns the readings in dBm: smoothed, biased, corrupted,
+        quantized and clamped the way the chip reports them.
         """
         truth = np.asarray(truth_dbm, dtype=float)
         noise = self.device.rssi_noise_std_db * np.asarray(standard_noise, dtype=float)
@@ -135,14 +98,6 @@ class RegisterRssiSampler:
             raise ConfigurationError(
                 "standard_noise must supply one draw per register sample"
             )
-        return self._register_readings(truth, noise)
-
-    def _register_readings(self, truth: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Smooth, bias, corrupt and quantize true powers into readings.
-
-        Operates on the trailing (symbol) axis, so one implementation
-        serves both the single-reception and the batched entry points.
-        """
         alpha = self.device.rssi_smoothing_alpha
         if alpha < 1.0:
             # The RSSI register is an exponential average of recent symbol

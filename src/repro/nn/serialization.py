@@ -106,8 +106,7 @@ def load_weights(
     Layers must already be built with matching shapes (run one forward
     pass on dummy data first, or build explicitly).  Returns the verified
     :class:`~repro.utils.artifact.Artifact` so callers can inspect its
-    metadata (architecture, training statistics).  Legacy plain ``.npz``
-    files still load, with a :class:`UserWarning`.
+    metadata (architecture, training statistics).
     """
     artifact = load_artifact(Path(path), kind=kind)
     assign_weights(layers, artifact.arrays)

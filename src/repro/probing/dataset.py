@@ -105,8 +105,9 @@ class KeyGenDataset:
         """Load a dataset previously written by :meth:`save`.
 
         Raises :class:`~repro.exceptions.CorruptArtifactError` on a
-        truncated or tampered file; plain ``.npz`` datasets written before
-        the artifact format load with a warning.
+        truncated or tampered file and
+        :class:`~repro.exceptions.ArtifactMismatchError` on a plain
+        ``.npz`` without the integrity header.
         """
         from repro.utils.artifact import load_artifact
 

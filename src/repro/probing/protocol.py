@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.channel.fading import SpatialJakesFading, batched_spatial_gain_db
+from repro.channel.fading import batched_spatial_gain_db
 from repro.channel.reciprocity import ReciprocalChannel
 from repro.faults.adversary import ActiveAdversary
 from repro.faults.link import LinkFaultModel
@@ -503,26 +503,24 @@ def _group_path_gain(
 ) -> np.ndarray:
     """``[n_sessions, len(times)]`` total path gains for the group.
 
-    When every channel carries a homogeneous :class:`SpatialJakesFading`
-    (per-session wavelengths may differ; path count / K-factor /
-    precision may not), the fading term -- the dominant cost -- is
-    evaluated for all sessions in one stacked trig pass, while path loss
-    and shadowing stay per-session (cheap, and their lazy caches are
-    stateful).  Row ``i`` is bit-identical to
-    ``protocols[i].channel.path_gain_db(times_1d)`` because the
-    composition order matches
+    When every channel carries a fading realization of one path count and
+    K-factor (per-session wavelengths may differ), the fading term -- the
+    dominant cost -- is evaluated for all sessions in one stacked trig
+    pass, while path loss and shadowing stay per-session (cheap, and
+    their lazy caches are stateful).  Row ``i`` is bit-identical to
+    ``protocols[i].channel.path_gain_db(times_1d)``, which is
     :meth:`~repro.channel.reciprocity.ReciprocalChannel.prefading_gain_db`
-    and :func:`~repro.channel.fading.batched_spatial_gain_db` is
-    row-exact.  Fading-free or mixed groups evaluate each row with
-    ``path_gain_db`` itself.
+    plus the fading term, because
+    :func:`~repro.channel.fading.batched_spatial_gain_db` is row-exact.
+    Fading-free or mixed groups evaluate each row with ``path_gain_db``
+    itself.
     """
     fadings = [protocol.channel.fading for protocol in protocols]
     first = fadings[0]
     if not all(
-        isinstance(fading, SpatialJakesFading)
+        fading is not None
         and fading.n_paths == first.n_paths
         and fading.rician_k == first.rician_k
-        and fading.trig_precision == first.trig_precision
         for fading in fadings
     ):
         return np.stack(

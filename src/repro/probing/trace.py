@@ -245,8 +245,9 @@ class ProbeTrace:
         """Load a trace written by :meth:`save`.
 
         Raises :class:`~repro.exceptions.CorruptArtifactError` on a
-        truncated or tampered file; plain ``.npz`` traces written before
-        the artifact format load with a warning.
+        truncated or tampered file and
+        :class:`~repro.exceptions.ArtifactMismatchError` on a plain
+        ``.npz`` without the integrity header.
         """
         from repro.lora.airtime import CodingRate
         from repro.utils.artifact import load_artifact

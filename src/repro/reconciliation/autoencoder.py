@@ -268,8 +268,8 @@ class AutoencoderReconciliation(Reconciler):
         Raises :class:`~repro.exceptions.CorruptArtifactError` on a
         truncated or tampered file and
         :class:`~repro.exceptions.ArtifactMismatchError` when the stored
-        architecture or kind differs.  Legacy plain ``.npz`` files load
-        with a warning.
+        architecture or kind differs, or the file is a plain ``.npz``
+        without the integrity header.
         """
         from repro.nn.serialization import assign_weights
         from repro.utils.artifact import (

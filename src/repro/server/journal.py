@@ -8,9 +8,9 @@ makes that state survive a crash.  Every witnessed event is one
 prefix, appended to a single journal file whose tail may be torn by a
 crash mid-write.  Recovery replays the file, stops at the first record
 that is truncated or fails its checksum, and atomically truncates the
-tail back to the last fully-checksummed record (the same
-tempfile + ``os.fsync`` + ``os.replace`` discipline
-:func:`repro.utils.artifact.save_artifact` uses).
+tail back to the last fully-checksummed record
+(:func:`repro.utils.artifact.write_atomically`, the tempfile +
+``os.fsync`` + ``os.replace`` helper artifacts are saved with).
 
 Record kinds (the ``"t"`` field):
 
@@ -45,12 +45,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.server.crashpoints import CRASHPOINTS
+from repro.utils.artifact import write_atomically
 
 #: File magic identifying a session journal (versioned).
 JOURNAL_MAGIC = b"VKJRNL01"
@@ -163,10 +163,10 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
 def recover_journal(path: Union[str, Path]) -> JournalReplay:
     """Replay and, if the tail is torn, atomically truncate it away.
 
-    The valid prefix is rewritten through a tempfile in the same
-    directory, fsync'd, and swapped in with ``os.replace`` -- a crash
-    *during recovery* leaves either the damaged original or the clean
-    prefix, never a half-truncated file.  Returns the replay of the
+    The valid prefix is rewritten with
+    :func:`~repro.utils.artifact.write_atomically` -- a crash *during
+    recovery* leaves either the damaged original or the clean prefix,
+    never a half-truncated file.  Returns the replay of the
     (now clean) prefix.
     """
     path = Path(path)
@@ -180,21 +180,7 @@ def recover_journal(path: Union[str, Path]) -> JournalReplay:
     if replay.torn == "magic":
         data = b""  # nothing before the magic is trustworthy
         replay.valid_bytes = 0
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except OSError:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_atomically(path, lambda handle: handle.write(data))
     return replay
 
 

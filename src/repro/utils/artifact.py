@@ -11,15 +11,14 @@ with one reserved member:
   and a SHA-256 checksum over every payload array's name, dtype, shape
   and raw bytes.
 
-Writes are atomic: the file is serialized to a temporary sibling, fsynced,
-and then ``os.replace``d over the destination, so a crash mid-write never
-leaves a truncated artifact under the real name.  Reads verify the
-checksum and the expected kind, raising the typed
-:class:`~repro.exceptions.CorruptArtifactError` /
+Writes are atomic (:func:`write_atomically`): the file is serialized to
+a temporary sibling, fsynced, and then ``os.replace``d over the
+destination, so a crash mid-write never leaves a truncated artifact under
+the real name.  Reads verify the header, the checksum and the expected
+kind, raising the typed :class:`~repro.exceptions.CorruptArtifactError` /
 :class:`~repro.exceptions.ArtifactMismatchError` instead of leaking raw
-``zipfile``/``KeyError`` internals.  Plain ``.npz`` files written before
-this format existed still load (with a :class:`UserWarning`), so old
-deployments keep working.
+``zipfile``/``KeyError`` internals.  A plain ``.npz`` without the header
+is rejected: nothing in it can be verified.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ import hashlib
 import json
 import os
 import tempfile
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import BinaryIO, Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -62,19 +60,41 @@ class Artifact:
 
     Attributes:
         arrays: The payload arrays, keyed as written.
-        kind: The artifact kind recorded at save time (``None`` for
-            legacy files that predate the header).
+        kind: The artifact kind recorded at save time.
         metadata: Free-form JSON metadata recorded at save time.
-        format_version: Container version (0 for legacy plain ``.npz``).
-        legacy: ``True`` when the file had no header (pre-format file);
-            such files were loaded without checksum verification.
+        format_version: Container version.
     """
 
     arrays: Dict[str, np.ndarray]
-    kind: Optional[str] = None
-    metadata: Dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
-    legacy: bool = False
+    kind: str
+    metadata: Dict
+    format_version: int
+
+
+def write_atomically(path: Union[str, Path], write: Callable[[BinaryIO], object]) -> None:
+    """Replace ``path`` with what ``write`` writes, all or nothing.
+
+    ``write`` fills a temporary file in the destination directory, which
+    is flushed, fsynced and renamed over ``path`` -- a crash never leaves
+    a half-written file under the final name.  On any failure the
+    temporary file is removed and the exception re-raised.
+    """
+    target = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, target)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def save_artifact(
@@ -85,10 +105,9 @@ def save_artifact(
 ) -> None:
     """Atomically write ``arrays`` as a checksummed artifact of ``kind``.
 
-    The payload is serialized to a temporary file in the destination
-    directory, flushed and fsynced, then renamed over ``path`` -- an
-    interrupted save never corrupts an existing artifact and never leaves
-    a half-written file under the final name.
+    The payload goes through :func:`write_atomically`: an interrupted
+    save never corrupts an existing artifact and never leaves a
+    half-written file under the final name.
 
     Args:
         path: Destination ``.npz`` path.
@@ -110,42 +129,22 @@ def save_artifact(
         json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_atomically(target, lambda handle: np.savez_compressed(handle, **payload))
 
 
-def load_artifact(
-    path: Union[str, Path],
-    kind: Optional[str] = None,
-    allow_legacy: bool = True,
-) -> Artifact:
+def load_artifact(path: Union[str, Path], kind: Optional[str] = None) -> Artifact:
     """Load and verify an artifact written by :func:`save_artifact`.
 
     Args:
         path: Artifact path.
         kind: Expected kind; a stored kind that differs raises
             :class:`~repro.exceptions.ArtifactMismatchError`.
-        allow_legacy: Accept plain ``.npz`` files without a header (they
-            load with a :class:`UserWarning` and no checksum check).
 
     Raises:
         CorruptArtifactError: The file is unreadable, truncated, carries
             a malformed header, or fails its checksum.
         ArtifactMismatchError: The stored kind differs from ``kind``, or
-            the file is legacy and ``allow_legacy`` is ``False``.
+            the file is a plain ``.npz`` without the integrity header.
         FileNotFoundError: ``path`` does not exist.
     """
     source = Path(path)
@@ -161,18 +160,10 @@ def load_artifact(
 
     header_bytes = arrays.pop(HEADER_KEY, None)
     if header_bytes is None:
-        if not allow_legacy:
-            raise ArtifactMismatchError(
-                f"artifact {source} has no integrity header and legacy "
-                "files are not accepted here"
-            )
-        warnings.warn(
-            f"{source} is a legacy artifact without checksum/metadata; "
-            "loading without integrity verification -- re-save it to upgrade",
-            UserWarning,
-            stacklevel=2,
+        raise ArtifactMismatchError(
+            f"artifact {source} has no integrity header; a plain .npz "
+            "cannot be verified and is not accepted"
         )
-        return Artifact(arrays=arrays, kind=None, metadata={}, format_version=0, legacy=True)
 
     try:
         header = json.loads(bytes(bytearray(header_bytes)).decode("utf-8"))
@@ -203,7 +194,6 @@ def load_artifact(
         kind=stored_kind,
         metadata=metadata,
         format_version=version,
-        legacy=False,
     )
 
 
@@ -212,14 +202,12 @@ def require_matching_architecture(
 ) -> None:
     """Reject an artifact whose recorded architecture differs from ``expected``.
 
-    Legacy artifacts (no header) and artifacts without an ``architecture``
-    metadata entry pass silently -- there is nothing recorded to compare.
+    Artifacts without an ``architecture`` metadata entry pass silently --
+    there is nothing recorded to compare.
 
     Raises:
         ArtifactMismatchError: Listing every differing hyperparameter.
     """
-    if artifact.legacy:
-        return
     stored = artifact.metadata.get("architecture")
     if stored is None:
         return

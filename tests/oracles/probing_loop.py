@@ -4,12 +4,13 @@
 before each ARQ attempt evaluated the reciprocal channel once: every
 attempt walks the channel stack four times (Bob's register reads, the
 mid-probe decodability check, Alice's register reads, the mid-response
-check) and draws each reception's register noise and packet-RSSI noise
-with separate generator calls.  The protocol's receiver-power,
-packet-RSSI and eavesdropper-power helpers, ``RegisterRssiSampler.sample``
-and the index-loop register smoothing are inlined, so the oracle reads
-only the channel, device, fault and adversary objects it is handed and
-never the code it checks.
+check), draws each reception's register noise and packet-RSSI noise
+with separate generator calls, and glitches each reception's register
+reads as they arrive.  The protocol's receiver-power, packet-RSSI and
+eavesdropper-power helpers, a single-reception register sampler and the
+index-loop register smoothing are inlined, so the oracle reads only the
+channel, device, fault and adversary objects it is handed and never the
+code it checks.
 
 ``tests/test_probing_loop_oracle.py`` pins ``run_loop`` to it bit for
 bit; ``benchmarks/test_bench_probing.py``, ``test_bench_kernels.py`` and
@@ -124,8 +125,10 @@ def reference_run_loop(
         # --- Alice's probe, received by Bob (and overheard by Eve).
         bob_rssi[k] = _sample(self.phy, self.bob_device, bob_power, attempt_start, bob_noise)
         if faults is not None:
-            bob_rssi[k] = faults.corrupt_register(
-                bob_rssi[k], self.bob_device.rssi_floor_dbm
+            bob_rssi[k] = faults.apply_glitch(
+                bob_rssi[k],
+                faults.register_glitch(n_samples),
+                self.bob_device.rssi_floor_dbm,
             )
         bob_prssi[k] = _packet_rssi(bob_rssi[k], self.bob_device, bob_noise)
         for setup in eavesdroppers:
@@ -161,8 +164,10 @@ def reference_run_loop(
             self.phy, self.alice_device, alice_power, response_start, alice_noise
         )
         if faults is not None:
-            alice_rssi[k] = faults.corrupt_register(
-                alice_rssi[k], self.alice_device.rssi_floor_dbm
+            alice_rssi[k] = faults.apply_glitch(
+                alice_rssi[k],
+                faults.register_glitch(n_samples),
+                self.alice_device.rssi_floor_dbm,
             )
         alice_prssi[k] = _packet_rssi(alice_rssi[k], self.alice_device, alice_noise)
         for setup in eavesdroppers:

@@ -13,6 +13,7 @@ from repro.utils.artifact import (
     load_artifact,
     require_matching_architecture,
     save_artifact,
+    write_atomically,
 )
 
 
@@ -34,7 +35,6 @@ class TestRoundTrip:
         assert artifact.kind == "test-thing"
         assert artifact.metadata == {"alpha": 3}
         assert artifact.format_version == FORMAT_VERSION
-        assert not artifact.legacy
         for key, value in arrays.items():
             np.testing.assert_array_equal(artifact.arrays[key], value)
 
@@ -71,6 +71,20 @@ class TestAtomicity:
         path = tmp_path / "deep" / "nested" / "thing.npz"
         save_artifact(path, arrays, kind="test-thing")
         assert load_artifact(path).kind == "test-thing"
+
+    def test_failed_write_keeps_the_old_file(self, arrays, tmp_path):
+        path = tmp_path / "thing.npz"
+        save_artifact(path, arrays, kind="test-thing")
+        before = path.read_bytes()
+
+        def write(handle):
+            handle.write(b"half a file")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_atomically(path, write)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["thing.npz"]
 
 
 class TestCorruptionDetection:
@@ -158,26 +172,12 @@ class TestMismatchDetection:
         require_matching_architecture(artifact, {"units": 8, "depth": 2}, path)
 
 
-class TestLegacySupport:
-    def test_plain_npz_loads_with_warning(self, arrays, tmp_path):
-        path = tmp_path / "legacy.npz"
+class TestHeaderlessRejected:
+    @pytest.mark.parametrize("kind", [None, "whatever"])
+    def test_plain_npz_rejected(self, arrays, tmp_path, kind):
+        # Nothing in a plain .npz can be verified: no checksum, no kind,
+        # no recorded architecture.
+        path = tmp_path / "plain.npz"
         np.savez_compressed(path, **arrays)
-        with pytest.warns(UserWarning, match="legacy"):
-            artifact = load_artifact(path, kind="whatever")
-        assert artifact.legacy
-        assert artifact.kind is None
-        assert artifact.format_version == 0
-        np.testing.assert_array_equal(artifact.arrays["bias"], arrays["bias"])
-
-    def test_legacy_rejected_when_not_allowed(self, arrays, tmp_path):
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ArtifactMismatchError, match="legacy"):
-            load_artifact(path, allow_legacy=False)
-
-    def test_legacy_passes_architecture_check(self, arrays, tmp_path):
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, **arrays)
-        with pytest.warns(UserWarning):
-            artifact = load_artifact(path)
-        require_matching_architecture(artifact, {"units": 1}, path)
+        with pytest.raises(ArtifactMismatchError, match="integrity header"):
+            load_artifact(path, kind=kind)

@@ -118,12 +118,15 @@ class TestReciprocalChannel:
         assert np.all(np.isfinite(gains))
         assert np.all(gains < 0)  # km-scale links always attenuate
 
-    def test_large_scale_excludes_fading(self):
+    def test_prefading_gain_excludes_fading(self):
         channel = self._channel()
         times = np.linspace(0, 60, 200)
         total = channel.path_gain_db(times)
-        large = channel.large_scale_gain_db(times)
-        assert np.std(total - large) > 0.5  # fading contributes variation
+        partial, displacement = channel.prefading_gain_db(times)
+        assert np.std(total - partial) > 0.5  # fading contributes variation
+        np.testing.assert_array_equal(
+            partial + channel.fading.gain_db(displacement), total
+        )
 
     def test_scalar_time_returns_scalar(self):
         channel = self._channel()

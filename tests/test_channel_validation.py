@@ -25,6 +25,19 @@ class TestIndividualChecks:
     def test_jakes_autocorrelation(self):
         assert check_jakes_autocorrelation(seed=2).passed
 
+    @pytest.mark.parametrize(
+        "seed, temporal",
+        [(0, 0.8481409009796628), (2, 0.8584264428667672), (11, 0.8611702337520164)],
+        ids=["seed-0", "seed-2", "seed-11"],
+    )
+    def test_jakes_autocorrelation_matches_the_temporal_model(self, seed, temporal):
+        # The statistics a time-indexed Jakes model (progress 2 pi fd t)
+        # measured on the same realizations: evaluating the spatial model
+        # at displacement wavelength * fd * t reads the same figure.
+        assert check_jakes_autocorrelation(seed=seed).statistic == pytest.approx(
+            temporal, abs=1e-8
+        )
+
     def test_shadowing_marginal(self):
         assert check_shadowing_marginal(seed=3).passed
 

@@ -159,20 +159,7 @@ class TestWindowedKeyPath:
     run whose probing measures every read.
     """
 
-    @pytest.mark.parametrize("pre_collected", [False, True], ids=["probed", "trace"])
-    def test_outcomes_equal_a_full_measurement(
-        self, tiny_pipeline, monkeypatch, pre_collected
-    ):
-        traces = [
-            tiny_pipeline.collect_trace(
-                f"windowed-{index}-pre",
-                n_rounds=WINDOW_ROUNDS,
-                fault_plan=chaos_plans(index)["fault_plan"],
-            )
-            if pre_collected
-            else None
-            for index in range(WINDOW_PLANS)
-        ]
+    def test_outcomes_equal_a_full_measurement(self, tiny_pipeline, monkeypatch):
         runs = {}
         for every_read in (False, True):
             widths = probed_widths(monkeypatch, every_read)
@@ -181,12 +168,11 @@ class TestWindowedKeyPath:
                     tiny_pipeline.establish_key(
                         episode=f"windowed-{index}",
                         n_rounds=WINDOW_ROUNDS,
-                        trace=trace,
                         max_attempts=3,
                         **chaos_plans(index),
                     )
                 )
-                for index, trace in enumerate(traces)
+                for index in range(WINDOW_PLANS)
             ]
             monkeypatch.undo()
             runs[every_read] = outcomes, widths

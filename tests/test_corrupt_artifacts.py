@@ -221,15 +221,14 @@ class TestDatasetArtifacts:
         with pytest.raises(ArtifactMismatchError, match="probe-trace"):
             KeyGenDataset.load(path)
 
-    def test_legacy_dataset_loads_with_warning(self, dataset, tmp_path):
-        path = tmp_path / "legacy.npz"
+    def test_plain_npz_dataset_rejected(self, dataset, tmp_path):
+        path = tmp_path / "plain.npz"
         np.savez_compressed(
             path, alice=dataset.alice, bob=dataset.bob,
             alice_raw=dataset.alice_raw, bob_raw=dataset.bob_raw,
         )
-        with pytest.warns(UserWarning, match="legacy"):
-            loaded = KeyGenDataset.load(path)
-        np.testing.assert_array_equal(loaded.alice, dataset.alice)
+        with pytest.raises(ArtifactMismatchError, match="integrity header"):
+            KeyGenDataset.load(path)
 
 
 class TestNoSilentPartialLoads:

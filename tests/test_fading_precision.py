@@ -1,17 +1,16 @@
-"""The mixed-precision trig kernel's accuracy and batching contracts.
+"""The sum-of-sinusoids kernel's accuracy and batching contracts.
 
-The sum-of-sinusoids evaluation defaults to ``trig_precision="mixed"``:
-angles accumulate and range-reduce mod 2*pi in float64, then cos/sin run
-in float32 where SIMD transcendentals apply.  These tests pin the two
-promises that make that safe:
+The kernel accumulates and range-reduces angles in float64 turns, then
+runs cos/sin in float32 where SIMD transcendentals apply.  These tests
+pin the two promises that make that safe:
 
-- **Accuracy**: the mixed-mode gain never deviates from the exact
-  float64 evaluation by more than ~5e-3 dB.  Away from fades the error
-  is ~1e-4 dB; the bound is set by deep fades, where the dB scale
-  amplifies a ~1e-6 linear error against a near-zero gain.  Either way
-  it stays two orders of magnitude under the 0.5 dB RSSI register
-  resolution, so no downstream quantization, thresholding or key bit
-  can flip outside an already knife-edge tie.
+- **Accuracy**: the gain never deviates from the exact float64
+  evaluation (``tests/oracles/fading.py``) by more than ~5e-3 dB.  Away
+  from fades the error is ~1e-4 dB; the bound is set by deep fades,
+  where the dB scale amplifies a ~1e-6 linear error against a near-zero
+  gain.  Either way it stays two orders of magnitude under the 0.5 dB
+  RSSI register resolution, so no downstream quantization, thresholding
+  or key bit can flip outside an already knife-edge tie.
 - **Batched bit-identity**: :func:`batched_spatial_gain_db` stacks S
   realizations into one trig pass; each output row must equal the
   per-realization :meth:`SpatialJakesFading.gain_db` *bit for bit*, for
@@ -22,62 +21,42 @@ import numpy as np
 import pytest
 
 from repro.channel import fading
-from repro.channel.fading import (
-    SpatialJakesFading,
-    TemporalJakesFading,
-    batched_spatial_gain_db,
-)
+from repro.channel.fading import SpatialJakesFading, batched_spatial_gain_db
 from repro.exceptions import ConfigurationError
+from tests.oracles.fading import exact_gain_db
 
 # Generous versus the measured worst case (~1e-3 dB, in a deep fade
 # over 0-600 m) and still 100x below the 0.5 dB register resolution.
 MAX_ABS_DB_ERROR = 5e-3
+WAVELENGTH_M = 0.6912
 
 
-def spatial_pair(seed, **kwargs):
-    """The same realization under both precision modes."""
-    mixed = SpatialJakesFading(0.6912, seed=seed, trig_precision="mixed", **kwargs)
-    exact = SpatialJakesFading(0.6912, seed=seed, trig_precision="float64", **kwargs)
-    return mixed, exact
+def max_error_db(s, seed, **kwargs):
+    """Largest gap between the kernel and the exact float64 evaluation."""
+    model = SpatialJakesFading(WAVELENGTH_M, seed=seed, **kwargs)
+    exact = exact_gain_db(WAVELENGTH_M, s, seed=seed, **kwargs)
+    return float(np.abs(model.gain_db(s) - exact).max())
 
 
 class TestAccuracyContract:
     def test_spatial_rayleigh(self):
-        mixed, exact = spatial_pair(3)
         s = np.linspace(0.0, 600.0, 40_001)
-        error = np.abs(mixed.gain_db(s) - exact.gain_db(s))
-        assert float(error.max()) < MAX_ABS_DB_ERROR
+        assert max_error_db(s, 3) < MAX_ABS_DB_ERROR
 
     def test_spatial_rician(self):
-        mixed, exact = spatial_pair(7, rician_k=4.0)
         s = np.linspace(0.0, 600.0, 40_001)
-        error = np.abs(mixed.gain_db(s) - exact.gain_db(s))
-        assert float(error.max()) < MAX_ABS_DB_ERROR
+        assert max_error_db(s, 7, rician_k=4.0) < MAX_ABS_DB_ERROR
 
-    def test_temporal(self):
-        mixed = TemporalJakesFading(80.0, seed=5, trig_precision="mixed")
-        exact = TemporalJakesFading(80.0, seed=5, trig_precision="float64")
+    def test_fixed_doppler_over_time(self):
+        # 80 Hz of Doppler over 30 s: displacement wavelength * 80 * t.
         t = np.linspace(0.0, 30.0, 20_001)
-        error = np.abs(mixed.gain_db(t) - exact.gain_db(t))
-        assert float(error.max()) < MAX_ABS_DB_ERROR
+        assert max_error_db(WAVELENGTH_M * 80.0 * t, 5) < MAX_ABS_DB_ERROR
 
     def test_large_displacement_range_reduction(self):
         # Kilometric displacements are where naive float32 angles break
         # down; float64 range reduction must keep them accurate.
-        mixed, exact = spatial_pair(11)
         s = np.linspace(5_000.0, 5_100.0, 10_001)
-        error = np.abs(mixed.gain_db(s) - exact.gain_db(s))
-        assert float(error.max()) < MAX_ABS_DB_ERROR
-
-    def test_mixed_is_the_default(self):
-        assert SpatialJakesFading(0.6912, seed=0).trig_precision == "mixed"
-        assert TemporalJakesFading(10.0, seed=0).trig_precision == "mixed"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SpatialJakesFading(0.6912, seed=0, trig_precision="float32")
-        with pytest.raises(ConfigurationError):
-            TemporalJakesFading(10.0, seed=0, trig_precision="exact")
+        assert max_error_db(s, 11) < MAX_ABS_DB_ERROR
 
 
 class TestBatchedBitIdentity:
@@ -92,13 +71,8 @@ class TestBatchedBitIdentity:
         disp = rng.uniform(0.0, 400.0, size=(4, 257))
         self.assert_rows_bit_identical(models, disp)
 
-    def test_rician_float64(self):
-        models = [
-            SpatialJakesFading(
-                0.6912, rician_k=6.0, seed=s, trig_precision="float64"
-            )
-            for s in range(3)
-        ]
+    def test_rician(self):
+        models = [SpatialJakesFading(0.6912, rician_k=6.0, seed=s) for s in range(3)]
         rng = np.random.default_rng(1)
         disp = rng.uniform(0.0, 400.0, size=(3, 101))
         self.assert_rows_bit_identical(models, disp)
@@ -115,6 +89,19 @@ class TestBatchedBitIdentity:
         np.testing.assert_array_equal(unchunked, chunked)
         monkeypatch.setattr(fading, "BATCH_CHUNK_ELEMS", 777)
         self.assert_rows_bit_identical(models, disp)
+
+    @pytest.mark.parametrize("rician_k", [0.0, 3.0])
+    def test_single_row_chunking_never_perturbs_gain_db(self, monkeypatch, rician_k):
+        # gain_db runs the same chunked kernel: one instant per chunk
+        # must reproduce the one-chunk evaluation bit for bit.
+        model = SpatialJakesFading(0.6912, rician_k=rician_k, seed=4)
+        s = np.random.default_rng(3).uniform(0.0, 400.0, size=(7, 23))
+        unchunked = model.gain_db(s)
+        complex_unchunked = model.complex_gain(s)
+        monkeypatch.setattr(fading, "BATCH_CHUNK_ELEMS", 1)
+        np.testing.assert_array_equal(model.gain_db(s), unchunked)
+        np.testing.assert_array_equal(model.complex_gain(s), complex_unchunked)
+        assert unchunked.shape == s.shape
 
     def test_heterogeneous_wavelengths_allowed(self):
         models = [
@@ -144,14 +131,6 @@ class TestBatchedBitIdentity:
                 [
                     SpatialJakesFading(0.6912, rician_k=0.0, seed=0),
                     SpatialJakesFading(0.6912, rician_k=3.0, seed=1),
-                ],
-                disp,
-            )
-        with pytest.raises(ConfigurationError):
-            batched_spatial_gain_db(
-                [
-                    SpatialJakesFading(0.6912, seed=0, trig_precision="mixed"),
-                    SpatialJakesFading(0.6912, seed=1, trig_precision="float64"),
                 ],
                 disp,
             )

@@ -8,6 +8,7 @@ import pytest
 from repro.core.session import SessionResult
 from repro.core.statemachine import ABORT_MALFORMED
 from repro.exceptions import (
+    ArtifactMismatchError,
     InsufficientEntropyError,
     KeyEstablishmentError,
     RetryBudgetExhausted,
@@ -16,6 +17,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.metrics.agreement import AgreementSummary
 from repro.probing.trace import ProbeTrace
+from repro.utils.artifact import save_artifact
 
 from tests.conftest import make_tiny_pipeline
 
@@ -89,21 +91,24 @@ class TestTracePersistence:
         assert loaded.total_retries == lossy_trace.total_retries
         assert loaded.n_dropped_rounds == lossy_trace.n_dropped_rounds
 
-    def test_legacy_npz_without_arq_fields_loads(self, lossy_trace, tmp_path):
+    def test_trace_without_arq_fields(self, lossy_trace, tmp_path):
         path = tmp_path / "modern.npz"
         lossy_trace.save(path)
         with np.load(path) as data:
-            # A true legacy file predates both the ARQ fields and the
-            # artifact integrity header.
-            legacy = {
+            arrays = {
                 key: data[key]
                 for key in data.files
                 if key not in ("retries", "dropped") and not key.startswith("__")
             }
-        legacy_path = tmp_path / "legacy.npz"
-        np.savez_compressed(legacy_path, **legacy)
-        with pytest.warns(UserWarning, match="legacy artifact"):
-            loaded = ProbeTrace.load(legacy_path)
+        # Without the integrity header, nothing in the file is verified.
+        plain_path = tmp_path / "plain.npz"
+        np.savez_compressed(plain_path, **arrays)
+        with pytest.raises(ArtifactMismatchError, match="integrity header"):
+            ProbeTrace.load(plain_path)
+        # With it, a trace that predates the ARQ fields loads without retries.
+        headed_path = tmp_path / "headed.npz"
+        save_artifact(headed_path, arrays, kind=ProbeTrace.ARTIFACT_KIND)
+        loaded = ProbeTrace.load(headed_path)
         assert loaded.total_retries == 0
         assert loaded.n_dropped_rounds == 0
         assert loaded.retries.shape == (lossy_trace.n_rounds,)
@@ -288,13 +293,14 @@ class TestGracefulDegradation:
 
     def test_short_trace_reports_insufficient_entropy(self, tiny_pipeline):
         short = tiny_pipeline.collect_trace("short", n_rounds=8)
-        outcome = tiny_pipeline.establish_key(trace=short)
+        result = tiny_pipeline.build_session().run(short)
+        outcome = tiny_pipeline.build_outcome(result, [short])
         assert not outcome.success
         assert outcome.failure_reason == InsufficientEntropyError.reason
         assert outcome.attempts == 1
         assert outcome.final_key is None
         with pytest.raises(InsufficientEntropyError):
-            tiny_pipeline.establish_key(trace=short, raise_on_failure=True)
+            tiny_pipeline.build_outcome(result, [short], raise_on_failure=True)
 
     def test_reprobe_exhaustion_reports_retry_budget(self, tiny_pipeline):
         outcome = tiny_pipeline.establish_key(
@@ -331,9 +337,10 @@ class TestGracefulDegradation:
                 return mismatched
 
         monkeypatch.setattr(tiny_pipeline, "build_session", lambda: StubSession())
-        outcome = tiny_pipeline.establish_key(trace=trace)
+        result = tiny_pipeline.build_session().run(trace)
+        outcome = tiny_pipeline.build_outcome(result, [trace])
         assert not outcome.success
         assert outcome.failure_reason == "key-mismatch"
         with pytest.raises(KeyEstablishmentError) as excinfo:
-            tiny_pipeline.establish_key(trace=trace, raise_on_failure=True)
+            tiny_pipeline.build_outcome(result, [trace], raise_on_failure=True)
         assert excinfo.type is KeyEstablishmentError

@@ -143,7 +143,9 @@ class TestLinkFaultModel:
     def test_register_corruption_inactive_returns_same_object(self):
         model = LinkFaultModel(FaultPlan.lossy(0.1), SeedSequenceFactory(0))
         samples = np.full(16, -80.0)
-        assert model.corrupt_register(samples, -137.0) is samples
+        glitch = model.register_glitch(samples.size)
+        assert glitch is None
+        assert model.apply_glitch(samples, glitch, -137.0) is samples
 
     def test_register_corruption_drops_a_burst(self):
         plan = FaultPlan(
@@ -153,7 +155,7 @@ class TestLinkFaultModel:
         )
         model = LinkFaultModel(plan, SeedSequenceFactory(9))
         samples = np.full(16, -80.0)
-        out = model.corrupt_register(samples, -137.0)
+        out = model.apply_glitch(samples, model.register_glitch(samples.size), -137.0)
         assert out is not samples
         assert np.count_nonzero(out < samples) == 3
         np.testing.assert_allclose(out[out < samples], -100.0)
@@ -163,7 +165,7 @@ class TestLinkFaultModel:
             register=RegisterCorruptionConfig(probability=1.0, magnitude_db=500.0)
         )
         model = LinkFaultModel(plan, SeedSequenceFactory(2))
-        out = model.corrupt_register(np.full(8, -120.0), -137.0)
+        out = model.apply_glitch(np.full(8, -120.0), model.register_glitch(8), -137.0)
         assert out.min() >= -137.0
 
     @pytest.mark.parametrize(
@@ -175,15 +177,16 @@ class TestLinkFaultModel:
         ],
         ids=["inactive", "burst-covers-reception", "short-burst"],
     )
-    def test_glitches_decided_before_the_reads_match_corrupt_register(
+    def test_glitches_decided_before_the_reads_match_per_reception(
         self, register
     ):
-        """``register_glitch`` then ``apply_glitch`` is ``corrupt_register``.
+        """Deciding every glitch first equals deciding each as its reception arrives.
 
-        Twin models on one seed: one corrupts each reception as it
-        arrives, the other decides every glitch first and applies them
-        afterwards, as ``run_loop``'s two passes do.  Outputs, identity
-        on a miss, and the stream state afterwards must all agree.
+        Twin models on one seed: one decides and applies each reception's
+        glitch as it arrives, as the frozen per-attempt loop does; the
+        other decides every glitch first and applies them afterwards, as
+        ``run_loop``'s two passes do.  Outputs, identity on a miss, and
+        the stream state afterwards must all agree.
         """
         plan = FaultPlan(register=register)
         whole = LinkFaultModel(plan, SeedSequenceFactory(11))
@@ -192,7 +195,7 @@ class TestLinkFaultModel:
         glitches = [split.register_glitch(16) for _ in receptions]
         fired = 0
         for samples, glitch in zip(receptions, glitches):
-            expected = whole.corrupt_register(samples, -110.0)
+            expected = whole.apply_glitch(samples, whole.register_glitch(16), -110.0)
             actual = split.apply_glitch(samples, glitch, -110.0)
             np.testing.assert_array_equal(actual, expected)
             assert (actual is samples) == (expected is samples)

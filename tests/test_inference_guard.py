@@ -144,7 +144,9 @@ class TestSessionFallback:
             alice_rssi=live_trace.alice_rssi + 150.0,
             alice_prssi=None,
         )
-        outcome = tiny_pipeline.establish_key(trace=shifted, episode="guard-ood")
+        outcome = tiny_pipeline.build_outcome(
+            tiny_pipeline.build_session().run(shifted), [shifted]
+        )
         assert outcome.degraded_mode == "ood-quantizer-fallback"
         assert outcome.ood_windows > 0
 

@@ -137,25 +137,35 @@ class TestRegisterRssiSampler:
     def _sampler(self, device=DRAGINO_LORA_SHIELD):
         return RegisterRssiSampler(phy=LoRaPHYConfig(), device=device)
 
+    def _read(self, sampler, power, start_s, seed):
+        """One reception's register readings of the power trajectory ``power``."""
+        times = sampler.reception_times(np.array([start_s]))
+        noise = np.random.default_rng(seed).standard_normal(times.shape)
+        return sampler.readings_for_power(power(times), noise)[0]
+
     def test_one_sample_per_symbol(self):
         sampler = self._sampler()
         assert sampler.n_samples == sampler.phy.total_symbols
 
-    def test_sample_times_span_reception(self):
+    def test_reception_times_span_reception(self):
         sampler = self._sampler()
-        times = sampler.sample_times(10.0)
-        assert times[0] > 10.0
-        assert times[-1] == pytest.approx(10.0 + sampler.n_samples * sampler.phy.symbol_time_s)
+        times = sampler.reception_times(np.array([10.0, 20.0]))
+        assert times.shape == (2, sampler.n_samples)
+        np.testing.assert_allclose(times[1] - times[0], 10.0)
+        assert times[0, 0] > 10.0
+        assert times[0, -1] == pytest.approx(
+            10.0 + sampler.n_samples * sampler.phy.symbol_time_s
+        )
 
     def test_quantized_to_resolution(self):
         sampler = self._sampler()
-        samples = sampler.sample(lambda t: np.full_like(t, -90.3), 0.0, seed=1)
+        samples = self._read(sampler, lambda t: np.full_like(t, -90.3), 0.0, seed=1)
         steps = samples / sampler.device.rssi_resolution_db
         np.testing.assert_allclose(steps, np.round(steps))
 
     def test_floor_is_enforced(self):
         sampler = self._sampler()
-        samples = sampler.sample(lambda t: np.full_like(t, -500.0), 0.0, seed=1)
+        samples = self._read(sampler, lambda t: np.full_like(t, -500.0), 0.0, seed=1)
         assert np.all(samples >= sampler.device.rssi_floor_dbm)
 
     def test_offset_shifts_mean(self):
@@ -166,18 +176,19 @@ class TestRegisterRssiSampler:
             name="clean", chip="SX1278", rssi_offset_db=0.0, rssi_noise_std_db=0.0
         )
         power = lambda t: np.full_like(t, -90.0)
-        shifted = self._sampler(offset_device).sample(power, 0.0, seed=1)
-        clean = self._sampler(clean_device).sample(power, 0.0, seed=1)
+        shifted = self._read(self._sampler(offset_device), power, 0.0, seed=1)
+        clean = self._read(self._sampler(clean_device), power, 0.0, seed=1)
         assert np.mean(shifted) - np.mean(clean) == pytest.approx(5.0, abs=0.01)
 
     def test_deterministic_given_seed(self):
         sampler = self._sampler()
         power = lambda t: -90.0 + 0.5 * np.sin(t)
-        a = sampler.sample(power, 0.0, seed=9)
-        b = sampler.sample(power, 0.0, seed=9)
+        a = self._read(sampler, power, 0.0, seed=9)
+        b = self._read(sampler, power, 0.0, seed=9)
         np.testing.assert_array_equal(a, b)
 
-    def test_wrong_shape_power_function_rejected(self):
+    def test_mismatched_noise_shape_rejected(self):
         sampler = self._sampler()
+        noise = np.zeros((1, sampler.n_samples))
         with pytest.raises(ConfigurationError):
-            sampler.sample(lambda t: np.array([-90.0]), 0.0, seed=1)
+            sampler.readings_for_power(np.array([[-90.0]]), noise)

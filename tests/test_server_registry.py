@@ -7,9 +7,11 @@ or truncated generation is counted, remembered and rolled back
 atomically, and the serving pipeline keeps serving.
 """
 
+import numpy as np
 import pytest
 
 from repro.server.registry import ARTIFACT_NAMES, ModelRegistry
+from repro.utils.artifact import HEADER_KEY
 
 
 @pytest.fixture()
@@ -64,6 +66,26 @@ class TestReloadAndRollback:
         assert registry.last_error is not None
         assert registry.generation == 1
         assert registry.pipeline is tiny_pipeline  # rollback: old gen serves
+
+    def test_headerless_artifact_is_rejected(self, tiny_pipeline, artifact_dir):
+        """A plain ``.npz`` of the saved arrays carries nothing to verify.
+
+        Swapped in, it would serve without its checksum, kind and
+        architecture checks, and without the training statistics its
+        inference guard is built from.
+        """
+        registry = ModelRegistry(tiny_pipeline, directory=artifact_dir)
+        model_path = artifact_dir / ARTIFACT_NAMES[0]
+        with np.load(model_path) as saved:
+            arrays = {key: saved[key] for key in saved.files if key != HEADER_KEY}
+        with open(model_path, "wb") as handle:
+            np.savez(handle, **arrays)
+        assert registry.maybe_reload() is False
+        assert registry.reload_failures == 1
+        assert registry.last_error is not None
+        assert registry.generation == 1
+        assert registry.pipeline is tiny_pipeline
+        assert registry.pipeline.model.inference_guard() is not None
 
     def test_unchanged_corrupt_set_is_not_reverified(
         self, tiny_pipeline, artifact_dir
