@@ -29,7 +29,7 @@ import pytest
 
 from repro.channel.scenario import ScenarioName, scenario_config
 from repro.core.pipeline import PipelineConfig, VehicleKeyPipeline
-from repro.faults.chaos import run_server_chaos
+from repro.faults.chaos_served import run_server_chaos
 from repro.probing.features import FeatureConfig
 from repro.server import (
     DeviceClient,

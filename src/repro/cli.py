@@ -205,7 +205,7 @@ def _print_verdict(report) -> int:
 
 def _chaos_server(pipeline, args) -> int:
     """Run the server-path chaos sweep; exit non-zero on any violation."""
-    from repro.faults.chaos import run_server_chaos
+    from repro.faults.chaos_served import run_server_chaos
 
     print(
         f"sweeping {args.sessions} concurrent clients against a live "
@@ -238,7 +238,7 @@ def _chaos_server(pipeline, args) -> int:
 
 def _chaos_restart(pipeline, args) -> int:
     """Run the kill/restart chaos sweep; exit non-zero on any violation."""
-    from repro.faults.chaos import run_restart_chaos
+    from repro.faults.chaos_served import run_restart_chaos
 
     print(
         f"sweeping {args.sessions} clients against a server SIGKILLed at "

@@ -12,9 +12,12 @@ authenticated state machine converts attacks into structured aborts, and
 the pipeline converts what cannot be absorbed into structured failures
 instead of silent key mismatches.
 
-The chaos invariant harness lives in :mod:`repro.faults.chaos`; import
-it as a submodule (it depends on the pipeline layer, which depends on
-this package, so it cannot be re-exported here without a cycle).
+The chaos invariant harness lives in two submodules: the invariant
+registry, the report and the library sweep in :mod:`repro.faults.chaos`,
+and the server and kill/restart sweeps in
+:mod:`repro.faults.chaos_served`.  Import them as submodules (they
+depend on the pipeline layer, which depends on this package, so they
+cannot be re-exported here without a cycle).
 """
 
 from repro.faults.adversary import ActiveAdversary, AdversaryPlan, build_adversary

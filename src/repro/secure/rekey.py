@@ -251,6 +251,14 @@ class ManagedSecureLink:
         return None
 
     # -- data path -------------------------------------------------------------
+    def epoch_capacity(self, role: str) -> int:
+        """Records ``role`` may seal before the records trigger forces a rekey."""
+        endpoint = self.link.endpoint(role)
+        return min(
+            self.policy.max_records_per_epoch - endpoint.send_sequence,
+            endpoint.sequence_remaining,
+        )
+
     def seal(self, role: str, plaintext: bytes) -> Optional[bytes]:
         """Seal one payload as ``role``: a one-record :meth:`seal_records`.
 
@@ -282,16 +290,12 @@ class ManagedSecureLink:
                 if not self._rekey(trigger):
                     break
                 continue
-            endpoint = self.link.endpoint(role)
-            capacity = min(
-                self.policy.max_records_per_epoch - endpoint.send_sequence,
-                endpoint.sequence_remaining,
-            )
+            capacity = self.epoch_capacity(role)
             if capacity <= 0:
                 # The policy trigger fires on the next loop turn.
                 continue
             chunk = payloads[index : index + capacity]
-            wires.extend(endpoint.seal_records(chunk))
+            wires.extend(self.link.endpoint(role).seal_records(chunk))
             index += len(chunk)
         return wires
 

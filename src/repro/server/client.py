@@ -34,6 +34,7 @@ from repro.secure import (
     SecureChannel,
     derive_channel_keys,
 )
+from repro.secure.channel import DEFAULT_MAX_SEQUENCE, DEFAULT_REPLAY_WINDOW
 from repro.server.framing import FrameReader, encode_frame, write_frame
 
 #: The closed set of client behaviors the chaos harness draws from.
@@ -327,7 +328,7 @@ def channel_from_frame(
     """Build one end of the data-phase channel from a result frame.
 
     The server's result frame carries a ``channel`` object (see
-    ``KeyEstablishmentServer._open_channel``) with the device-side
+    ``KeyEstablishmentServer._build_channel``) with the device-side
     secret and the public KDF context; deriving from it here yields
     keys that match the server's responder channel bit for bit.  A
     resumed session's frame carries a bumped ``epoch``, so the rebuilt
@@ -348,8 +349,8 @@ def channel_from_frame(
     return SecureChannel(
         keys,
         role=role,
-        max_sequence=int(channel_frame.get("max_records", 2**20)),
-        replay_window=int(channel_frame.get("replay_window", 64)),
+        max_sequence=int(channel_frame.get("max_records", DEFAULT_MAX_SEQUENCE)),
+        replay_window=int(channel_frame.get("replay_window", DEFAULT_REPLAY_WINDOW)),
         ledger=ledger,
     )
 

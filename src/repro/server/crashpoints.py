@@ -3,7 +3,7 @@
 A *crashpoint* is a named place in the server's hot path where the
 process may be made to die abruptly -- the moral equivalent of a power
 cut at the worst possible instant.  The restart chaos harness
-(:func:`repro.faults.chaos.run_restart_chaos`) arms one site with a
+(:func:`repro.faults.chaos_served.run_restart_chaos`) arms one site with a
 seeded countdown in a forked server child; when the countdown reaches
 zero the default action SIGKILLs the process mid-operation, and the
 harness then restarts a fresh server against the same journal and

@@ -360,8 +360,6 @@ class RecoveryState:
                 "nonce": str(record.get("nonce", "")),
                 "fingerprint": str(record.get("fingerprint", "")),
                 "epoch": int(record.get("epoch", 0)),
-                "max_records": int(record.get("max_records", 2**20)),
-                "replay_window": int(record.get("replay_window", 64)),
             }
         elif kind == "nonce":
             key = (str(record.get("key", "")), int(record.get("dir", 0)))

@@ -119,7 +119,7 @@ class ServerMetrics:
         self.channels_closed[reason] = self.channels_closed.get(reason, 0) + 1
 
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-serializable copy for the health frame / logs.
+        """A JSON-serializable copy for the ``status`` frame / logs.
 
         Keys follow the field order; the per-slug dicts are copies.
         """

@@ -78,7 +78,7 @@ from repro.secure import (
     derive_channel_keys,
     master_secret_from_result,
 )
-from repro.secure.channel import DEFAULT_REPLAY_WINDOW
+from repro.secure.channel import DEFAULT_MAX_SEQUENCE, DEFAULT_REPLAY_WINDOW
 from repro.server.crashpoints import CRASHPOINTS
 from repro.server.journal import RecoveredSession, RecoveryState, SessionJournal
 from repro.server.metrics import ServerMetrics
@@ -155,7 +155,7 @@ class ServerConfig:
     retry_after_s: float = 1.0
     reap_interval_s: float = 0.5
     secure_decrypt_budget: int = 8
-    secure_max_records: int = 2**20
+    secure_max_records: int = DEFAULT_MAX_SEQUENCE
     secure_batch_max: int = 64
     journal_dir: Optional[str] = None
     journal_fsync: str = "batch"
@@ -350,16 +350,6 @@ class KeyEstablishmentServer:
     def active_sessions(self) -> int:
         """Live (registered, not yet closed) sessions."""
         return len(self.sessions)
-
-    def health(self) -> Dict[str, object]:
-        """A JSON-serializable liveness/metrics snapshot."""
-        return {
-            "active_sessions": self.active_sessions,
-            "queue_depth": 0 if self._pending is None else self._pending.qsize(),
-            "draining": self._draining,
-            "model_generation": self.registry.generation,
-            "metrics": self.metrics.snapshot(),
-        }
 
     async def drain(self, timeout: Optional[float] = None) -> DrainReport:
         """Gracefully drain: finish in-flight work, refuse new work, stop.
@@ -731,28 +721,24 @@ class KeyEstablishmentServer:
     ) -> None:
         """Idempotently re-deliver a journaled terminal verdict.
 
-        The result/abort frame is byte-for-byte the journaled one (same
-        ``key_digest``) -- only the ``channel`` description is fresh,
-        re-derived at the last journaled epoch + 1 and journaled again,
-        so repeated crashes keep bumping the epoch and no pre-crash
-        ``(epoch, direction, sequence)`` tuple ever verifies again.  The
-        channel record folds the bumped epoch into ``recovered``.
+        The frame is the live one marked ``resumed``: a result is
+        byte-for-byte the journaled frame (same ``key_digest``), an abort
+        is rebuilt from the journaled reason and detail.  Only the
+        ``channel`` description is fresh, re-derived at the last
+        journaled epoch + 1 and journaled again, so repeated crashes keep
+        bumping the epoch and no pre-crash ``(epoch, direction,
+        sequence)`` tuple ever verifies again.  The channel record folds
+        the bumped epoch into ``recovered``.
         """
         await self._send(
             writer, self._welcome(recovered.session_id, token, resumed=True)
         )
         if recovered.kind == "abort":
-            frame = {
-                "type": "abort",
-                "session_id": recovered.session_id,
-                "reason": recovered.reason,
-                "detail": recovered.detail,
-                "resumed": True,
-            }
-            await self._send(writer, frame)
-            self.journal_append({"t": "deliver", "token": token}, critical=True)
-            return
-        frame = dict(recovered.frame)
+            frame = self._abort_frame(
+                recovered.session_id, recovered.reason, recovered.detail
+            )
+        else:
+            frame = dict(recovered.frame)
         frame["resumed"] = True
         session = DeviceSession(
             session_id=recovered.session_id,
@@ -762,8 +748,7 @@ class KeyEstablishmentServer:
         )
         if recovered.channel is not None and frame.get("success"):
             frame["channel"] = self._reopen_channel(session, recovered.channel)
-        await self._send(writer, frame)
-        self.journal_append({"t": "deliver", "token": token}, critical=True)
+        await self._deliver(writer, token, frame)
         if session.channel is not None:
             read_task = asyncio.create_task(frames.read())
             await self._data_phase(session, frames, writer, read_task)
@@ -828,14 +813,16 @@ class KeyEstablishmentServer:
                 self._abort_session(session, ABORT_OVERLOAD, "ingress queue full")
         elif kind == "ping":
             await self._send(writer, {"type": "pong"})
-        elif kind == "health":
-            await self._send(writer, {"type": "health", **self.health()})
         elif kind == "status":
             await self._send(
                 writer,
                 {
                     "type": "status",
                     "session_id": session.session_id,
+                    "active_sessions": self.active_sessions,
+                    "queue_depth": self._pending.qsize(),
+                    "draining": self._draining,
+                    "model_generation": self.registry.generation,
                     "metrics": self.metrics.snapshot(),
                 },
             )
@@ -863,11 +850,12 @@ class KeyEstablishmentServer:
     ) -> None:
         """Send the terminal result/abort frame for a resolved session."""
         verdict = session.result.result()
-        if isinstance(verdict, KeyEstablishmentOutcome):
-            if session.verdict_frame is not None:
-                frame = dict(session.verdict_frame)  # journaled by _settle
-            else:
-                frame = self._result_frame(session, verdict)
+        if isinstance(verdict, SessionAbort):
+            frame = self._abort_frame(
+                session.session_id, verdict.reason, verdict.detail
+            )
+        else:
+            frame = dict(session.verdict_frame)
             if verdict.success and session.wants_data:
                 journaled = self._recovery.resumable.get(session.resume_token)
                 if journaled is not None and journaled.channel is not None:
@@ -877,25 +865,40 @@ class KeyEstablishmentServer:
                         session, journaled.channel
                     )
                 else:
-                    frame["channel"] = self._open_channel(session, verdict)
-        else:  # SessionAbort record
-            frame = {
-                "type": "abort",
-                "session_id": session.session_id,
-                "reason": verdict.reason,
-                "detail": verdict.detail,
-            }
-            if verdict.reason in (ABORT_OVERLOAD, ABORT_DRAINING):
-                frame["retry_after_s"] = self.config.retry_after_s
+                    frame["channel"] = self._build_channel(
+                        session,
+                        master=master_secret_from_result(verdict.session),
+                        nonce=verdict.session.session_nonce,
+                        fingerprint=self.registry.pipeline.fingerprint(),
+                        epoch=0,
+                    )
         CRASHPOINTS.hit("deliver")
+        await self._deliver(writer, session.resume_token, frame)
+
+    async def _deliver(
+        self, writer: asyncio.StreamWriter, token: str, frame: dict
+    ) -> None:
+        """Write one verdict frame, live or resumed, and journal its
+        delivery under ``token`` (when the session has one)."""
         try:
             await self._send(writer, frame)
-            if session.resume_token:
-                self.journal_append(
-                    {"t": "deliver", "token": session.resume_token}, critical=True
-                )
+            if token:
+                self.journal_append({"t": "deliver", "token": token}, critical=True)
         except (OSError, asyncio.TimeoutError, ConnectionError):
             self.metrics.disconnects += 1
+
+    def _abort_frame(self, session_id: str, reason: str, detail: str) -> dict:
+        """The wire form of one abort; a shed or draining abort carries
+        the retry hint."""
+        frame = {
+            "type": "abort",
+            "session_id": session_id,
+            "reason": reason,
+            "detail": detail,
+        }
+        if reason in (ABORT_OVERLOAD, ABORT_DRAINING):
+            frame["retry_after_s"] = self.config.retry_after_s
+        return frame
 
     @staticmethod
     def _result_frame(
@@ -924,29 +927,6 @@ class KeyEstablishmentServer:
         }
 
     # -- encrypted data phase ------------------------------------------------
-    def _open_channel(
-        self, session: DeviceSession, outcome: KeyEstablishmentOutcome
-    ) -> dict:
-        """Build the responder channel; returns its wire description.
-
-        ``device_key`` hands the device its side of the reconciled
-        secret in the clear -- a *simulation affordance*: on real
-        hardware the device derives exactly these bytes from the probing
-        exchange and nothing crosses the wire, but here the simulated
-        device is a separate process with no access to the pipeline's
-        internal session state.  Everything else in the frame (nonce,
-        ids, fingerprint, epoch) is the public context both ends bind
-        into the KDF.
-        """
-        result = outcome.session
-        return self._build_channel(
-            session,
-            master=master_secret_from_result(result),
-            nonce=result.session_nonce,
-            fingerprint=self.registry.pipeline.fingerprint(),
-            epoch=0,
-        )
-
     def _reopen_channel(self, session: DeviceSession, journaled: dict) -> dict:
         """Re-derive a journaled channel context at its epoch + 1.
 
@@ -970,12 +950,22 @@ class KeyEstablishmentServer:
         fingerprint: str,
         epoch: int,
     ) -> dict:
-        """Derive one epoch's responder channel and journal its context.
+        """Derive one epoch's responder channel; returns its wire description.
 
-        The journal record carries everything a restarted server needs
-        to re-derive the *next* epoch's keys for a resuming client --
-        including the master secret itself (see ``docs/SECURITY.md``:
-        the journal holds key material and must be protected like one).
+        ``device_key`` hands the device its side of the reconciled
+        secret in the clear -- a *simulation affordance*: on real
+        hardware the device derives exactly these bytes from the probing
+        exchange and nothing crosses the wire, but here the simulated
+        device is a separate process with no access to the pipeline's
+        internal session state.  Everything else in the frame (nonce,
+        ids, fingerprint, epoch) is the public context both ends bind
+        into the KDF.
+
+        A token holder's channel is journaled from the same fields: the
+        record carries everything a restarted server needs to re-derive
+        the *next* epoch's keys for a resuming client -- including the
+        master secret itself (see ``docs/SECURITY.md``: the journal
+        holds key material and must be protected like one).
         """
         context = ChannelContext(
             session_nonce=nonce,
@@ -991,11 +981,8 @@ class KeyEstablishmentServer:
             ledger=self.nonce_ledger,
         )
         self.metrics.channels_opened += 1
-        frame = {
-            "device_key": master.hex(),
-            "nonce": nonce.hex(),
-            "initiator_id": session.session_id,
-            "responder_id": "server",
+        master_hex, nonce_hex = master.hex(), nonce.hex()
+        shared = {
             "fingerprint": fingerprint,
             "epoch": epoch,
             "max_records": self.config.secure_max_records,
@@ -1007,16 +994,19 @@ class KeyEstablishmentServer:
                     "t": "channel",
                     "token": session.resume_token,
                     "sid": session.session_id,
-                    "master": master.hex(),
-                    "nonce": nonce.hex(),
-                    "fingerprint": fingerprint,
-                    "epoch": epoch,
-                    "max_records": self.config.secure_max_records,
-                    "replay_window": DEFAULT_REPLAY_WINDOW,
+                    "master": master_hex,
+                    "nonce": nonce_hex,
+                    **shared,
                 },
                 critical=True,
             )
-        return frame
+        return {
+            "device_key": master_hex,
+            "nonce": nonce_hex,
+            "initiator_id": session.session_id,
+            "responder_id": "server",
+            **shared,
+        }
 
     async def _send_channel_closed(
         self, session: DeviceSession, writer: asyncio.StreamWriter, reason: str
@@ -1312,9 +1302,8 @@ class KeyEstablishmentServer:
         """Deliver one tick verdict to one session; never raises."""
         if isinstance(verdict, KeyEstablishmentOutcome):
             if session.complete(verdict):
-                if session.resume_token:
-                    session.verdict_frame = self._result_frame(session, verdict)
-                    self._journal_outcome(session)
+                session.verdict_frame = self._result_frame(session, verdict)
+                self._journal_outcome(session)
                 self.metrics.completed += 1
                 if verdict.success:
                     self.metrics.succeeded += 1

@@ -48,8 +48,9 @@ class DeviceSession:
         detached: The transport dropped but the session is being kept
             for a resumption window instead of being aborted (journaled
             servers only).
-        verdict_frame: The terminal frame as sent, cached for idempotent
-            redelivery on re-attach (the channel object is *not* in it).
+        verdict_frame: The result frame of a completed session, built
+            once when the tick settles it; it is journaled as the outcome
+            and sent (with any channel description added) as the verdict.
         outcome_journaled: The terminal outcome record reached the
             journal (guards against double-journaling on re-attach).
     """

@@ -24,19 +24,21 @@ from repro.cli import _print_verdict
 from repro.core.pipeline import KeyEstablishmentOutcome
 from repro.core.statemachine import ABORT_MAC, SessionAbort
 from repro.exceptions import ConfigurationError
-from repro.faults import chaos
+from repro.faults import chaos_served
 from repro.faults.adversary import AdversaryPlan
 from repro.faults.chaos import (
     INVARIANTS,
     SWEEPS,
     ChaosReport,
-    _check_drain,
     _check_invariants,
+    _run_payload_phase,
+    run_chaos,
+)
+from repro.faults.chaos_served import (
+    _check_drain,
     _classify_clients,
     _restart_client,
-    _run_payload_phase,
     _verify_restart_journal,
-    run_chaos,
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
@@ -440,7 +442,7 @@ class TestRestartControls:
         # drops every connection without a verdict, so the client's
         # second attempt resumes -- and must still be checked as the
         # honest client it is.
-        monkeypatch.setattr(chaos, "_RESUME_ATTEMPTS", 2)
+        monkeypatch.setattr(chaos_served, "_RESUME_ATTEMPTS", 2)
 
         class Cluster:
             bound = 0

@@ -1,12 +1,14 @@
-"""The key service runs without SciPy.
+"""The key service runs without SciPy; the library sweep without the server.
 
 SciPy serves the experiments, the NIST battery and the channel
 self-checks (``repro validate-channel``), not the key path.  A fresh
 interpreter whose import system refuses every ``scipy`` module imports
-the server, the CLI, the batch engine and the chaos harness, builds a
+the server, the CLI, the batch engine and both chaos modules, builds a
 pipeline (which builds Bob's fixed quantizer thresholds), and runs a
 batch of sessions on the trained tiny pipeline; its outcomes must equal
-an in-process run's.
+an in-process run's.  Another fresh interpreter imports the library
+chaos sweep and must load no server module, ``asyncio`` or
+``multiprocessing``.
 """
 
 import os
@@ -37,7 +39,7 @@ class RefuseSciPy(importlib.abc.MetaPathFinder):
 
 sys.meta_path.insert(0, RefuseSciPy())
 
-import repro.cli, repro.faults.chaos, repro.server
+import repro.cli, repro.faults.chaos, repro.faults.chaos_served, repro.server
 from repro.channel.scenario import ScenarioName
 from repro.core.batch import BatchedSessionRunner
 from repro.core.pipeline import VehicleKeyPipeline
@@ -49,6 +51,19 @@ with open(pipeline_path, "rb") as handle:
 report = BatchedSessionRunner(pipeline, n_rounds=int(rounds)).run_episodes(labels)
 with open(outcomes_path, "wb") as handle:
     pickle.dump(report.outcomes, handle)
+"""
+
+
+#: Lists the server, ``asyncio`` and ``multiprocessing`` modules loaded
+#: by importing the library chaos sweep.
+_SEAM_CHILD = """
+import sys
+import repro.faults.chaos
+print(sorted(
+    name for name in sys.modules
+    if name.startswith("repro.server")
+    or name.split(".")[0] in ("asyncio", "multiprocessing")
+))
 """
 
 
@@ -70,3 +85,16 @@ def test_key_path_runs_without_scipy(tiny_pipeline, tmp_path):
     assert len(outcomes) == len(LABELS)
     for outcome, expected in zip(outcomes, reference.outcomes):
         assert_outcomes_identical(outcome, expected)
+
+
+def test_library_sweep_imports_no_server():
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _SEAM_CHILD],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

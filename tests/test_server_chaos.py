@@ -6,13 +6,18 @@ corrupt/oversized frames, duplicate ids, silent -- against a real
 loopback server, asserting every library- and server-level invariant
 held, no session leaked, and the behavior mix actually exercised the
 misbehaving paths (the sweep must not silently degenerate to all-honest).
+A 16-client kill/restart sweep (``repro chaos --restart``) must hold its
+invariants and leave no journal behind when it made its own.
 """
+
+import tempfile
 
 import pytest
 
-from repro.faults.chaos import (
-    ChaosReport,
+from repro.faults.chaos import ChaosReport
+from repro.faults.chaos_served import (
     random_client_behavior,
+    run_restart_chaos,
     run_server_chaos,
 )
 
@@ -106,3 +111,21 @@ class TestBehaviorGenerator:
         ]
         assert len(set(draws)) >= 6
         assert draws.count("normal") > 50  # honest majority
+
+
+class TestRestartSweep:
+    def test_sweep_holds_and_removes_the_journal_it_made(
+        self, tiny_pipeline, tmp_path, monkeypatch
+    ):
+        """Without a journal directory the restart sweep journals into a
+        temporary one -- which holds each data-phase session's master
+        secret -- and removes it once the journal is verified."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = run_restart_chaos(
+            tiny_pipeline, n_clients=16, seed=0, n_rounds=ROUNDS, restarts=1
+        )
+        details = [f"[{v.invariant}] {v.detail}" for v in report.violations]
+        assert report.ok, "invariant violations:\n" + "\n".join(details)
+        assert report.journal_records > 0
+        assert report.generations == report.kills + 1
+        assert list(tmp_path.iterdir()) == []

@@ -4,10 +4,11 @@ Each scenario runs a real server over loopback with a write-ahead
 journal, kills it with the hard (non-draining) stop, starts a fresh
 server on the same journal directory, and checks the recovery-facing
 promises: journaled verdicts are re-delivered idempotently under the
-same ``key_digest``, sessions a crash orphaned are answered with a
-structured ``recovered-after-crash`` abort instead of silence, unknown
-tokens are rejected structurally, and the ``status`` wire frame exposes
-the recovery counters.
+same ``key_digest``, a resumed abort is the live frame marked
+``resumed`` (retry hint included), sessions a crash orphaned are
+answered with a structured ``recovered-after-crash`` abort instead of
+silence, unknown tokens are rejected structurally, and the ``status``
+wire frame exposes the recovery counters.
 """
 
 import asyncio
@@ -16,7 +17,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro.core.statemachine import ABORT_RECOVERED
+from repro.core.statemachine import ABORT_DRAINING, ABORT_OVERLOAD, ABORT_RECOVERED
 from repro.server import (
     DeviceClient,
     Endpoint,
@@ -366,6 +367,54 @@ class TestCrashRecovery:
         assert gen2.metrics.recoveries == 1
         assert gen3.metrics.recoveries == 1
         assert gen3.metrics.recovered_orphans == 0
+
+
+class TestResumedAbort:
+    @pytest.mark.parametrize("reason", [ABORT_DRAINING, ABORT_OVERLOAD])
+    def test_resumed_abort_is_the_live_frame_marked_resumed(
+        self, tiny_pipeline, tmp_path, reason
+    ):
+        """A shed or draining abort carries its retry hint on the live
+        connection and again when a restarted server re-delivers it:
+        the two frames differ only by ``resumed``."""
+        config = journal_config(tmp_path / "wal")
+
+        async def body():
+            server = await start_server(tiny_pipeline, config)
+            client = DeviceClient(
+                Endpoint(port=server.bound_port), "dev-1", timeout_s=10.0
+            )
+            await client.connect()
+            try:
+                await client.hello()
+                if reason == ABORT_OVERLOAD:
+                    # What a full ingress queue does to a ``start``.
+                    server._abort_session(
+                        server.sessions["dev-1"], reason, "ingress queue full"
+                    )
+                # A drain aborts the still-unstarted session as
+                # ``server-draining``; an aborted one keeps its verdict.
+                drained = asyncio.create_task(server.drain(timeout=10.0))
+                live = await client.recv()
+            finally:
+                await client.close()
+            await drained
+
+            restarted = await start_server(tiny_pipeline, config)
+            try:
+                resumed = await DeviceClient(
+                    Endpoint(port=restarted.bound_port), "dev-1", timeout_s=10.0
+                ).resume_session(client.resume_token)
+            finally:
+                await restarted.drain(timeout=10.0)
+            return live, resumed
+
+        live, resumed = asyncio.run(body())
+        assert live["type"] == "abort" and live["reason"] == reason
+        assert live["retry_after_s"] == config.retry_after_s
+        assert resumed.kind == "abort"
+        assert resumed.frame == {**live, "resumed": True}
+        assert list(resumed.frame) == [*live, "resumed"]
 
 
 class TestJournalLessServer:

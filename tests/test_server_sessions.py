@@ -149,7 +149,7 @@ class TestHonestPath:
         assert server.metrics.ticks <= len(outcomes)
         assert server.metrics.tick_sessions_max >= 1
 
-    def test_ping_and_health_are_answered(self, tiny_pipeline):
+    def test_ping_and_status_are_answered(self, tiny_pipeline):
         async def scenario(server, endpoint):
             client = DeviceClient(endpoint, "dev-ping", rounds=ROUNDS)
             await client.connect()
@@ -157,18 +157,29 @@ class TestHonestPath:
                 await client.hello()
                 await client.send({"type": "ping"})
                 pong = await client.recv()
-                await client.send({"type": "health"})
-                health = await client.recv()
+                await client.send({"type": "status"})
+                status = await client.recv()
                 await client.send({"type": "bye"})
-                return pong, health
+                return pong, status
             finally:
                 await client.close()
 
-        (pong, health), _ = run_scenario(tiny_pipeline, fast_config(), scenario)
+        (pong, status), _ = run_scenario(tiny_pipeline, fast_config(), scenario)
         assert pong["type"] == "pong"
-        assert health["type"] == "health"
-        assert health["active_sessions"] >= 1
-        assert health["metrics"]["accepted"] >= 1
+        assert list(status) == [
+            "type",
+            "session_id",
+            "active_sessions",
+            "queue_depth",
+            "draining",
+            "model_generation",
+            "metrics",
+        ]
+        assert status["type"] == "status"
+        assert status["session_id"] == "dev-ping"
+        assert status["active_sessions"] >= 1
+        assert status["draining"] is False
+        assert status["metrics"]["accepted"] >= 1
 
 
 class TestBackpressure:
